@@ -3,9 +3,9 @@
 Finite-kind models admit exact evaluation: the Berezin number is the largest
 diagonal modulus and the Berezin norm the largest entry modulus, both maxima
 over finitely many kernel pairs.  Continuous models are sampled on nested
-polar grids and refined locally, producing certified lower bounds (exact
-flag False).  Estimates at level L take the best value over levels 0..L, so
-refinement never loses ground.
+polar grids and refined locally, producing lower bounds attained at domain
+points (exact=False).  Estimates at level L take the best value over levels
+0..L, so refinement never loses ground.
 """
 
 from __future__ import annotations
@@ -18,7 +18,10 @@ import numpy as np
 from ._cache import matrix_key, memo
 from .errors import DimensionMismatch, NotPositive
 from .linalg import is_positive
-from .models import KernelModel, OmegaGrid, default_grid, kernel_matrix, normalized_kernel
+from .models import (
+    KernelModel, OmegaGrid, _unit_kernel, _weights, default_grid, kernel_matrix,
+    normalized_kernel,
+)
 from .results import InequalityResult
 
 # Multistart width for local refinement of grid maxima.
@@ -121,15 +124,26 @@ def _golden_max(f, lo: float, hi: float, iters: int | None = None,
     return best_x, best_f
 
 
-def _symbol_abs(model: KernelModel, a: np.ndarray, lam: complex) -> float:
-    k = normalized_kernel(model, lam)
+def _top_k(v: np.ndarray) -> np.ndarray:
+    """Flat indices of the TOP_K largest entries of v, largest first.
+
+    Equal to np.argsort(-v.ravel(), kind="stable")[:TOP_K] (ties by C-order
+    index, NaN last), but only the entries at or above the K-th largest get
+    sorted, and a non-contiguous view (a transpose) is not copied.
+    """
+    if v.size <= TOP_K:
+        return np.argsort(-v.ravel(), kind="stable")
+    neg = np.negative(v).ravel(order="K")  # a fresh array, ours to partition
+    neg.partition(TOP_K - 1)
+    # -v[i] <= kth  <=>  not (v[i] < -kth); NaN entries (and all of v when
+    # kth is NaN) stay candidates, and the stable sort puts NaN last.
+    cand = np.flatnonzero(~(v < -neg[TOP_K - 1]))
+    return cand[np.argsort(-v.flat[cand], kind="stable")[:TOP_K]]
+
+
+def _symbol_abs(model: KernelModel, w, a: np.ndarray, lam: complex) -> float:
+    k = _unit_kernel(model, w, lam)
     return abs(complex(k.conj() @ (a @ k)))
-
-
-def _pair_abs(model: KernelModel, a: np.ndarray, lam: complex, mu: complex) -> float:
-    kl = normalized_kernel(model, lam)
-    km = normalized_kernel(model, mu)
-    return abs(complex(km.conj() @ (a @ kl)))
 
 
 def _polar_brackets(model: KernelModel, point: complex, level: int):
@@ -147,9 +161,10 @@ def _polar_brackets(model: KernelModel, point: complex, level: int):
 def _refine_symbol(model, a, point, level):
     """Alternating golden-section polish of |symbol| around one grid point."""
     (r_lo, r_hi, r), (t_lo, t_hi, th) = _polar_brackets(model, point, level)
+    w = _weights(model)
 
     def at(rr, tt):
-        return _symbol_abs(model, a, complex(rr * math.cos(tt), rr * math.sin(tt)))
+        return _symbol_abs(model, w, a, complex(rr * math.cos(tt), rr * math.sin(tt)))
 
     best = at(r, th)
     for _ in range(REFINE_ROUNDS):
@@ -161,21 +176,35 @@ def _refine_symbol(model, a, point, level):
 
 
 def _refine_pair(model, a, lam, mu, level):
-    """Four-coordinate polish of |<A k_lam, k_mu>| around a grid pair."""
+    """Four-coordinate polish of |<A k_lam, k_mu>| around a grid pair.
+
+    Each golden-section pass moves one point of the pair, so the other side
+    (conj(k_mu), or A k_lam) is computed once per pass; every value is still
+    km.conj() @ (a @ kl) from the same operands.
+    """
     (rl_lo, rl_hi, rl), (tl_lo, tl_hi, tl) = _polar_brackets(model, lam, level)
     (rm_lo, rm_hi, rm), (tm_lo, tm_hi, tm) = _polar_brackets(model, mu, level)
+    w = _weights(model)
 
-    def at(a_rl, a_tl, a_rm, a_tm):
-        p = complex(a_rl * math.cos(a_tl), a_rl * math.sin(a_tl))
-        q = complex(a_rm * math.cos(a_tm), a_rm * math.sin(a_tm))
-        return _pair_abs(model, a, p, q)
+    def kern(rr, tt):
+        return _unit_kernel(model, w, complex(rr * math.cos(tt), rr * math.sin(tt)))
 
-    best = at(rl, tl, rm, tm)
+    def moving_lam(rr, tt):  # |<A k_lam, k_mu>| as a function of lam
+        kmc = kern(rr, tt).conj()
+        return lambda r, t: abs(complex(kmc @ (a @ kern(r, t))))
+
+    def moving_mu(rr, tt):  # ... as a function of mu
+        akl = a @ kern(rr, tt)
+        return lambda r, t: abs(complex(kern(r, t).conj() @ akl))
+
+    best = moving_lam(rm, tm)(rl, tl)
     for _ in range(REFINE_ROUNDS):
-        rl, f1 = _golden_max(lambda x: at(x, tl, rm, tm), rl_lo, rl_hi, iters=REFINE_ITERS)
-        tl, f2 = _golden_max(lambda x: at(rl, x, rm, tm), tl_lo, tl_hi, iters=REFINE_ITERS)
-        rm, f3 = _golden_max(lambda x: at(rl, tl, x, tm), rm_lo, rm_hi, iters=REFINE_ITERS)
-        tm, f4 = _golden_max(lambda x: at(rl, tl, rm, x), tm_lo, tm_hi, iters=REFINE_ITERS)
+        f = moving_lam(rm, tm)
+        rl, f1 = _golden_max(lambda x: f(x, tl), rl_lo, rl_hi, iters=REFINE_ITERS)
+        tl, f2 = _golden_max(lambda x: f(rl, x), tl_lo, tl_hi, iters=REFINE_ITERS)
+        g = moving_mu(rl, tl)
+        rm, f3 = _golden_max(lambda x: g(x, tm), rm_lo, rm_hi, iters=REFINE_ITERS)
+        tm, f4 = _golden_max(lambda x: g(rm, x), tm_lo, tm_hi, iters=REFINE_ITERS)
         best = max(best, f1, f2, f3, f4)
     p = complex(rl * math.cos(tl), rl * math.sin(tl))
     q = complex(rm * math.cos(tm), rm * math.sin(tm))
@@ -202,7 +231,7 @@ def berezin_number(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEsti
             pts = grid.points
             kmat = kernel_matrix(model, pts)
             vals = np.abs(np.einsum("ij,ij->j", kmat.conj(), a @ kmat))
-            for idx in np.argsort(-vals, kind="stable")[:TOP_K]:
+            for idx in _top_k(vals):
                 if vals[idx] > best_val:
                     best_val, best_arg = float(vals[idx]), pts[idx]
                 ref_val, ref_arg = _refine_symbol(model, a, pts[idx], lev)
@@ -236,12 +265,12 @@ def berezin_norm(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEstima
             m = len(pts)
             kmat = kernel_matrix(model, pts)
             pair_vals = np.abs(kmat.conj().T @ (a @ kmat))  # [mu_i, lam_j]
-            flat = pair_vals.T.reshape(-1)  # lam-major
-            for idx in np.argsort(-flat, kind="stable")[:TOP_K]:
+            by_lam = pair_vals.T  # lam-major view: flat index jl * m + im
+            for idx in _top_k(by_lam):
                 jl, im = int(idx) // m, int(idx) % m
                 lam, mu = pts[jl], pts[im]
-                if flat[idx] > best_val:
-                    best_val, best_arg = float(flat[idx]), (lam, mu)
+                if by_lam[jl, im] > best_val:
+                    best_val, best_arg = float(by_lam[jl, im]), (lam, mu)
                 ref_val, ref_arg = _refine_pair(model, a, lam, mu, lev)
                 if ref_val > best_val:
                     best_val, best_arg = ref_val, ref_arg

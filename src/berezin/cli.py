@@ -39,7 +39,8 @@ from .errors import (
     UnknownIneqId,
 )
 from .inequalities import CATALOG, CATALOG_ORDER, DEFAULT_TOL, InequalityCase, check as check_case
-from .models import KernelModel
+from .linalg import operator_norm
+from .models import KernelModel, default_grid
 
 _CONFIG_KEYS = {
     "eval": {"model", "matrix", "level", "tol", "out", "format"},
@@ -95,8 +96,6 @@ def _jsonable(obj):
         return [z.real, z.imag]
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     return obj
 
 
@@ -178,9 +177,6 @@ def cmd_eval(args) -> int:
         bn = calc.berezin_number(model, mat, level=level)
         nb = calc.berezin_norm(model, mat, level=level)
         w = calc.numerical_radius(mat)
-        from .linalg import operator_norm
-        from .models import default_grid
-
         opn = operator_norm(mat)
         grid = default_grid(model, level=level)
         samples = calc.berezin_set_sample(model, mat, grid)

@@ -27,7 +27,8 @@ NEG_EIG_CLAMP = 1e-10
 # Relative cutoff separating the support of |A| from its kernel.
 SUPPORT_CUT = 1e-12
 
-_precise: ContextVar[bool] = ContextVar("berezin_precise_eig", default=False)
+# mpmath digits while precise_eigensolver() is active, None otherwise.
+_precise_dps: ContextVar[int | None] = ContextVar("berezin_precise_dps", default=None)
 
 
 @contextlib.contextmanager
@@ -37,16 +38,17 @@ def precise_eigensolver(dps: int = 50):
     Used to re-check marginal inequality violations with tighter numerics;
     results are converted back to float64, so callers never see mp types.
     """
-    token = _precise.set(True)
-    global _PRECISE_DPS
-    _PRECISE_DPS = dps
+    token = _precise_dps.set(int(dps))
     try:
         yield
     finally:
-        _precise.reset(token)
+        _precise_dps.reset(token)
 
 
-_PRECISE_DPS = 50
+def _eig_tag(base: str) -> str:
+    """Memo tag for eigensystems: float64 and each precision are kept apart."""
+    dps = _precise_dps.get()
+    return base if dps is None else f"{base}{dps}"
 
 
 class HermEig(NamedTuple):
@@ -94,13 +96,13 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return _fro(a - a.conj().T) <= tol * max(1.0, _fro(a))
 
 
-def _eig_mpmath(h: np.ndarray) -> HermEig:
+def _eig_mpmath(h: np.ndarray, dps: int) -> HermEig:
     """Hermitian eigendecomposition at elevated precision, back to float64."""
     import mpmath
     from mpmath import mp
 
     n = h.shape[0]
-    with mpmath.workdps(_PRECISE_DPS):
+    with mpmath.workdps(dps):
         m = mp.matrix(n, n)
         for i in range(n):
             for j in range(n):
@@ -136,8 +138,9 @@ def herm_eig(h: np.ndarray, tol: float = HERMITIAN_TOL) -> HermEig:
 
     def compute() -> HermEig:
         sym = (h + h.conj().T) * 0.5
-        if _precise.get():
-            return _eig_mpmath(sym)
+        dps = _precise_dps.get()
+        if dps is not None:
+            return _eig_mpmath(sym, dps)
         try:
             w, v = np.linalg.eigh(sym)
         except np.linalg.LinAlgError as exc:
@@ -147,7 +150,7 @@ def herm_eig(h: np.ndarray, tol: float = HERMITIAN_TOL) -> HermEig:
         ev.vectors.flags.writeable = False
         return ev
 
-    return memo(matrix_key("heig" if not _precise.get() else "heig50", h), compute)
+    return memo(matrix_key(_eig_tag("heig"), h), compute)
 
 
 def _gram_eig(a: np.ndarray) -> HermEig:
@@ -156,7 +159,7 @@ def _gram_eig(a: np.ndarray) -> HermEig:
     def compute() -> HermEig:
         return herm_eig(adjoint(a) @ a)
 
-    return memo(matrix_key("gram" if not _precise.get() else "gram50", a), compute)
+    return memo(matrix_key(_eig_tag("gram"), a), compute)
 
 
 def operator_norm(a: np.ndarray) -> float:

@@ -18,8 +18,10 @@ on them are honest lower bounds for the suprema, never certificates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,19 +101,58 @@ def fock(degree: int = DEFAULT_DEGREE, radius: float = DEFAULT_FOCK_RADIUS) -> K
     return _disk_model("fock", degree, radius)
 
 
-def _raw_kernel(model: KernelModel, lam: complex) -> np.ndarray:
-    """Un-normalized kernel coordinates at lam (continuous kinds only)."""
+class _Weights(NamedTuple):
+    """Per-model kernel coordinates: exponents 0..N and their weights."""
+
+    exponents: np.ndarray
+    scale: np.ndarray | None  # sqrt(j+1) (bergman), sqrt(j!) (fock), None (hardy)
+    divide: bool  # fock divides by its scale, bergman multiplies
+
+
+@functools.lru_cache(maxsize=64)
+def _weights(model: KernelModel) -> _Weights:
+    """Kernel weights of a continuous model, built on first use.
+
+    The cache hands the same arrays to every caller, so they are read-only.
+    """
     j = np.arange(model.dimension)
-    lbar = np.conj(np.complex128(lam))
-    pows = lbar**j
     if model.kind == "hardy":
-        return pows
-    if model.kind == "bergman":
-        return np.sqrt(j + 1.0) * pows
-    if model.kind == "fock":
+        w = _Weights(j, None, False)
+    elif model.kind == "bergman":
+        w = _Weights(j, np.sqrt(j + 1.0), False)
+    elif model.kind == "fock":
         fact = np.array([math.sqrt(math.factorial(int(k))) for k in j])
-        return pows / fact
-    raise ValueError(f"unknown model kind {model.kind!r}")
+        w = _Weights(j, fact, True)
+    else:
+        raise ValueError(f"unknown model kind {model.kind!r}")
+    for arr in (w.exponents, w.scale):
+        if arr is not None:
+            arr.flags.writeable = False
+    return w
+
+
+def _unit_kernel(model: KernelModel, w: _Weights, point) -> np.ndarray:
+    """Normalized kernel at a point of a continuous model, with weights `w`.
+
+    Coordinates are conj(lambda)^j, times or divided by the weights, over
+    sqrt(re.re + im.im): the formula np.linalg.norm uses, so the result is
+    bit-identical to raw / np.linalg.norm(raw).
+    """
+    try:
+        lam = complex(point)
+    except (TypeError, ValueError) as exc:
+        raise PointOutOfDomain(f"bad point {point!r}") from exc
+    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+        raise PointOutOfDomain(f"non-finite point {point!r}")
+    if abs(lam) > model.radius * (1.0 + 1e-12):
+        raise PointOutOfDomain(
+            f"|{lam}| = {abs(lam):.6g} exceeds domain radius {model.radius:g}"
+        )
+    raw = lam.conjugate() ** w.exponents
+    if w.scale is not None:
+        raw = raw / w.scale if w.divide else w.scale * raw
+    re, im = raw.real, raw.imag
+    return raw / math.sqrt(re.dot(re) + im.dot(im))
 
 
 def normalized_kernel(model: KernelModel, point) -> np.ndarray:
@@ -133,23 +174,16 @@ def normalized_kernel(model: KernelModel, point) -> np.ndarray:
         e = np.zeros(model.dimension, dtype=np.complex128)
         e[i - 1] = 1.0
         return e
-    try:
-        lam = np.complex128(point)
-    except (TypeError, ValueError) as exc:
-        raise PointOutOfDomain(f"bad point {point!r}") from exc
-    if not np.isfinite(lam.real) or not np.isfinite(lam.imag):
-        raise PointOutOfDomain(f"non-finite point {point!r}")
-    if abs(lam) > model.radius * (1.0 + 1e-12):
-        raise PointOutOfDomain(
-            f"|{lam}| = {abs(lam):.6g} exceeds domain radius {model.radius:g}"
-        )
-    raw = _raw_kernel(model, lam)
-    return raw / np.linalg.norm(raw)
+    return _unit_kernel(model, _weights(model), point)
 
 
 def kernel_matrix(model: KernelModel, points) -> np.ndarray:
     """Normalized kernel vectors stacked as columns, one per point."""
-    cols = [normalized_kernel(model, p) for p in points]
+    if model.is_finite_kind:
+        cols = [normalized_kernel(model, p) for p in points]
+    else:
+        w = _weights(model)
+        cols = [_unit_kernel(model, w, p) for p in points]
     return np.column_stack(cols)
 
 
@@ -167,10 +201,9 @@ def default_grid(model: KernelModel, level: int = 0) -> OmegaGrid:
         return OmegaGrid(points=tuple(range(1, model.dimension + 1)), level=level)
     n_ang = BASE_ANGLES * (2**level)
     n_rad = BASE_RADII * (2**level)
-    pts = [complex(0.0, 0.0)]
     angles = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    for k in range(1, n_rad + 1):
-        r = model.radius * (k / n_rad)
-        for th in angles:
-            pts.append(complex(r * np.cos(th), r * np.sin(th)))
-    return OmegaGrid(points=tuple(pts), level=level)
+    radii = model.radius * (np.arange(1, n_rad + 1) / n_rad)
+    mesh = np.empty((n_rad, n_ang), dtype=np.complex128)  # radius-major
+    mesh.real = radii[:, None] * np.cos(angles)
+    mesh.imag = radii[:, None] * np.sin(angles)
+    return OmegaGrid(points=(0j, *mesh.ravel().tolist()), level=level)

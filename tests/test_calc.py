@@ -20,6 +20,7 @@ from berezin import (
     verify_positive_equality,
 )
 from berezin._cache import computation_scope
+from berezin.calc import TOP_K, _top_k
 
 A22 = np.array([[1, 2], [3, 4]], dtype=complex)
 SHIFT = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -216,6 +217,45 @@ class TestContinuousEstimates:
         lam, mu = est.argmax
         assert abs(lam) <= 0.9 + 1e-9 and abs(mu) <= 0.9 + 1e-9
         assert est.value >= berezin_number(m, s, level=1).value - 1e-12
+
+
+class TestTopK:
+    """_top_k must pick exactly the indices of a full stable descending sort."""
+
+    @staticmethod
+    def _check(v):
+        v = np.asarray(v, dtype=np.float64)
+        want = np.argsort(-v.ravel(), kind="stable")[:TOP_K]
+        assert np.array_equal(_top_k(v), want)
+
+    def test_ties_straddling_kth_place(self):
+        # five copies of the K-th value, some before and some after the larger ones
+        v = [0.5, 2.0, 0.5, 0.1, 3.0, 0.5, 2.0, 0.5, 0.5, 0.2, 0.5]
+        assert sorted(v, reverse=True)[TOP_K - 1] == 0.5
+        self._check(v)
+        self._check(v[::-1])
+
+    def test_fewer_than_k_values(self):
+        for n in range(TOP_K + 1):
+            self._check(np.arange(n, dtype=float)[::-1] % 3)
+
+    def test_all_equal_values(self):
+        self._check(np.full(17, 0.25))
+        self._check(np.zeros(TOP_K + 1))
+
+    def test_nan_sorts_last(self):
+        self._check([np.nan, 1.0, np.nan, 2.0, 0.5, np.nan, 2.0])
+        self._check([1.0, np.nan, 3.0, 2.0, 0.5, 0.5, 4.0, np.nan])
+
+    def test_random_with_repeats(self, rng):
+        for _ in range(50):
+            self._check(rng.integers(0, 6, size=int(rng.integers(1, 40))) / 4.0)
+
+    def test_transposed_view_in_c_order(self, rng):
+        # berezin_norm selects on the lam-major transpose of its pair matrix
+        m = rng.integers(0, 4, size=(7, 9)) / 2.0
+        self._check(m.T)
+        self._check(m[:, ::2])
 
 
 class TestScopedCache:

@@ -21,6 +21,7 @@ from berezin import (
     re_part,
     spectral_radius,
 )
+from berezin._cache import computation_scope
 
 I2 = np.eye(2, dtype=complex)
 SHIFT = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -118,6 +119,42 @@ class TestHermEig:
         with precise_eigensolver():
             tight = herm_eig(h).values
         assert np.abs(plain - tight).max() <= 1e-12 * max(1.0, np.abs(plain).max())
+
+    @staticmethod
+    def _record_dps(monkeypatch):
+        import mpmath
+
+        seen, workdps = [], mpmath.workdps
+
+        def recording(dps):
+            seen.append(dps)
+            return workdps(dps)
+
+        monkeypatch.setattr(mpmath, "workdps", recording)
+        return seen
+
+    def test_precise_memo_keyed_on_dps(self, rng, monkeypatch):
+        seen = self._record_dps(monkeypatch)
+        g = orc.rand_complex(rng, 3)
+        h = (g + g.conj().T) / 2
+        with computation_scope():
+            with precise_eigensolver(dps=30):
+                herm_eig(h)
+            with precise_eigensolver(dps=60):
+                herm_eig(h)
+            with precise_eigensolver(dps=60):
+                herm_eig(h)
+        assert seen == [30, 60]
+
+    def test_precise_dps_restored_on_exit(self, rng, monkeypatch):
+        seen = self._record_dps(monkeypatch)
+        g = orc.rand_complex(rng, 3)
+        h1, h2 = (g + g.conj().T) / 2, g @ g.conj().T
+        with precise_eigensolver(dps=30):
+            with precise_eigensolver(dps=60):
+                herm_eig(h1)
+            herm_eig(h2)
+        assert seen == [60, 30]
 
 
 class TestAbsPower:

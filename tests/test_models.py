@@ -136,6 +136,20 @@ class TestGrids:
         assert pts[0] == 0.0
         assert np.abs(pts).max() == pytest.approx(2.0, rel=1e-15)
 
+    @pytest.mark.parametrize("model", [hardy(), fock(4, 2.0)])
+    def test_matches_point_loop(self, model):
+        # the documented mesh, built point by point: origin, then radius-major
+        for level in (0, 1):
+            n_ang, n_rad = 16 * 2**level, 8 * 2**level
+            angles = 2.0 * np.pi * np.arange(n_ang) / n_ang
+            want = [0j]
+            for k in range(1, n_rad + 1):
+                r = model.radius * (k / n_rad)
+                want += [complex(r * np.cos(th), r * np.sin(th)) for th in angles]
+            got = default_grid(model, level=level).points
+            assert all(type(p) is complex for p in got)
+            assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
     def test_all_points_inside(self):
         g = default_grid(hardy(), level=1)
         assert max(abs(complex(p)) for p in g.points) <= 0.95 + 1e-15
@@ -143,12 +157,31 @@ class TestGrids:
 
 class TestKernelMatrix:
     def test_columns_are_kernels(self):
-        m = hardy(4, 0.9)
         pts = [0.1, 0.2 + 0.3j, -0.5j]
+        for m in (hardy(4, 0.9), bergman(4, 0.9), fock(4, 2.0)):
+            km = kernel_matrix(m, pts)
+            assert km.shape == (5, 3)
+            for j, p in enumerate(pts):
+                assert np.array_equal(km[:, j], normalized_kernel(m, p))
+
+    @pytest.mark.parametrize("m", [hardy(6, 0.9), bergman(6, 0.9), fock(6, 2.0)])
+    def test_bit_equal_to_documented_formula(self, m, rng):
+        # coordinates conj(lam)^j, times sqrt(j+1) (bergman) or over sqrt(j!)
+        # (fock), divided by their numpy 2-norm
+        j = np.arange(m.dimension)
+        pts = [0.0, m.radius, -0.3j * m.radius] + [
+            complex(*rng.uniform(-0.7, 0.7, 2)) * m.radius for _ in range(20)
+        ]
         km = kernel_matrix(m, pts)
-        assert km.shape == (5, 3)
-        for j, p in enumerate(pts):
-            assert np.array_equal(km[:, j], normalized_kernel(m, p))
+        for col, p in enumerate(pts):
+            raw = np.conj(np.complex128(p)) ** j
+            if m.kind == "bergman":
+                raw = np.sqrt(j + 1.0) * raw
+            elif m.kind == "fock":
+                raw = raw / np.array([math.sqrt(math.factorial(int(k))) for k in j])
+            want = raw / np.linalg.norm(raw)
+            assert np.array_equal(km[:, col], want)
+            assert np.array_equal(normalized_kernel(m, p), want)
 
     def test_finite_kernel_matrix_is_identity(self):
         km = kernel_matrix(finite(3), [1, 2, 3])
