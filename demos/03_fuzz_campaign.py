@@ -45,7 +45,7 @@ print(f"reporter exit code: {code}")
 
 print()
 print("reproducibility: trial t draws from master_seed XOR t, so the same")
-print("seed always yields the same CSV, byte for byte, at any thread count.")
+print("seed always yields the same CSV, byte for byte.")
 rerun = workdir / "campaign-again.csv"
 run_suite(
     ["thm1", "cor1", "eqn13", "lem3", "prop1"],
@@ -53,6 +53,5 @@ run_suite(
     trials=50,
     dims=(2, 3, 4, 6),
     csv_path=str(rerun),
-    threads=4,
 )
-print(f"4-thread rerun identical: {rerun.read_bytes() == csv_path.read_bytes()}")
+print(f"rerun identical: {rerun.read_bytes() == csv_path.read_bytes()}")

@@ -14,7 +14,6 @@ Exit codes: check/fuzz return 0 with no violations, 1 with violations, 2 on
 bad configuration; eval returns 2 for bad input, 3 for dimension mismatches,
 4 for numerical failures; report returns 2 when the input is unusable.
 A --config JSON file supplies any long-form option; explicit flags win.
-The BEREZIN_THREADS environment variable caps worker parallelism.
 """
 
 from __future__ import annotations
@@ -32,25 +31,22 @@ from .errors import (
     BerezinError,
     DimensionMismatch,
     NoConvergence,
-    NotCommuting,
-    NotPositive,
-    ParamOutOfRange,
     PointOutOfDomain,
     UnknownIneqId,
 )
-from .inequalities import CATALOG, CATALOG_ORDER, DEFAULT_TOL, InequalityCase, check as check_case
+from .inequalities import CATALOG, DEFAULT_TOL, InequalityCase, check as check_case
 from .linalg import operator_norm
 from .models import KernelModel, default_grid
 
 _CONFIG_KEYS = {
-    "eval": {"model", "matrix", "level", "tol", "out", "format"},
+    "eval": {"model", "matrix", "level", "out", "format"},
     "check": {
         "ineq", "model", "gen", "n", "trials", "seed", "scale",
         "alpha", "r", "s", "a", "b", "tol", "level", "out", "format",
     },
     "fuzz": {
         "suite", "ineq", "model", "gen", "n", "trials", "seed", "scale",
-        "alpha", "r", "s", "tol", "level", "out", "format", "threads",
+        "alpha", "r", "s", "tol", "level", "out", "format",
     },
     "report": {"input", "out", "format"},
 }
@@ -361,7 +357,6 @@ def cmd_fuzz(args) -> int:
         seed = int(opts["seed"]) if opts["seed"] is not None else 0
         scale = float(opts["scale"]) if opts["scale"] is not None else 1.0
         kind = opts["gen"] or "general"
-        threads = int(opts["threads"]) if opts["threads"] is not None else None
         csv_path = opts["out"] if (opts["out"] and fmt == "csv") else None
         report = fuzz.run_suite(
             ids,
@@ -373,7 +368,6 @@ def cmd_fuzz(args) -> int:
             tolerance=tol,
             level=level,
             csv_path=csv_path,
-            threads=threads,
         )
     except (BerezinError, ValueError, OSError, json.JSONDecodeError) as exc:
         _log(f"error: {exc}")
@@ -462,7 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--model", help="model spec, e.g. finite:4 or hardy:15:0.95")
     pe.add_argument("--matrix", help="path to a matrix JSON file")
     pe.add_argument("--level", type=int, help="grid refinement level (continuous models)")
-    pe.add_argument("--tol", type=float, help=argparse.SUPPRESS)
     pe.add_argument("--out", help="write output here instead of stdout")
     pe.add_argument("--format", choices=("json", "csv"), help="output format")
     pe.add_argument("--config", help="JSON file with default options")
@@ -491,7 +484,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("fuzz", help="randomized campaign over the catalog")
     pf.add_argument("--suite", help='"all" or a comma list of catalog ids')
     pf.add_argument("--ineq", help="comma list of ids (default: all)")
-    pf.add_argument("--threads", type=int, help="worker cap (default: BEREZIN_THREADS or 1)")
     pf.add_argument("--model", help="model spec (default: exact finite models)")
     pf.add_argument("--gen", choices=fuzz.MATRIX_KINDS, help="operand ensemble")
     pf.add_argument("--n", help="comma list of dimensions to cycle, e.g. 2,3,4,6")

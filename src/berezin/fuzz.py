@@ -16,11 +16,8 @@ the case counts as a numerical-marginal retry instead of a violation.
 from __future__ import annotations
 
 import csv
-import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -314,18 +311,6 @@ def _csv_row(rec: dict) -> list[str]:
     ]
 
 
-def _worker_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("BEREZIN_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
-
-
 def _run_entry_trial(entry, combos, trial, master_seed, dims, scale, matrix_kind,
                      model, tolerance, level):
     """All sweep evaluations of one entry for one trial; returns row data."""
@@ -376,7 +361,6 @@ def run_suite(
     tolerance: float = DEFAULT_TOL,
     level: int = 1,
     csv_path: str | None = None,
-    threads: int | None = None,
     collect_rows: bool = False,
 ) -> TrialReport:
     """Randomized campaign over catalog entries.
@@ -387,7 +371,7 @@ def run_suite(
     model: force one kernel model (continuous models give exploratory lower
     bounds); default is an exact finite model at each trial's dimension.
     CSV rows stream to csv_path in a deterministic order (entry, trial,
-    sweep point), independent of the worker count.
+    sweep point).
     """
     t0 = time.monotonic()
     gen = gen or GeneratorSpec()
@@ -402,7 +386,6 @@ def run_suite(
     dims = tuple(int(d) for d in (dims or (gen.n,)))
     if any(d < 1 for d in dims):
         raise ValueError(f"dimensions must be >= 1, got {dims}")
-    workers = _worker_count(threads)
 
     writer = None
     fh = None
@@ -419,20 +402,11 @@ def run_suite(
     try:
         for entry in entries:
             combos = param_grid(entry, sweep)
-
-            def task(trial, entry=entry, combos=combos):
-                return _run_entry_trial(
+            for trial in range(trials):
+                rows, viols, retries = _run_entry_trial(
                     entry, combos, trial, gen.seed, dims, gen.scale,
                     gen.kind, model, tolerance, level,
                 )
-
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as ex:
-                    results = list(ex.map(task, range(trials)))
-            else:
-                results = [task(t) for t in range(trials)]
-
-            for rows, viols, retries in results:
                 violations.extend(viols)
                 retries_total += retries
                 for rec, rel_gap in rows:

@@ -78,7 +78,11 @@ class CatalogEntry:
 
 
 class _Env:
-    """Model-bound shorthands used by the evaluators."""
+    """Model-bound shorthands used by the evaluators.
+
+    `cross` is the quantity of Theorem 3's B*A term: the Berezin number here,
+    the numerical radius in the operator-norm version.
+    """
 
     def __init__(self, model: KernelModel | None, level: int):
         self.model = model
@@ -90,9 +94,24 @@ class _Env:
     def nber(self, m) -> float:
         return calc.berezin_norm(self.model, m, level=self.level).value
 
+    cross = ber
 
+
+class _OperatorEnv:
+    """The operator-norm remarks: the operator norm stands in for both Berezin
+    quantities and the numerical radius for the cross term."""
+
+    def ber(self, m) -> float:
+        return operator_norm(m)
+
+    nber = ber
+
+    def cross(self, m) -> float:
+        return calc.numerical_radius(m)
+
+
+_OPERATOR_ENV = _OperatorEnv()
 _opn = operator_norm
-_w = calc.numerical_radius
 
 
 def power_mean(a: float, b: float, alpha: float, t: float) -> float:
@@ -470,7 +489,7 @@ def _ev_thm3(o, p, env):
     lhs = env.nber(al * a + (1 - al) * b) ** 2
     rhs = env.ber(
         al**2 * (adjoint(a) @ a) + (1 - al) ** 2 * (adjoint(b) @ b)
-    ) + 2.0 * al * (1 - al) * env.ber(adjoint(b) @ a)
+    ) + 2.0 * al * (1 - al) * env.cross(adjoint(b) @ a)
     return [Part("main", lhs, rhs)]
 
 
@@ -478,22 +497,6 @@ def _ev_thm3half(o, p, env):
     a, b = o["A"], o["B"]
     lhs = env.nber(a + b) ** 2
     rhs = env.ber(adjoint(a) @ a + adjoint(b) @ b) + 2.0 * env.ber(adjoint(b) @ a)
-    return [Part("main", lhs, rhs)]
-
-
-def _ev_rmk_i(o, p, env):
-    a, b, c, d, x, y = o["A"], o["B"], o["C"], o["D"], o["X"], o["Y"]
-    al, r, s = p["alpha"], p["r"], p["s"]
-    lhs = _opn(_hm(adjoint(a) @ x @ b, adjoint(c) @ y @ d)) ** 2
-    t1 = _hm(
-        positive_power(adjoint(b) @ abs_power(x, 2 * al) @ b, r),
-        positive_power(adjoint(d) @ abs_power(y, 2 * al) @ d, r),
-    )
-    t2 = _hm(
-        positive_power(adjoint(a) @ abs_power(adjoint(x), 2 * (1 - al)) @ a, s),
-        positive_power(adjoint(c) @ abs_power(adjoint(y), 2 * (1 - al)) @ c, s),
-    )
-    rhs = _opn(t1) ** (1.0 / r) * _opn(t2) ** (1.0 / s)
     return [Part("main", lhs, rhs)]
 
 
@@ -512,31 +515,6 @@ def _ev_rmk_ii(o, p, env):
             positive_power(adjoint(c) @ c, s),
         )
     ) ** (1.0 / s)
-    return [Part("main", lhs, rhs)]
-
-
-def _ev_rmk_iii(o, p, env):
-    a, b = o["A"], o["B"]
-    al, r, s = p["alpha"], p["r"], p["s"]
-    m = _hm(
-        positive_power(a, al) @ positive_power(b, 1 - al),
-        positive_power(a, 1 - al) @ positive_power(b, al),
-    )
-    rhs = _opn(
-        _hm(positive_power(a, 2 * al * r), positive_power(a, 2 * (1 - al) * r))
-    ) ** (1.0 / r) * _opn(
-        _hm(positive_power(b, 2 * al * s), positive_power(b, 2 * (1 - al) * s))
-    ) ** (1.0 / s)
-    return [Part("main", _opn(m) ** 2, rhs)]
-
-
-def _ev_rmk_iv(o, p, env):
-    a, b = o["A"], o["B"]
-    al = p["alpha"]
-    lhs = _opn(al * a + (1 - al) * b) ** 2
-    rhs = _opn(
-        al**2 * (adjoint(a) @ a) + (1 - al) ** 2 * (adjoint(b) @ b)
-    ) + 2.0 * al * (1 - al) * _w(adjoint(b) @ a)
     return [Part("main", lhs, rhs)]
 
 
@@ -722,7 +700,7 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     "rmk_i",
     "operator-norm analogue of thm1",
-    _gen("A", "B", "C", "D", "X", "Y"), ("alpha", "r", "s"), _ev_rmk_i,
+    _gen("A", "B", "C", "D", "X", "Y"), ("alpha", "r", "s"), _ev_thm1,
     needs_model=False,
 ))
 _register(CatalogEntry(
@@ -733,13 +711,13 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     "rmk_iii",
     "operator-norm analogue of the positive-operator interpolation bound",
-    _pos("A", "B"), ("alpha", "r", "s"), _ev_rmk_iii, needs_model=False,
+    _pos("A", "B"), ("alpha", "r", "s"), _ev_thm2, needs_model=False,
 ))
 _register(CatalogEntry(
     "rmk_iv",
     "operator-norm analogue of the convex-combination bound, with the "
     "numerical radius in the cross term",
-    _gen("A", "B"), ("alpha",), _ev_rmk_iv, needs_model=False,
+    _gen("A", "B"), ("alpha",), _ev_thm3, needs_model=False,
 ))
 _register(CatalogEntry(
     "lem1",
@@ -858,7 +836,7 @@ def check(case: InequalityCase) -> InequalityResult:
         raise UnknownIneqId(f"no catalog entry {case.ineq_id!r}")
     ops, n = _validated_operands(entry, case)
     params = _validated_params(entry, case.params)
-    env = _Env(case.model, case.level)
+    env = _Env(case.model, case.level) if entry.needs_model else _OPERATOR_ENV
     parts = entry.evaluate(ops, params, env)
     tol = float(case.tolerance)
     ok = all(pt.lhs <= pt.rhs + tol * max(1.0, pt.rhs) for pt in parts)

@@ -2,11 +2,9 @@
 
 Each test prints one ACCEPTANCE line (directly to the terminal, bypassing
 capture) so a full run leaves an at-a-glance verdict per gate.  The heavy
-randomized campaign runs once in a module fixture; the thread-determinism
-gate reruns it in parallel and compares output bytes.
+randomized campaign runs once in a module fixture.
 """
 
-import os
 import time
 
 import numpy as np
@@ -41,7 +39,7 @@ def verdict(capsys, num: int, ok: bool, detail: str) -> None:
 def full_campaign(tmp_path_factory):
     path = tmp_path_factory.mktemp("acceptance") / "campaign.csv"
     report = run_suite(
-        trials=TRIALS, dims=DIMS, tolerance=TOL, csv_path=str(path), threads=1,
+        trials=TRIALS, dims=DIMS, tolerance=TOL, csv_path=str(path),
     )
     return report, path
 
@@ -217,26 +215,3 @@ def test_criterion_7_refinement_monotone(capsys):
             f"50 operators on the truncated disk model: lower bounds "
             f"non-decreasing through levels 0,1,2 and capped by the "
             f"operator norm in {elapsed:.1f}s")
-
-
-def test_criterion_8_parallel_determinism(capsys, full_campaign, tmp_path):
-    _, serial_path = full_campaign
-    parallel_path = tmp_path / "campaign-mt.csv"
-    saved = os.environ.get("BEREZIN_THREADS")
-    os.environ["BEREZIN_THREADS"] = "4"
-    try:
-        t0 = time.monotonic()
-        report = run_suite(
-            trials=TRIALS, dims=DIMS, tolerance=TOL, csv_path=str(parallel_path),
-        )
-        elapsed = time.monotonic() - t0
-    finally:
-        if saved is None:
-            del os.environ["BEREZIN_THREADS"]
-        else:
-            os.environ["BEREZIN_THREADS"] = saved
-    same = serial_path.read_bytes() == parallel_path.read_bytes()
-    ok = same and report.violations == []
-    verdict(capsys, 8, ok,
-            f"4-thread rerun byte-identical to the serial campaign "
-            f"({parallel_path.stat().st_size} bytes) in {elapsed:.1f}s")

@@ -208,9 +208,18 @@ class TestFuzz:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["fuzz", "--ineq", "lem3,thm3", "--trials", "3", "--seed", "11"]
         assert main(argv + ["--out", str(a)]) == 0
-        assert main(argv + ["--out", str(b), "--threads", "4"]) == 0
+        assert main(argv + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_threads_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--threads", "2", "--ineq", "prop1", "--trials", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: berezin ")
+        assert "unrecognized arguments: --threads" in err
+        assert "Traceback" not in err
 
     def test_dims_list(self, capsys, tmp_path):
         dest = tmp_path / "rows.csv"
@@ -303,6 +312,21 @@ class TestConfig:
         code, _, err = run(capsys, "eval", "--config", str(cfg))
         assert code == 2
         assert "unknown config keys" in err
+
+    def test_eval_tol_key_rejected(self, capsys, tmp_path, identity_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"matrix": identity_path, "tol": 1e-6}))
+        code, _, err = run(capsys, "eval", "--config", str(cfg))
+        assert code == 2
+        assert "unknown config keys" in err
+
+    def test_fuzz_threads_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ineq": "prop1", "trials": 1, "threads": 2}))
+        code, out, err = run(capsys, "fuzz", "--config", str(cfg))
+        assert code == 2
+        assert "unknown config keys" in err
+        assert out == ""
 
     def test_non_object_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

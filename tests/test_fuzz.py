@@ -218,25 +218,11 @@ class TestRunSuite:
 
 
 class TestDeterminism:
-    def test_csv_identical_across_threads(self, tmp_path):
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_suite(["thm1", "lem3", "eqn13"], trials=4, csv_path=str(p1), threads=1)
-        run_suite(["thm1", "lem3", "eqn13"], trials=4, csv_path=str(p2), threads=3)
-        assert p1.read_bytes() == p2.read_bytes()
-
     def test_report_identical_across_runs(self):
         a = run_suite(["cor5"], trials=5, collect_rows=True)
         b = run_suite(["cor5"], trials=5, collect_rows=True)
         assert a.rows == b.rows
         assert a.gap_stats == b.gap_stats
-
-    def test_env_var_thread_cap(self, tmp_path, monkeypatch):
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("BEREZIN_THREADS", "1")
-        run_suite(["eqn6"], trials=3, csv_path=str(p1))
-        monkeypatch.setenv("BEREZIN_THREADS", "4")
-        run_suite(["eqn6"], trials=3, csv_path=str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestCsvFormat:

@@ -255,6 +255,36 @@ class TestDualComputation:
         assert res.lhs == pytest.approx(orc.finite_norm(b) ** 2, rel=1e-10)
         assert res.rhs == pytest.approx(orc.finite_ber(b.conj().T @ b), rel=1e-10)
 
+    def test_rmk_i(self, rng):
+        n = 4
+        a, b, c, d, x, y = (orc.rand_complex(rng, n) for _ in range(6))
+        al, r, s = 0.25, 1.5, 2.0
+        ops = {"A": a, "B": b, "C": c, "D": d, "X": x, "Y": y}
+        res = _run("rmk_i", ops, {"alpha": al, "r": r, "s": s}, n=n)
+
+        lhs = orc.op_norm((a.conj().T @ x @ b + c.conj().T @ y @ d) / 2) ** 2
+        t1 = (_hp(b.conj().T @ _gram_pow(x, al) @ b, r) + _hp(d.conj().T @ _gram_pow(y, al) @ d, r)) / 2
+        t2 = (_hp(a.conj().T @ _gram_pow(x.conj().T, 1 - al) @ a, s) + _hp(c.conj().T @ _gram_pow(y.conj().T, 1 - al) @ c, s)) / 2
+        rhs = orc.op_norm(t1) ** (1 / r) * orc.op_norm(t2) ** (1 / s)
+
+        assert res.lhs == pytest.approx(lhs, rel=1e-8)
+        assert res.rhs == pytest.approx(rhs, rel=1e-8)
+        assert res.satisfied
+
+    def test_rmk_iii(self, rng):
+        n = 3
+        g1, g2 = orc.rand_complex(rng, n), orc.rand_complex(rng, n)
+        a, b = g1.conj().T @ g1 / n, g2.conj().T @ g2 / n
+        al, r, s = 0.75, 2.0, 3.0
+        res = _run("rmk_iii", {"A": a, "B": b}, {"alpha": al, "r": r, "s": s}, n=n)
+
+        m = (_hp(a, al) @ _hp(b, 1 - al) + _hp(a, 1 - al) @ _hp(b, al)) / 2
+        f_a = orc.op_norm((_hp(a, 2 * al * r) + _hp(a, 2 * (1 - al) * r)) / 2)
+        f_b = orc.op_norm((_hp(b, 2 * al * s) + _hp(b, 2 * (1 - al) * s)) / 2)
+        assert res.lhs == pytest.approx(orc.op_norm(m) ** 2, rel=1e-8)
+        assert res.rhs == pytest.approx(f_a ** (1 / r) * f_b ** (1 / s), rel=1e-8)
+        assert res.satisfied
+
     def test_rmk_iv(self, rng):
         n = 3
         a, b = orc.rand_complex(rng, n), orc.rand_complex(rng, n)
