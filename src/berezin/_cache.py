@@ -1,20 +1,27 @@
-"""Scoped memoization for repeated spectral work.
+"""Scoped memoization of whole calls.
 
 A parameter sweep evaluates many expressions built from the same handful of
-operands.  Inside a `computation_scope()` block, deterministic intermediate
-results (eigensystems, numerical radii) are memoized by a key that includes
-the raw matrix bytes, so each distinct operand is decomposed once per scope.
-Outside a scope every call computes from scratch.  Cached values are identical
-to freshly computed ones, so enabling the scope never changes results.
+operands.  Inside a `computation_scope()` block, a function decorated with
+`scoped` runs once per distinct call.  The key is the function, the active
+`precise_eigensolver` precision, the dtype, shape and raw bytes of each
+positional ndarray argument, and every other argument by value (so those
+must be hashable).  A call that raises is not cached, so the input checks
+inside a cached function run on every distinct input.  Outside a scope every
+call computes from scratch.  Cached values equal freshly computed ones, so a
+scope never changes results; callers share them and must not modify them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 from contextvars import ContextVar
-from typing import Callable
+
+import numpy as np
 
 _scope: ContextVar[dict | None] = ContextVar("berezin_memo_scope", default=None)
+# mpmath digits while precise_eigensolver() is active, None otherwise.
+precise_dps: ContextVar[int | None] = ContextVar("berezin_precise_dps", default=None)
 
 
 @contextlib.contextmanager
@@ -27,16 +34,21 @@ def computation_scope():
         _scope.reset(token)
 
 
-def memo(key: tuple, compute: Callable):
-    """Return compute(), memoized under `key` when a scope is active."""
-    table = _scope.get()
-    if table is None:
-        return compute()
-    if key not in table:
-        table[key] = compute()
-    return table[key]
+def _key(x):
+    return (x.dtype.str, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x
 
 
-def matrix_key(tag: str, a) -> tuple:
-    """Content-addressed key for an ndarray: tag + shape + raw bytes."""
-    return (tag, a.shape, a.tobytes())
+def scoped(fn):
+    """Memoize whole calls of `fn` inside a computation_scope()."""
+
+    @functools.wraps(fn)
+    def cached(*args, **kwargs):
+        table = _scope.get()
+        if table is None:
+            return fn(*args, **kwargs)
+        key = (fn, precise_dps.get(), *map(_key, args), *kwargs.items())
+        if key not in table:
+            table[key] = fn(*args, **kwargs)
+        return table[key]
+
+    return cached

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._cache import matrix_key, memo
+from ._cache import scoped
 from .errors import DimensionMismatch, NotPositive
 from .linalg import is_positive
 from .models import (
@@ -211,6 +211,7 @@ def _refine_pair(model, a, lam, mu, level):
     return best, (p, q)
 
 
+@scoped
 def berezin_number(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEstimate:
     """sup over the domain of |symbol|.
 
@@ -223,25 +224,21 @@ def berezin_number(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEsti
         d = np.abs(np.diagonal(a))
         i = int(np.argmax(d))
         return SupEstimate(value=float(d[i]), argmax=i + 1, exact=True)
-
-    def compute():
-        best_val, best_arg = -1.0, None
-        for lev in range(level + 1):
-            grid = default_grid(model, lev)
-            pts = grid.points
-            kmat = kernel_matrix(model, pts)
-            vals = np.abs(np.einsum("ij,ij->j", kmat.conj(), a @ kmat))
-            for idx in _top_k(vals):
-                if vals[idx] > best_val:
-                    best_val, best_arg = float(vals[idx]), pts[idx]
-                ref_val, ref_arg = _refine_symbol(model, a, pts[idx], lev)
-                if ref_val > best_val:
-                    best_val, best_arg = ref_val, ref_arg
-        return SupEstimate(value=best_val, argmax=best_arg, exact=False)
-
-    return memo(matrix_key(f"ber{level}|{model}", a), compute)
+    best_val, best_arg = -1.0, None
+    for lev in range(level + 1):
+        pts = default_grid(model, lev).points
+        kmat = kernel_matrix(model, pts)
+        vals = np.abs(np.einsum("ij,ij->j", kmat.conj(), a @ kmat))
+        for idx in _top_k(vals):
+            if vals[idx] > best_val:
+                best_val, best_arg = float(vals[idx]), pts[idx]
+            ref_val, ref_arg = _refine_symbol(model, a, pts[idx], lev)
+            if ref_val > best_val:
+                best_val, best_arg = ref_val, ref_arg
+    return SupEstimate(value=best_val, argmax=best_arg, exact=False)
 
 
+@scoped
 def berezin_norm(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEstimate:
     """sup over domain pairs of |<A k_lam, k_mu>|.
 
@@ -256,27 +253,22 @@ def berezin_norm(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEstima
         k = int(np.argmax(flat))
         lam, mu = k // n + 1, k % n + 1
         return SupEstimate(value=float(flat[k]), argmax=(lam, mu), exact=True)
-
-    def compute():
-        best_val, best_arg = -1.0, None
-        for lev in range(level + 1):
-            grid = default_grid(model, lev)
-            pts = grid.points
-            m = len(pts)
-            kmat = kernel_matrix(model, pts)
-            pair_vals = np.abs(kmat.conj().T @ (a @ kmat))  # [mu_i, lam_j]
-            by_lam = pair_vals.T  # lam-major view: flat index jl * m + im
-            for idx in _top_k(by_lam):
-                jl, im = int(idx) // m, int(idx) % m
-                lam, mu = pts[jl], pts[im]
-                if by_lam[jl, im] > best_val:
-                    best_val, best_arg = float(by_lam[jl, im]), (lam, mu)
-                ref_val, ref_arg = _refine_pair(model, a, lam, mu, lev)
-                if ref_val > best_val:
-                    best_val, best_arg = ref_val, ref_arg
-        return SupEstimate(value=best_val, argmax=best_arg, exact=False)
-
-    return memo(matrix_key(f"bnorm{level}|{model}", a), compute)
+    best_val, best_arg = -1.0, None
+    for lev in range(level + 1):
+        pts = default_grid(model, lev).points
+        m = len(pts)
+        kmat = kernel_matrix(model, pts)
+        pair_vals = np.abs(kmat.conj().T @ (a @ kmat))  # [mu_i, lam_j]
+        by_lam = pair_vals.T  # lam-major view: flat index jl * m + im
+        for idx in _top_k(by_lam):
+            jl, im = int(idx) // m, int(idx) % m
+            lam, mu = pts[jl], pts[im]
+            if by_lam[jl, im] > best_val:
+                best_val, best_arg = float(by_lam[jl, im]), (lam, mu)
+            ref_val, ref_arg = _refine_pair(model, a, lam, mu, lev)
+            if ref_val > best_val:
+                best_val, best_arg = ref_val, ref_arg
+    return SupEstimate(value=best_val, argmax=best_arg, exact=False)
 
 
 def _rotated_herm(a: np.ndarray, theta: float) -> np.ndarray:
@@ -285,6 +277,7 @@ def _rotated_herm(a: np.ndarray, theta: float) -> np.ndarray:
     return (m + m.conj().T) * 0.5
 
 
+@scoped
 def numerical_radius(a: np.ndarray) -> float:
     """max over unit vectors of |<Ax, x>|.
 
@@ -298,45 +291,41 @@ def numerical_radius(a: np.ndarray) -> float:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"operator must be square, got shape {a.shape}")
 
-    def compute() -> float:
-        n = a.shape[0]
-        thetas = 2.0 * np.pi * np.arange(RADIUS_GRID) / RADIUS_GRID
-        phases = np.exp(1j * thetas)
-        stack = phases[:, None, None] * a[None, :, :]
-        stack = (stack + stack.conj().transpose(0, 2, 1)) * 0.5
-        g = np.linalg.eigvalsh(stack)[:, -1]
+    thetas = 2.0 * np.pi * np.arange(RADIUS_GRID) / RADIUS_GRID
+    phases = np.exp(1j * thetas)
+    stack = phases[:, None, None] * a[None, :, :]
+    stack = (stack + stack.conj().transpose(0, 2, 1)) * 0.5
+    g = np.linalg.eigvalsh(stack)[:, -1]
 
-        best = float(np.max(g))
-        prev = np.roll(g, 1)
-        nxt = np.roll(g, -1)
-        local_max = np.where((g >= prev) & (g >= nxt))[0]
-        top = np.argsort(-g, kind="stable")[:8]
-        starts = sorted(set(map(int, local_max)) | set(map(int, top)))
+    best = float(np.max(g))
+    prev = np.roll(g, 1)
+    nxt = np.roll(g, -1)
+    local_max = np.where((g >= prev) & (g >= nxt))[0]
+    top = np.argsort(-g, kind="stable")[:8]
+    starts = sorted(set(map(int, local_max)) | set(map(int, top)))
 
-        h = 2.0 * np.pi / RADIUS_GRID
+    h = 2.0 * np.pi / RADIUS_GRID
 
-        def gf(th: float) -> float:
-            return float(np.linalg.eigvalsh(_rotated_herm(a, th))[-1])
+    def gf(th: float) -> float:
+        return float(np.linalg.eigvalsh(_rotated_herm(a, th))[-1])
 
-        for i in starts:
-            th0 = thetas[i]
-            thb, gb = _golden_max(gf, th0 - h, th0 + h, xtol=RADIUS_XTOL)
-            # phase-alignment polish: |<Ax, x>| never decreases step to step
-            th, cur = thb, gb
-            for _ in range(100):
-                hm = _rotated_herm(a, th)
-                _, v = np.linalg.eigh(hm)
-                x = v[:, -1]
-                val = complex(x.conj() @ (a @ x))
-                mag = abs(val)
-                if mag <= cur + 1e-14 * max(1.0, cur):
-                    break
-                cur = mag
-                th = -math.atan2(val.imag, val.real)
-            best = max(best, cur)
-        return best
-
-    return memo(matrix_key("nrad", a), compute)
+    for i in starts:
+        th0 = thetas[i]
+        thb, gb = _golden_max(gf, th0 - h, th0 + h, xtol=RADIUS_XTOL)
+        # phase-alignment polish: |<Ax, x>| never decreases step to step
+        th, cur = thb, gb
+        for _ in range(100):
+            hm = _rotated_herm(a, th)
+            _, v = np.linalg.eigh(hm)
+            x = v[:, -1]
+            val = complex(x.conj() @ (a @ x))
+            mag = abs(val)
+            if mag <= cur + 1e-14 * max(1.0, cur):
+                break
+            cur = mag
+            th = -math.atan2(val.imag, val.real)
+        best = max(best, cur)
+    return best
 
 
 def verify_positive_equality(model: KernelModel, a: np.ndarray,

@@ -27,6 +27,7 @@ import sys
 import numpy as np
 
 from . import calc, fuzz, io as bio
+from ._cache import computation_scope
 from .errors import (
     BerezinError,
     DimensionMismatch,
@@ -170,12 +171,13 @@ def cmd_eval(args) -> int:
         _log(f"error: {exc}")
         return 2
     try:
-        bn = calc.berezin_number(model, mat, level=level)
-        nb = calc.berezin_norm(model, mat, level=level)
-        w = calc.numerical_radius(mat)
-        opn = operator_norm(mat)
-        grid = default_grid(model, level=level)
-        samples = calc.berezin_set_sample(model, mat, grid)
+        with computation_scope():  # one kernel matrix per grid level
+            bn = calc.berezin_number(model, mat, level=level)
+            nb = calc.berezin_norm(model, mat, level=level)
+            w = calc.numerical_radius(mat)
+            opn = operator_norm(mat)
+            grid = default_grid(model, level=level)
+            samples = calc.berezin_set_sample(model, mat, grid)
     except DimensionMismatch as exc:
         _log(f"error: {exc}")
         return 3

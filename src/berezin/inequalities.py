@@ -834,7 +834,12 @@ def check(case: InequalityCase) -> InequalityResult:
     entry = CATALOG.get(case.ineq_id)
     if entry is None:
         raise UnknownIneqId(f"no catalog entry {case.ineq_id!r}")
-    ops, n = _validated_operands(entry, case)
+    return _check_validated(entry, case, *_validated_operands(entry, case))
+
+
+def _check_validated(entry: CatalogEntry, case: InequalityCase, ops: dict,
+                     n: int | None) -> InequalityResult:
+    """`check` after `_validated_operands(entry, case)` returned (ops, n)."""
     params = _validated_params(entry, case.params)
     env = _Env(case.model, case.level) if entry.needs_model else _OPERATOR_ENV
     parts = entry.evaluate(ops, params, env)

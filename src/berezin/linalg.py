@@ -9,12 +9,11 @@ is consistent for both tiny and large operands.
 from __future__ import annotations
 
 import contextlib
-from contextvars import ContextVar
 from typing import NamedTuple
 
 import numpy as np
 
-from ._cache import matrix_key, memo
+from ._cache import precise_dps, scoped
 from .errors import NoConvergence, NotHermitian, NotPositive, ParamOutOfRange
 
 # Relative tolerance accepted when an input must be Hermitian.
@@ -27,28 +26,20 @@ NEG_EIG_CLAMP = 1e-10
 # Relative cutoff separating the support of |A| from its kernel.
 SUPPORT_CUT = 1e-12
 
-# mpmath digits while precise_eigensolver() is active, None otherwise.
-_precise_dps: ContextVar[int | None] = ContextVar("berezin_precise_dps", default=None)
-
 
 @contextlib.contextmanager
 def precise_eigensolver(dps: int = 50):
     """Route Hermitian eigendecompositions through mpmath at `dps` digits.
 
-    Used to re-check marginal inequality violations with tighter numerics;
-    results are converted back to float64, so callers never see mp types.
+    Used to re-check marginal inequality violations with tighter numerics:
+    every memo key carries the precision, so cached quantities are recomputed.
+    Results are converted back to float64, so callers never see mp types.
     """
-    token = _precise_dps.set(int(dps))
+    token = precise_dps.set(int(dps))
     try:
         yield
     finally:
-        _precise_dps.reset(token)
-
-
-def _eig_tag(base: str) -> str:
-    """Memo tag for eigensystems: float64 and each precision are kept apart."""
-    dps = _precise_dps.get()
-    return base if dps is None else f"{base}{dps}"
+        precise_dps.reset(token)
 
 
 class HermEig(NamedTuple):
@@ -119,6 +110,26 @@ def _eig_mpmath(h: np.ndarray, dps: int) -> HermEig:
     return HermEig(vals[order], vecs[:, order])
 
 
+def _herm_eig(h: np.ndarray, tol: float) -> HermEig:
+    if h.shape[0] != h.shape[1]:
+        raise NotHermitian(f"matrix is {h.shape[0]}x{h.shape[1]}, not square")
+    dev = _fro(h - h.conj().T)
+    if dev > tol * max(1.0, _fro(h)):
+        raise NotHermitian(f"deviation from Hermitian {dev:.3e} exceeds tolerance")
+    sym = (h + h.conj().T) * 0.5
+    dps = precise_dps.get()
+    if dps is not None:
+        w, v = _eig_mpmath(sym, dps)
+    else:
+        try:
+            w, v = np.linalg.eigh(sym)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(str(exc)) from exc
+    w.flags.writeable = v.flags.writeable = False
+    return HermEig(w, v)
+
+
+@scoped
 def herm_eig(h: np.ndarray, tol: float = HERMITIAN_TOL) -> HermEig:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -128,68 +139,47 @@ def herm_eig(h: np.ndarray, tol: float = HERMITIAN_TOL) -> HermEig:
     eigenvector columns are orthonormal.  Raises NoConvergence if the
     underlying solver fails.
     """
-    if h.shape[0] != h.shape[1]:
-        raise NotHermitian(f"matrix is {h.shape[0]}x{h.shape[1]}, not square")
-    dev = _fro(h - h.conj().T)
-    if dev > tol * max(1.0, _fro(h)):
-        raise NotHermitian(
-            f"deviation from Hermitian {dev:.3e} exceeds tolerance"
-        )
-
-    def compute() -> HermEig:
-        sym = (h + h.conj().T) * 0.5
-        dps = _precise_dps.get()
-        if dps is not None:
-            return _eig_mpmath(sym, dps)
-        try:
-            w, v = np.linalg.eigh(sym)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(str(exc)) from exc
-        ev = HermEig(w, v)
-        ev.values.flags.writeable = False
-        ev.vectors.flags.writeable = False
-        return ev
-
-    return memo(matrix_key(_eig_tag("heig"), h), compute)
+    return _herm_eig(h, tol)
 
 
-def _gram_eig(a: np.ndarray) -> HermEig:
-    """Eigensystem of A*A (shared by abs_power and operator_norm)."""
+@scoped
+def _singular_system(a: np.ndarray) -> HermEig:
+    """Singular values of A (ascending) with the eigenvectors of A*A."""
+    ev = _herm_eig(adjoint(a) @ a, HERMITIAN_TOL)
+    return HermEig(np.sqrt(_clamped_nonneg(ev.values, "A*A")), ev.vectors)
 
-    def compute() -> HermEig:
-        return herm_eig(adjoint(a) @ a)
 
-    return memo(matrix_key(_eig_tag("gram"), a), compute)
+@scoped
+def _psd_eig(h: np.ndarray) -> HermEig:
+    """Eigensystem of a PSD matrix, round-off negatives clamped to 0."""
+    ev = herm_eig(h, HERMITIAN_TOL)  # the call (and memo key) of is_positive
+    return HermEig(_clamped_nonneg(ev.values, "operand"), ev.vectors)
 
 
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value: sqrt of the top eigenvalue of A*A."""
-    w = _gram_eig(a).values
-    return float(np.sqrt(max(float(w[-1]), 0.0)))
+    return float(_singular_system(a).values[-1])
 
 
 def spectral_radius(a: np.ndarray) -> float:
     """Largest eigenvalue modulus (general, possibly non-normal input)."""
     if a.shape[0] != a.shape[1]:
         raise ValueError("spectral radius needs a square matrix")
-
-    def compute() -> float:
-        try:
-            ev = np.linalg.eigvals(a)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(str(exc)) from exc
-        return float(np.max(np.abs(ev)))
-
-    return memo(matrix_key("srad", a), compute)
+    try:
+        ev = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    return float(np.max(np.abs(ev)))
 
 
 def is_positive(p: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     """True iff P is Hermitian within tol and its spectrum is >= -tol * scale."""
-    if not is_hermitian(p, tol):
+    try:
+        w = herm_eig(p, tol).values
+    except NotHermitian:
         return False
-    w = herm_eig(p, tol).values
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    return float(w[0]) >= -tol * scale
+    return float(w.min()) >= -tol * scale  # NaN entries give False
 
 
 def _clamped_nonneg(w: np.ndarray, what: str) -> np.ndarray:
@@ -199,6 +189,17 @@ def _clamped_nonneg(w: np.ndarray, what: str) -> np.ndarray:
     if low < -NEG_EIG_CLAMP * scale:
         raise NotPositive(f"{what} has eigenvalue {low:.6e} below clamp range")
     return np.where(w < 0.0, 0.0, w)
+
+
+def _spectral_power(ev: HermEig, p: float) -> np.ndarray:
+    """V diag(w^p) V*, symmetrized; p = 0 gives the support projection."""
+    w, v = ev
+    if p == 0.0:
+        keep = v[:, w > SUPPORT_CUT * max(1.0, float(w.max()))]
+        out = keep @ keep.conj().T
+    else:
+        out = (v * (w**p)) @ v.conj().T
+    return (out + out.conj().T) * 0.5
 
 
 def _checked_exponent(p) -> float:
@@ -219,17 +220,10 @@ def positive_power(h: np.ndarray, p: float) -> np.ndarray:
     Small negative eigenvalues clamp to 0; real negatives raise NotPositive.
     """
     p = _checked_exponent(p)
-    ev = herm_eig(h)
-    w = _clamped_nonneg(ev.values, "operand")
+    ev = _psd_eig(h)
     if p == 1.0:
         return (h + h.conj().T) * 0.5
-    if p == 0.0:
-        cut = SUPPORT_CUT * max(1.0, float(w.max()))
-        keep = ev.vectors[:, w > cut]
-        out = keep @ keep.conj().T
-    else:
-        out = (ev.vectors * (w**p)) @ ev.vectors.conj().T
-    return (out + out.conj().T) * 0.5
+    return _spectral_power(ev, p)
 
 
 def abs_power(a: np.ndarray, p: float) -> np.ndarray:
@@ -242,16 +236,7 @@ def abs_power(a: np.ndarray, p: float) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ValueError("abs_power needs a square matrix")
     p = _checked_exponent(p)
-    ev = _gram_eig(a)
-    w = _clamped_nonneg(ev.values, "A*A")
-    s = np.sqrt(w)
-    if p == 0.0:
-        cut = SUPPORT_CUT * max(1.0, float(s.max()))
-        keep = ev.vectors[:, s > cut]
-        out = keep @ keep.conj().T
-    else:
-        out = (ev.vectors * (s**p)) @ ev.vectors.conj().T
-    return (out + out.conj().T) * 0.5
+    return _spectral_power(_singular_system(a), p)
 
 
 def positive_sqrt(p_mat: np.ndarray) -> np.ndarray:

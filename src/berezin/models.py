@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._cache import scoped
 from .errors import PointOutOfDomain
 
 DEFAULT_DEGREE = 15
@@ -177,14 +178,17 @@ def normalized_kernel(model: KernelModel, point) -> np.ndarray:
     return _unit_kernel(model, _weights(model), point)
 
 
+@scoped
 def kernel_matrix(model: KernelModel, points) -> np.ndarray:
-    """Normalized kernel vectors stacked as columns, one per point."""
+    """Normalized kernel vectors stacked as columns, one per point (read-only)."""
     if model.is_finite_kind:
         cols = [normalized_kernel(model, p) for p in points]
     else:
         w = _weights(model)
         cols = [_unit_kernel(model, w, p) for p in points]
-    return np.column_stack(cols)
+    out = np.column_stack(cols)
+    out.flags.writeable = False
+    return out
 
 
 def default_grid(model: KernelModel, level: int = 0) -> OmegaGrid:

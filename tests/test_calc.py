@@ -19,8 +19,10 @@ from berezin import (
     operator_norm,
     verify_positive_equality,
 )
+from berezin import calc
 from berezin._cache import computation_scope
 from berezin.calc import TOP_K, _top_k
+from berezin.linalg import precise_eigensolver
 
 A22 = np.array([[1, 2], [3, 4]], dtype=complex)
 SHIFT = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -278,6 +280,33 @@ class TestScopedCache:
                 operator_norm(a),
             )
         assert plain == cached_first == cached_second
+
+    def test_precise_mode_recomputes_disk_estimates(self, rng, monkeypatch):
+        calls = []
+        grid = calc.default_grid
+        monkeypatch.setattr(calc, "default_grid", lambda *a: calls.append(a) or grid(*a))
+        m, a = hardy(3, 0.9), orc.rand_complex(rng, 4)
+        with computation_scope():
+            first = (berezin_number(m, a, level=0), berezin_norm(m, a, level=0))
+            berezin_number(m, a, level=0), berezin_norm(m, a, level=0)
+            assert len(calls) == 2
+            with precise_eigensolver():
+                again = (berezin_number(m, a, level=0), berezin_norm(m, a, level=0))
+            assert len(calls) == 4
+        assert first == again
+
+    def test_precise_mode_recomputes_numerical_radius(self, rng, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(1) or eigvalsh(h))
+        a = orc.rand_complex(rng, 3)
+        with computation_scope():
+            first = numerical_radius(a)
+            solves = len(calls)
+            assert solves > 0 and numerical_radius(a) == first and len(calls) == solves
+            with precise_eigensolver():
+                assert numerical_radius(a) == first
+            assert len(calls) == 2 * solves
 
 
 class TestPositiveEquality:

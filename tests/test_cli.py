@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from berezin import models
 from berezin.cli import main
 from berezin.io import save_matrix
 
@@ -45,6 +46,17 @@ class TestEval:
         payload = json.loads(out)
         assert payload["berezin_number"]["value"] == 0.0
         assert payload["berezin_norm"]["value"] == 1.0
+
+    def test_kernel_matrix_built_once_per_grid_level(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        unit_kernel = models._unit_kernel
+        monkeypatch.setattr(models, "_unit_kernel", lambda *a: calls.append(1) or unit_kernel(*a))
+        p = tmp_path / "m.json"
+        save_matrix(p, np.arange(16.0).reshape(4, 4) + 1j)
+        code, _, _ = run(capsys, "eval", "--model", "hardy:3:0.9", "--matrix", str(p), "--level", "1")
+        assert code == 0
+        m = models.hardy(3, 0.9)
+        assert len(calls) == sum(len(models.default_grid(m, lev).points) for lev in (0, 1))
 
     def test_hardy_shift_level_echo(self, capsys, tmp_path):
         shift = np.zeros((16, 16), dtype=complex)

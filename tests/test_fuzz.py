@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 
@@ -22,6 +23,7 @@ from berezin.fuzz import (
     param_grid,
     sample_operands,
 )
+from berezin import fuzz, inequalities
 from berezin.inequalities import CATALOG
 
 
@@ -223,6 +225,30 @@ class TestDeterminism:
         b = run_suite(["cor5"], trials=5, collect_rows=True)
         assert a.rows == b.rows
         assert a.gap_stats == b.gap_stats
+
+
+class TestScope:
+    def test_csv_identical_without_memo(self, tmp_path, monkeypatch):
+        # the oracle for the memo and for validating operands once per trial
+        cached, plain = tmp_path / "cached.csv", tmp_path / "plain.csv"
+        run_suite(trials=2, dims=(2, 3, 4, 6), csv_path=str(cached))
+        monkeypatch.setattr(fuzz, "computation_scope", contextlib.nullcontext)
+        run_suite(trials=2, dims=(2, 3, 4, 6), csv_path=str(plain))
+        assert cached.read_bytes() == plain.read_bytes()
+
+    def test_operands_validated_once_per_trial(self, monkeypatch):
+        calls = []
+        validate = inequalities._validated_operands
+
+        def counting(entry, case):
+            calls.append(entry.ineq_id)
+            return validate(entry, case)
+
+        monkeypatch.setattr(inequalities, "_validated_operands", counting)
+        monkeypatch.setattr(fuzz, "_validated_operands", counting, raising=False)
+        rep = run_suite(["thm1", "prop1", "lem3"], trials=3, dims=(2, 3))
+        assert rep.rows_evaluated > 9
+        assert sorted(calls) == ["lem3"] * 3 + ["prop1"] * 3 + ["thm1"] * 3
 
 
 class TestCsvFormat:

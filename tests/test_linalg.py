@@ -157,6 +157,28 @@ class TestHermEig:
         assert seen == [60, 30]
 
 
+class TestScopedGuards:
+    """Guards run inside the memoized call: failures are never cached, and
+    every distinct input (tol included) is checked."""
+
+    def test_non_psd_raises_on_every_call(self):
+        h = np.diag([1.0, -1.0]).astype(complex)
+        with computation_scope():
+            for _ in range(3):
+                with pytest.raises(NotPositive):
+                    positive_power(h, 0.5)
+
+    def test_tighter_tol_is_checked_after_a_cached_call(self, rng):
+        g = orc.rand_complex(rng, 3)
+        h = (g + g.conj().T) / 2
+        h[0, 1] += 1e-11  # Hermitian to 1e-8, not to 1e-14
+        with computation_scope():
+            herm_eig(h)
+            with pytest.raises(NotHermitian):
+                herm_eig(h, tol=1e-14)
+            assert not is_positive(h, 1e-14)
+
+
 class TestAbsPower:
     def test_antidiagonal_p1_is_identity(self):
         a = np.fliplr(np.eye(4)).astype(complex)

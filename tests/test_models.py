@@ -161,6 +161,7 @@ class TestKernelMatrix:
         for m in (hardy(4, 0.9), bergman(4, 0.9), fock(4, 2.0)):
             km = kernel_matrix(m, pts)
             assert km.shape == (5, 3)
+            assert not km.flags.writeable
             for j, p in enumerate(pts):
                 assert np.array_equal(km[:, j], normalized_kernel(m, p))
 
