@@ -4,8 +4,11 @@ Finite-kind models admit exact evaluation: the Berezin number is the largest
 diagonal modulus and the Berezin norm the largest entry modulus, both maxima
 over finitely many kernel pairs.  Continuous models are sampled on nested
 polar grids and refined locally, producing lower bounds attained at domain
-points (exact=False).  Estimates at level L take the best value over levels
-0..L, so refinement never loses ground.
+points (exact=False).  The refinement runs three rounds of alternating
+golden-section search over radius and angle around the best grid points;
+along each search line the value is a ratio of polynomials in the moving
+coordinate, evaluated by Horner's rule (_Lines).  Estimates at level L take
+the best value over levels 0..L, so refinement never loses ground.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._cache import scoped
-from .errors import DimensionMismatch, NotPositive
+from .errors import DimensionMismatch, NotPositive, PointOutOfDomain
 from .linalg import is_positive
 from .models import (
     KernelModel, OmegaGrid, _unit_kernel, _weights, default_grid, kernel_matrix,
@@ -29,7 +32,7 @@ TOP_K = 5
 # Iterations per golden-section pass when refining grid maxima.
 REFINE_ITERS = 60
 # Rounds of coordinate-alternating refinement.
-REFINE_ROUNDS = 2
+REFINE_ROUNDS = 3
 # theta sample count for the numerical radius.
 RADIUS_GRID = 256
 # Bracket width target for the numerical-radius refinement.
@@ -141,35 +144,130 @@ def _top_k(v: np.ndarray) -> np.ndarray:
     return cand[np.argsort(-v.flat[cand], kind="stable")[:TOP_K]]
 
 
-def _symbol_abs(model: KernelModel, w, a: np.ndarray, lam: complex) -> float:
-    k = _unit_kernel(model, w, lam)
-    return abs(complex(k.conj() @ (a @ k)))
-
-
 def _polar_brackets(model: KernelModel, point: complex, level: int):
-    """Refinement brackets around a grid point, clipped to the domain."""
+    """Refinement brackets around a grid point, clipped to the domain.
+
+    Every golden-section point lies inside these brackets, so one check of
+    the start point here stands for the per-point domain check of
+    _unit_kernel: |point| <= radius bounds both radial ends.
+    """
     n_ang = 16 * (2**level)
     n_rad = 8 * (2**level)
     dr = model.radius / n_rad
     dth = 2.0 * np.pi / n_ang
     r0 = abs(point)
+    if not r0 <= model.radius * (1.0 + 1e-12):  # NaN fails too
+        raise PointOutOfDomain(f"refinement start {point!r} outside the domain")
     th0 = math.atan2(point.imag, point.real)
     r_lo, r_hi = max(0.0, r0 - dr), min(model.radius, r0 + dr)
     return (r_lo, r_hi, r0), (th0 - dth, th0 + dth, th0)
 
 
+def _horner(coef, x):
+    """sum coef[k] x^(deg - k), coefficients highest degree first."""
+    acc = 0.0
+    for c in coef:
+        acc = acc * x + c
+    return acc
+
+
+class _Lines:
+    """|<A k_lam, k_mu>| along one golden-section line, as a polynomial ratio.
+
+    The raw kernel is raw_j(lam) = c_j conj(lam)^j, with c_j = 1 (hardy),
+    sqrt(j+1) (bergman) or 1/sqrt(j!) (fock), as in models._weights.  A
+    line is a ray (angle t fixed, radius moving) or a circle (radius r
+    fixed, angle moving).  Each method builds its line's coefficients once
+    and returns the value as a function of the moving coordinate, evaluated
+    by Horner's rule.  Points are not checked: the callers check the
+    bracket that holds them.
+    """
+
+    def __init__(self, model: KernelModel):
+        w = _weights(model)
+        n = model.dimension
+        if w.scale is None:
+            self.c = np.ones(n)
+        else:
+            self.c = 1.0 / w.scale if w.divide else w.scale
+        self.j = np.arange(n)
+        self.den = (self.c * self.c)[::-1].tolist()  # ||raw||^2 as a polynomial in r^2
+        self.anti = np.add.outer(self.j, self.j).ravel()  # i + j
+        self.diag = (np.subtract.outer(self.j, self.j).T + (n - 1)).ravel()  # j - i + N
+
+    def _sums(self, m: np.ndarray, index: np.ndarray) -> list:
+        """Sums of m's entries grouped by `index`, highest index first."""
+        flat = m.ravel()
+        size = 2 * len(self.j) - 1
+        sums = (np.bincount(index, flat.real, size)
+                + 1j * np.bincount(index, flat.imag, size))
+        return sums[::-1].tolist()
+
+    def _ray(self, coef, root: bool):
+        """r -> |P(r)| / Q(r^2), or / sqrt(Q(r^2)) when `root`."""
+        den = self.den
+
+        def f(r):
+            q = _horner(den, r * r)
+            return abs(_horner(coef, r)) / (math.sqrt(q) if root else q)
+        return f
+
+    @staticmethod
+    def _circle(coef, norm: float, sign: float):
+        """t -> |P(e^{sign i t})| / norm."""
+        return lambda t: abs(_horner(coef, complex(math.cos(t), sign * math.sin(t)))) / norm
+
+    def symbol_ray(self, a: np.ndarray, t: float):
+        """|symbol| at r e^{it}: |sum_m C_m r^m| / sum_j c_j^2 r^{2j}.
+
+        With S_ij = c_i c_j A_ij, C_m sums S_ij e^{i(i-j)t} over i + j = m.
+        """
+        p = np.exp(1j * t * self.j)
+        s = (self.c * p)[:, None] * a * (self.c * p.conj())
+        return self._ray(self._sums(s, self.anti), False)
+
+    def symbol_circle(self, a: np.ndarray, r: float):
+        """|symbol| at r e^{it}, t moving: |sum_d B_d e^{-idt}| / ||raw||^2.
+
+        B_d sums S_ij r^{i+j} over j - i = d.
+        """
+        q = self.c * r**self.j
+        coef = self._sums(q[:, None] * a * q, self.diag)
+        return self._circle(coef, _horner(self.den, r * r), -1.0)
+
+    def lam_ray(self, g: np.ndarray, t: float):
+        """|g . k_lam| at lam = r e^{it}: |sum_j g_j c_j conj(lam)^j| / ||raw(lam)||."""
+        return self._ray((g * self.c * np.exp(-1j * t * self.j))[::-1].tolist(), True)
+
+    def lam_circle(self, g: np.ndarray, r: float):
+        """|g . k_lam| at lam = r e^{it}, t moving."""
+        coef = (g * self.c * r**self.j)[::-1].tolist()
+        return self._circle(coef, math.sqrt(_horner(self.den, r * r)), -1.0)
+
+    def mu_ray(self, u: np.ndarray, t: float):
+        """|conj(k_mu) . u| at mu = r e^{it}: |sum_j u_j c_j mu^j| / ||raw(mu)||."""
+        return self._ray((u * self.c * np.exp(1j * t * self.j))[::-1].tolist(), True)
+
+    def mu_circle(self, u: np.ndarray, r: float):
+        """|conj(k_mu) . u| at mu = r e^{it}, t moving."""
+        coef = (u * self.c * r**self.j)[::-1].tolist()
+        return self._circle(coef, math.sqrt(_horner(self.den, r * r)), 1.0)
+
+
 def _refine_symbol(model, a, point, level):
-    """Alternating golden-section polish of |symbol| around one grid point."""
+    """Alternating golden-section polish of |symbol| around one grid point.
+
+    REFINE_ROUNDS rounds, each a pass over the radius and then one over the
+    angle.  Along each pass the symbol is a ratio of polynomials in the
+    moving coordinate (see _Lines), whose coefficients are built once per
+    pass; every step is then a Horner evaluation, not a kernel vector.
+    """
     (r_lo, r_hi, r), (t_lo, t_hi, th) = _polar_brackets(model, point, level)
-    w = _weights(model)
-
-    def at(rr, tt):
-        return _symbol_abs(model, w, a, complex(rr * math.cos(tt), rr * math.sin(tt)))
-
-    best = at(r, th)
+    lines = _Lines(model)
+    best = lines.symbol_ray(a, th)(r)
     for _ in range(REFINE_ROUNDS):
-        r, fr = _golden_max(lambda x: at(x, th), r_lo, r_hi, iters=REFINE_ITERS)
-        th, ft = _golden_max(lambda x: at(r, x), t_lo, t_hi, iters=REFINE_ITERS)
+        r, fr = _golden_max(lines.symbol_ray(a, th), r_lo, r_hi, iters=REFINE_ITERS)
+        th, ft = _golden_max(lines.symbol_circle(a, r), t_lo, t_hi, iters=REFINE_ITERS)
         best = max(best, fr, ft)
     lam = complex(r * math.cos(th), r * math.sin(th))
     return best, lam
@@ -178,33 +276,28 @@ def _refine_symbol(model, a, point, level):
 def _refine_pair(model, a, lam, mu, level):
     """Four-coordinate polish of |<A k_lam, k_mu>| around a grid pair.
 
-    Each golden-section pass moves one point of the pair, so the other side
-    (conj(k_mu), or A k_lam) is computed once per pass; every value is still
-    km.conj() @ (a @ kl) from the same operands.
+    REFINE_ROUNDS rounds of golden-section passes over the radius and the
+    angle of lam, then of mu.  Each pass moves one point, so the other side
+    is a fixed vector, g = conj(k_mu) A or u = A k_lam, computed once from
+    the kernel vector; along the pass the value is a polynomial ratio in the
+    moving coordinate, evaluated by Horner's rule (see _Lines).
     """
     (rl_lo, rl_hi, rl), (tl_lo, tl_hi, tl) = _polar_brackets(model, lam, level)
     (rm_lo, rm_hi, rm), (tm_lo, tm_hi, tm) = _polar_brackets(model, mu, level)
     w = _weights(model)
+    lines = _Lines(model)
 
     def kern(rr, tt):
         return _unit_kernel(model, w, complex(rr * math.cos(tt), rr * math.sin(tt)))
 
-    def moving_lam(rr, tt):  # |<A k_lam, k_mu>| as a function of lam
-        kmc = kern(rr, tt).conj()
-        return lambda r, t: abs(complex(kmc @ (a @ kern(r, t))))
-
-    def moving_mu(rr, tt):  # ... as a function of mu
-        akl = a @ kern(rr, tt)
-        return lambda r, t: abs(complex(kern(r, t).conj() @ akl))
-
-    best = moving_lam(rm, tm)(rl, tl)
+    best = lines.lam_ray(kern(rm, tm).conj() @ a, tl)(rl)
     for _ in range(REFINE_ROUNDS):
-        f = moving_lam(rm, tm)
-        rl, f1 = _golden_max(lambda x: f(x, tl), rl_lo, rl_hi, iters=REFINE_ITERS)
-        tl, f2 = _golden_max(lambda x: f(rl, x), tl_lo, tl_hi, iters=REFINE_ITERS)
-        g = moving_mu(rl, tl)
-        rm, f3 = _golden_max(lambda x: g(x, tm), rm_lo, rm_hi, iters=REFINE_ITERS)
-        tm, f4 = _golden_max(lambda x: g(rm, x), tm_lo, tm_hi, iters=REFINE_ITERS)
+        g = kern(rm, tm).conj() @ a
+        rl, f1 = _golden_max(lines.lam_ray(g, tl), rl_lo, rl_hi, iters=REFINE_ITERS)
+        tl, f2 = _golden_max(lines.lam_circle(g, rl), tl_lo, tl_hi, iters=REFINE_ITERS)
+        u = a @ kern(rl, tl)
+        rm, f3 = _golden_max(lines.mu_ray(u, tm), rm_lo, rm_hi, iters=REFINE_ITERS)
+        tm, f4 = _golden_max(lines.mu_circle(u, rm), tm_lo, tm_hi, iters=REFINE_ITERS)
         best = max(best, f1, f2, f3, f4)
     p = complex(rl * math.cos(tl), rl * math.sin(tl))
     q = complex(rm * math.cos(tm), rm * math.sin(tm))

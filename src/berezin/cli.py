@@ -196,8 +196,8 @@ def cmd_eval(args) -> int:
         "berezin_norm": {
             "value": nb.value, "argmax": _point_json(nb.argmax), "exact": nb.exact,
         },
-        "numerical_radius": w,
-        "operator_norm": opn,
+        "numerical_radius": float(w),
+        "operator_norm": float(opn),
         "symbol_samples": [
             {"point": _point_json(ev.point), "value": _point_json(complex(ev.value))}
             for ev in samples
@@ -212,7 +212,7 @@ def cmd_eval(args) -> int:
         lines.append(f"operator_norm,{opn:.17g}")
         _emit("\n".join(lines) + "\n", opts["out"])
     elif fmt == "json":
-        _emit(json.dumps(_jsonable(payload), indent=2), opts["out"])
+        _emit(json.dumps(payload, indent=2), opts["out"])  # plain types already
     else:
         _log(f"error: unknown format {fmt!r}")
         return 2

@@ -6,7 +6,10 @@ import pytest
 import _oracles as orc
 from berezin import (
     DimensionMismatch,
+    GeneratorSpec,
     NotPositive,
+    PointOutOfDomain,
+    bergman,
     berezin_number,
     berezin_norm,
     berezin_set_sample,
@@ -14,7 +17,10 @@ from berezin import (
     default_grid,
     finite,
     fock,
+    gen_matrix,
     hardy,
+    kernel_matrix,
+    normalized_kernel,
     numerical_radius,
     operator_norm,
     verify_positive_equality,
@@ -219,6 +225,77 @@ class TestContinuousEstimates:
         lam, mu = est.argmax
         assert abs(lam) <= 0.9 + 1e-9 and abs(mu) <= 0.9 + 1e-9
         assert est.value >= berezin_number(m, s, level=1).value - 1e-12
+
+
+DISK_MODELS = (hardy(15, 0.95), bergman(15, 0.95), fock(15, 3.0))
+
+
+def _polar(r, t):
+    return complex(r * math.cos(t), r * math.sin(t))
+
+
+class TestLineEvaluators:
+    """Each Horner line evaluator equals the kernel-vector value it replaces."""
+
+    @pytest.mark.parametrize("model", (*DISK_MODELS, hardy(3, 0.9)), ids=str)
+    def test_agree_with_kernel_vectors(self, rng, model):
+        lines = calc._Lines(model)
+        for _ in range(5):
+            a = orc.rand_complex(rng, model.dimension)
+            tol = 1e-12 * operator_norm(a)
+            t = rng.uniform(-math.pi, math.pi)
+            other = normalized_kernel(model, _polar(rng.uniform(0, model.radius), rng.uniform(-4, 4)))
+            g, u = other.conj() @ a, a @ other  # the fixed side of a pair pass
+            for r in (0.0, rng.uniform(0, model.radius), model.radius):
+                k = normalized_kernel(model, _polar(r, t))
+                symbol = abs(k.conj() @ (a @ k))
+                lam_moving, mu_moving = abs(g @ k), abs(k.conj() @ u)
+                assert lines.symbol_ray(a, t)(r) == pytest.approx(symbol, abs=tol)
+                assert lines.symbol_circle(a, r)(t) == pytest.approx(symbol, abs=tol)
+                assert lines.lam_ray(g, t)(r) == pytest.approx(lam_moving, abs=tol)
+                assert lines.lam_circle(g, r)(t) == pytest.approx(lam_moving, abs=tol)
+                assert lines.mu_ray(u, t)(r) == pytest.approx(mu_moving, abs=tol)
+                assert lines.mu_circle(u, r)(t) == pytest.approx(mu_moving, abs=tol)
+
+
+class TestRefineDomainCheck:
+    """The refinement checks its start point once, for every point it visits."""
+
+    @pytest.mark.parametrize("start", [0.95 + 0.5j, complex(math.nan, 0.0), complex(math.inf, 0.0)])
+    def test_start_outside_domain_raises(self, start):
+        m, a = hardy(4, 0.9), np.eye(5, dtype=complex)
+        with pytest.raises(PointOutOfDomain):
+            calc._refine_symbol(m, a, start, 0)
+        with pytest.raises(PointOutOfDomain):
+            calc._refine_pair(m, a, 0.1j, start, 0)
+
+
+class TestRefinedBounds:
+    """Refined estimates: at least the grid, at most the norm, attained in the domain."""
+
+    @pytest.mark.parametrize("model", DISK_MODELS, ids=str)
+    def test_estimates_between_grid_and_norm(self, model):
+        for seed in (0, 1):
+            a = gen_matrix(GeneratorSpec("general", 16, 1.0, seed=seed))
+            opn = operator_norm(a)
+            tol = 1e-12 * opn
+
+            def value_at(lam, mu):
+                return abs(normalized_kernel(model, mu).conj() @ (a @ normalized_kernel(model, lam)))
+
+            with computation_scope():
+                for level in range(3):
+                    kmat = kernel_matrix(model, default_grid(model, level).points)
+                    pairs = np.abs(kmat.conj().T @ (a @ kmat))
+                    grid_number = np.max(np.abs(np.einsum("ij,ij->j", kmat.conj(), a @ kmat)))
+                    bn = berezin_number(model, a, level=level)
+                    nb = berezin_norm(model, a, level=level)
+                    assert grid_number <= bn.value <= opn * (1 + 1e-12)
+                    assert np.max(pairs) <= nb.value <= opn * (1 + 1e-12)
+                    for p in (bn.argmax, *nb.argmax):  # r e^{it} rounds to within 1 ulp
+                        assert abs(p) <= model.radius * (1 + 1e-12)
+                    assert value_at(bn.argmax, bn.argmax) == pytest.approx(bn.value, abs=tol)
+                    assert value_at(*nb.argmax) == pytest.approx(nb.value, abs=tol)
 
 
 class TestTopK:
