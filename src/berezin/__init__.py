@@ -13,8 +13,8 @@ from .calc import (
     berezin_norm,
     berezin_set_sample,
     berezin_symbol,
+    counterexample_check,
     numerical_radius,
-    verify_positive_equality,
 )
 from .errors import (
     BerezinError,
@@ -31,7 +31,6 @@ from .fuzz import (
     GeneratorSpec,
     TrialReport,
     Violation,
-    counterexample_check,
     gen_commuting_pair,
     gen_matrix,
     run_suite,
@@ -44,6 +43,7 @@ from .inequalities import (
     InequalityCase,
     check,
     power_mean,
+    verify_positive_equality,
 )
 from .linalg import (
     abs_power,

@@ -1,4 +1,5 @@
-"""Berezin symbols, sup-type quantities, and the numerical radius.
+"""Berezin symbols, sup-type quantities, the numerical radius, and the
+antidiagonal witness that separates the Berezin number from the norm.
 
 Finite-kind models admit exact evaluation: the Berezin number is the largest
 diagonal modulus and the Berezin norm the largest entry modulus, both maxima
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._cache import scoped
-from .errors import DimensionMismatch, NotPositive, PointOutOfDomain
-from .linalg import is_positive
+from .errors import DimensionMismatch, PointOutOfDomain
+from .linalg import is_hermitian, operator_norm
 from .models import (
-    KernelModel, OmegaGrid, _unit_kernel, _weights, default_grid, kernel_matrix,
+    KernelModel, OmegaGrid, _unit_kernel, _weights, default_grid, finite, kernel_matrix,
     normalized_kernel,
 )
 from .results import InequalityResult
@@ -310,13 +311,16 @@ def berezin_number(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEsti
 
     Finite kind: exact, the largest diagonal modulus (first index wins ties).
     Continuous kinds: best of grid sampling plus local refinement over all
-    levels up to `level`; a lower bound for the true supremum.
+    levels up to `level`; a lower bound for the true supremum.  A negative
+    level raises ValueError there.
     """
     _check_operand(model, a)
     if model.is_finite_kind:
         d = np.abs(np.diagonal(a))
         i = int(np.argmax(d))
         return SupEstimate(value=float(d[i]), argmax=i + 1, exact=True)
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
     best_val, best_arg = -1.0, None
     for lev in range(level + 1):
         pts = default_grid(model, lev).points
@@ -337,7 +341,8 @@ def berezin_norm(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEstima
 
     Finite kind: exact, the largest entry modulus; the argmax pair is the
     first (lam, mu) in lam-major order attaining it.  Continuous kinds:
-    grid pairs plus refinement, a lower bound.
+    grid pairs plus refinement, a lower bound; a negative level raises
+    ValueError.
     """
     _check_operand(model, a)
     n = model.dimension
@@ -346,6 +351,8 @@ def berezin_norm(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEstima
         k = int(np.argmax(flat))
         lam, mu = k // n + 1, k % n + 1
         return SupEstimate(value=float(flat[k]), argmax=(lam, mu), exact=True)
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
     best_val, best_arg = -1.0, None
     for lev in range(level + 1):
         pts = default_grid(model, lev).points
@@ -421,29 +428,42 @@ def numerical_radius(a: np.ndarray) -> float:
     return best
 
 
-def verify_positive_equality(model: KernelModel, a: np.ndarray,
-                             tol: float = 1e-8, level: int = 1) -> InequalityResult:
-    """Check that the Berezin norm and Berezin number agree for PSD input.
+def counterexample_check(n: int = 2) -> InequalityResult:
+    """The 2n x 2n antidiagonal witness separating ber from the Berezin norm.
 
-    Raises NotPositive when the operand is not PSD at the standard tolerance.
-    satisfied means |norm - number| <= tol * max(1, number).
+    The operator is Hermitian with zero diagonal: its Berezin number over the
+    standard-basis kernels is exactly 0 while its Berezin norm, numerical
+    radius, and operator norm are all 1.
     """
-    _check_operand(model, a)
-    if not is_positive(a):
-        raise NotPositive("operand is not positive semidefinite")
-    nb = berezin_norm(model, a, level=level)
-    bn = berezin_number(model, a, level=level)
-    diff = abs(nb.value - bn.value)
+    if int(n) < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    dim = 2 * int(n)
+    a = np.fliplr(np.eye(dim)).astype(np.complex128)
+    model = finite(dim)
+    bn = berezin_number(model, a)
+    nb = berezin_norm(model, a)
+    herm = is_hermitian(a)
+    w = numerical_radius(a)
+    opn = operator_norm(a)
+    ok = (
+        bn.value == 0.0
+        and nb.value == 1.0
+        and herm
+        and abs(w - 1.0) <= 1e-9
+        and abs(opn - 1.0) <= 1e-9
+    )
     return InequalityResult(
-        ineq_id="prop1",
-        lhs=nb.value,
-        rhs=bn.value,
-        gap=bn.value - nb.value,
-        satisfied=bool(diff <= tol * max(1.0, bn.value)),
+        ineq_id="counterexample",
+        lhs=bn.value,
+        rhs=nb.value,
+        gap=nb.value - bn.value,
+        satisfied=bool(ok),
         witness={
-            "difference": diff,
-            "norm_argmax": nb.argmax,
+            "dimension": dim,
+            "hermitian": herm,
+            "numerical_radius": w,
+            "operator_norm": opn,
             "number_argmax": bn.argmax,
-            "exact": nb.exact and bn.exact,
+            "norm_argmax": nb.argmax,
         },
     )

@@ -12,8 +12,11 @@ Four subcommands:
 Machine-readable output goes to stdout (or --out); logs go to stderr.
 Exit codes: check/fuzz return 0 with no violations, 1 with violations, 2 on
 bad configuration; eval returns 2 for bad input, 3 for dimension mismatches,
-4 for numerical failures; report returns 2 when the input is unusable.
-A --config JSON file supplies any long-form option; explicit flags win.
+4 for numerical failures; report returns 2 when the input is unusable.  An
+--out path that cannot be written gives 2, and so does a negative --level
+(in eval always, in check and fuzz on a disk model).  A --config JSON file
+supplies any long option of its subcommand; explicit flags win and other
+keys are rejected.
 """
 
 from __future__ import annotations
@@ -39,19 +42,6 @@ from .inequalities import CATALOG, DEFAULT_TOL, InequalityCase, check as check_c
 from .linalg import operator_norm
 from .models import KernelModel, default_grid
 
-_CONFIG_KEYS = {
-    "eval": {"model", "matrix", "level", "out", "format"},
-    "check": {
-        "ineq", "model", "gen", "n", "trials", "seed", "scale",
-        "alpha", "r", "s", "a", "b", "tol", "level", "out", "format",
-    },
-    "fuzz": {
-        "suite", "ineq", "model", "gen", "n", "trials", "seed", "scale",
-        "alpha", "r", "s", "tol", "level", "out", "format",
-    },
-    "report": {"input", "out", "format"},
-}
-
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
@@ -75,66 +65,46 @@ def _ints_csv(text) -> tuple:
     return tuple(int(t) for t in items)
 
 
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.complexfloating, complex)):
-        z = complex(obj)
-        return [z.real, z.imag]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    return obj
+def _emit(text: str, out_path) -> int:
+    """Write text, newline-terminated, to out_path or stdout.
 
-
-def _emit(text: str, out_path) -> None:
-    if out_path:
+    Returns 0, or 2 after logging the error when out_path cannot be written.
+    """
+    if not text.endswith("\n"):
+        text += "\n"
+    if not out_path:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    except OSError as exc:
+        _log(f"error: {exc}")
+        return 2
+    return 0
 
 
-def _load_config(path, command: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError("config must be a JSON object")
-    unknown = set(obj) - _CONFIG_KEYS[command]
-    if unknown:
-        raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
-    return obj
-
-
-def _merged(args: argparse.Namespace, command: str) -> dict:
-    cfg = _load_config(args.config, command) if getattr(args, "config", None) else {}
+def _merged(args: argparse.Namespace) -> dict:
+    """The subcommand's own options: explicit flags, else --config values."""
+    keys = set(vars(args)) - {"command", "func", "config"}
+    cfg = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = set(cfg) - keys
+        if unknown:
+            raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
     out = {}
-    for key in _CONFIG_KEYS[command]:
-        cli_val = getattr(args, key, None)
+    for key in keys:
+        cli_val = getattr(args, key)
         out[key] = cli_val if cli_val is not None else cfg.get(key)
     return out
 
 
-def _resolve_model(spec, fallback_dim=None) -> KernelModel:
-    if spec is None:
-        if fallback_dim is None:
-            raise ValueError("a model is required (--model)")
-        return bio.parse_model_spec(f"finite:{fallback_dim}")
-    if isinstance(spec, KernelModel):
-        return spec
+def _resolve_model(spec) -> KernelModel:
+    """A model from a compact spec string or a JSON descriptor."""
     if isinstance(spec, dict):
         return bio.model_from_descriptor(spec)
     return bio.parse_model_spec(str(spec))
@@ -156,8 +126,8 @@ def _point_json(pt):
 
 def cmd_eval(args) -> int:
     try:
-        opts = _merged(args, "eval")
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        opts = _merged(args)
+    except (OSError, ValueError) as exc:
         _log(f"error: {exc}")
         return 2
     if not opts["matrix"]:
@@ -165,9 +135,11 @@ def cmd_eval(args) -> int:
         return 2
     try:
         mat = bio.load_matrix(opts["matrix"])
-        model = _resolve_model(opts["model"], fallback_dim=mat.shape[0])
+        spec = opts["model"] if opts["model"] is not None else f"finite:{mat.shape[0]}"
+        model = _resolve_model(spec)
         level = int(opts["level"]) if opts["level"] is not None else 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        grid = default_grid(model, level=level)  # rejects a negative level
+    except (OSError, ValueError) as exc:
         _log(f"error: {exc}")
         return 2
     try:
@@ -176,7 +148,6 @@ def cmd_eval(args) -> int:
             nb = calc.berezin_norm(model, mat, level=level)
             w = calc.numerical_radius(mat)
             opn = operator_norm(mat)
-            grid = default_grid(model, level=level)
             samples = calc.berezin_set_sample(model, mat, grid)
     except DimensionMismatch as exc:
         _log(f"error: {exc}")
@@ -210,36 +181,47 @@ def cmd_eval(args) -> int:
         lines.append(f"berezin_norm,{nb.value:.17g}")
         lines.append(f"numerical_radius,{w:.17g}")
         lines.append(f"operator_norm,{opn:.17g}")
-        _emit("\n".join(lines) + "\n", opts["out"])
-    elif fmt == "json":
-        _emit(json.dumps(payload, indent=2), opts["out"])  # plain types already
-    else:
-        _log(f"error: unknown format {fmt!r}")
-        return 2
-    return 0
+        return _emit("\n".join(lines) + "\n", opts["out"])
+    if fmt == "json":
+        return _emit(json.dumps(payload, indent=2), opts["out"])  # plain types already
+    _log(f"error: unknown format {fmt!r}")
+    return 2
 
 
-def _sweep_from(opts) -> dict | None:
-    sweep = {}
-    for key in ("alpha", "r", "s"):
-        if opts.get(key) is not None:
-            sweep[key] = _floats_csv(opts[key])
-    return sweep or None
+def _entry_ids(text) -> list[str]:
+    """Catalog ids from a comma list; unknown ids raise UnknownIneqId."""
+    ids = [s.strip() for s in str(text).split(",") if s.strip()]
+    for ineq_id in ids:
+        if ineq_id not in CATALOG:
+            raise UnknownIneqId(f"no catalog entry {ineq_id!r}")
+    return ids
+
+
+def _campaign_options(opts, default_format: str, default_trials: int):
+    """The options check and fuzz share, resolved with their defaults."""
+    sweep = {key: _floats_csv(opts[key]) for key in ("alpha", "r", "s")
+             if opts[key] is not None}
+    run = argparse.Namespace(
+        tol=float(opts["tol"]) if opts["tol"] is not None else DEFAULT_TOL,
+        level=int(opts["level"]) if opts["level"] is not None else 1,
+        fmt=(opts["format"] or default_format).lower(),
+        model=_resolve_model(opts["model"]) if opts["model"] is not None else None,
+        trials=int(opts["trials"]) if opts["trials"] is not None else default_trials,
+        seed=int(opts["seed"]) if opts["seed"] is not None else 0,
+        scale=float(opts["scale"]) if opts["scale"] is not None else 1.0,
+        kind=opts["gen"] or "general",
+        sweep=sweep or None,
+    )
+    if run.fmt not in ("json", "csv"):
+        raise ValueError(f"unknown format {run.fmt!r}")
+    return run
 
 
 def _report_payload(report: fuzz.TrialReport, include_rows: bool) -> dict:
-    payload = {
-        "suite": list(report.suite),
-        "trials": report.trials,
-        "rows_evaluated": report.rows_evaluated,
-        "violations": _jsonable(report.violations),
-        "marginal_retries": report.marginal_retries,
-        "gap_stats": _jsonable(report.gap_stats),
-        "runtime_seconds": report.runtime_seconds,
-        "master_seed": report.master_seed,
-    }
+    payload = dataclasses.asdict(dataclasses.replace(report, rows=None))
+    del payload["rows"]
     if include_rows and report.rows is not None:
-        payload["cases"] = _jsonable(report.rows)
+        payload["cases"] = report.rows
     return payload
 
 
@@ -256,19 +238,12 @@ def _rows_to_csv_text(rows: list[dict]) -> str:
 
 def cmd_check(args) -> int:
     try:
-        opts = _merged(args, "check")
+        opts = _merged(args)
         if not opts["ineq"]:
             raise ValueError("--ineq is required")
-        ids = [s.strip() for s in str(opts["ineq"]).split(",") if s.strip()]
-        for ineq_id in ids:
-            if ineq_id not in CATALOG:
-                raise UnknownIneqId(f"no catalog entry {ineq_id!r}")
-        tol = float(opts["tol"]) if opts["tol"] is not None else DEFAULT_TOL
-        level = int(opts["level"]) if opts["level"] is not None else 1
-        fmt = (opts["format"] or "json").lower()
-        if fmt not in ("json", "csv"):
-            raise ValueError(f"unknown format {fmt!r}")
-    except (ValueError, UnknownIneqId, json.JSONDecodeError, OSError) as exc:
+        ids = _entry_ids(opts["ineq"])
+        run = _campaign_options(opts, "json", 10)
+    except (BerezinError, ValueError, OSError) as exc:
         _log(f"error: {exc}")
         return 2
 
@@ -290,37 +265,30 @@ def cmd_check(args) -> int:
             case = InequalityCase(
                 ineq_id="lem3",
                 operands={"a": float(opts["a"]), "b": float(opts["b"])},
-                params=params, model=None, tolerance=tol,
+                params=params, model=None, tolerance=run.tol,
             )
             res = check_case(case)
         except (BerezinError, ValueError) as exc:
             _log(f"error: {exc}")
             return 2
         rec = fuzz._row_record("lem3", 0, None, params, res)
-        if fmt == "csv":
-            _emit(_rows_to_csv_text([rec]), opts["out"])
+        if run.fmt == "csv":
+            text = _rows_to_csv_text([rec])
         else:
-            _emit(json.dumps(_jsonable({"cases": [rec], "violations": 0 if res.satisfied else 1}), indent=2), opts["out"])
-        return 0 if res.satisfied else 1
+            text = json.dumps({"cases": [rec], "violations": 0 if res.satisfied else 1}, indent=2)
+        return _emit(text, opts["out"]) or (0 if res.satisfied else 1)
 
     try:
-        model = None
-        if opts["model"] is not None:
-            model = _resolve_model(opts["model"])
-        n = int(opts["n"]) if opts["n"] is not None else (model.dimension if model else 3)
-        trials = int(opts["trials"]) if opts["trials"] is not None else 10
-        seed = int(opts["seed"]) if opts["seed"] is not None else 0
-        scale = float(opts["scale"]) if opts["scale"] is not None else 1.0
-        kind = opts["gen"] or "general"
+        n = int(opts["n"]) if opts["n"] is not None else (run.model.dimension if run.model else 3)
         report = fuzz.run_suite(
             ids,
-            model=model,
-            gen=fuzz.GeneratorSpec(kind=kind, n=n, scale=scale, seed=seed),
-            trials=trials,
-            sweep=_sweep_from(opts),
-            dims=(model.dimension if model else n,),
-            tolerance=tol,
-            level=level,
+            model=run.model,
+            gen=fuzz.GeneratorSpec(kind=run.kind, n=n, scale=run.scale, seed=run.seed),
+            trials=run.trials,
+            sweep=run.sweep,
+            dims=(run.model.dimension if run.model else n,),
+            tolerance=run.tol,
+            level=run.level,
             collect_rows=True,
         )
     except (BerezinError, ValueError) as exc:
@@ -331,47 +299,34 @@ def cmd_check(args) -> int:
         f"{report.rows_evaluated} cases, {len(report.violations)} violations "
         f"in {report.runtime_seconds:.2f}s"
     )
-    if fmt == "csv":
-        _emit(_rows_to_csv_text(report.rows), opts["out"])
+    if run.fmt == "csv":
+        text = _rows_to_csv_text(report.rows)
     else:
-        _emit(json.dumps(_report_payload(report, include_rows=True), indent=2), opts["out"])
-    return 1 if report.violations else 0
+        text = json.dumps(_report_payload(report, include_rows=True), indent=2)
+    return _emit(text, opts["out"]) or (1 if report.violations else 0)
 
 
 def cmd_fuzz(args) -> int:
     try:
-        opts = _merged(args, "fuzz")
+        opts = _merged(args)
         chosen = opts["suite"] if opts["suite"] is not None else opts["ineq"]
         ids = None
         if chosen and str(chosen).strip().lower() != "all":
-            ids = [s.strip() for s in str(chosen).split(",") if s.strip()]
-            for ineq_id in ids:
-                if ineq_id not in CATALOG:
-                    raise UnknownIneqId(f"no catalog entry {ineq_id!r}")
-        tol = float(opts["tol"]) if opts["tol"] is not None else DEFAULT_TOL
-        level = int(opts["level"]) if opts["level"] is not None else 1
-        fmt = (opts["format"] or "csv").lower()
-        if fmt not in ("json", "csv"):
-            raise ValueError(f"unknown format {fmt!r}")
-        model = _resolve_model(opts["model"]) if opts["model"] is not None else None
+            ids = _entry_ids(chosen)
+        run = _campaign_options(opts, "csv", 100)
         dims = _ints_csv(opts["n"]) if opts["n"] is not None else fuzz.DEFAULT_DIMS
-        trials = int(opts["trials"]) if opts["trials"] is not None else 100
-        seed = int(opts["seed"]) if opts["seed"] is not None else 0
-        scale = float(opts["scale"]) if opts["scale"] is not None else 1.0
-        kind = opts["gen"] or "general"
-        csv_path = opts["out"] if (opts["out"] and fmt == "csv") else None
         report = fuzz.run_suite(
             ids,
-            model=model,
-            gen=fuzz.GeneratorSpec(kind=kind, n=dims[0], scale=scale, seed=seed),
-            trials=trials,
-            sweep=_sweep_from(opts),
+            model=run.model,
+            gen=fuzz.GeneratorSpec(kind=run.kind, n=dims[0], scale=run.scale, seed=run.seed),
+            trials=run.trials,
+            sweep=run.sweep,
             dims=dims,
-            tolerance=tol,
-            level=level,
-            csv_path=csv_path,
+            tolerance=run.tol,
+            level=run.level,
+            csv_path=opts["out"] if (opts["out"] and run.fmt == "csv") else None,
         )
-    except (BerezinError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (BerezinError, ValueError, OSError) as exc:
         _log(f"error: {exc}")
         return 2
     _log(
@@ -380,17 +335,14 @@ def cmd_fuzz(args) -> int:
         f"{report.marginal_retries} marginal retries in {report.runtime_seconds:.2f}s"
     )
     summary = json.dumps(_report_payload(report, include_rows=False), indent=2)
-    if fmt == "json" and opts["out"]:
-        _emit(summary, opts["out"])
-    else:
-        sys.stdout.write(summary + "\n")
-    return 1 if report.violations else 0
+    out = opts["out"] if run.fmt == "json" else None
+    return _emit(summary, out) or (1 if report.violations else 0)
 
 
 def cmd_report(args) -> int:
     try:
-        opts = _merged(args, "report")
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        opts = _merged(args)
+    except (OSError, ValueError) as exc:
         _log(f"error: {exc}")
         return 2
     path = opts["input"]
@@ -416,14 +368,14 @@ def cmd_report(args) -> int:
         return 2
     payload = {}
     for ineq_id in sorted(groups):
-        vals = np.asarray(groups[ineq_id], dtype=np.float64)
-        counts, edges = np.histogram(vals, bins=20)
+        stats = fuzz.GapStats.of(groups[ineq_id])
+        counts, edges = np.histogram(groups[ineq_id], bins=20)
         payload[ineq_id] = {
-            "count": int(vals.size),
-            "min": float(vals.min()),
-            "max": float(vals.max()),
-            "mean": float(vals.mean()),
-            "median": float(np.median(vals)),
+            "count": stats.count,
+            "min": stats.min,
+            "max": stats.max,
+            "mean": stats.mean,
+            "median": stats.median,
             "bin_edges": [float(e) for e in edges],
             "counts": [int(c) for c in counts],
         }
@@ -435,13 +387,11 @@ def cmd_report(args) -> int:
                 lines.append(
                     f"{ineq_id},{h['bin_edges'][i]:.17g},{h['bin_edges'][i + 1]:.17g},{c}"
                 )
-        _emit("\n".join(lines) + "\n", opts["out"])
-    elif fmt == "json":
-        _emit(json.dumps(payload, indent=2), opts["out"])
-    else:
-        _log(f"error: unknown format {fmt!r}")
-        return 2
-    return 0
+        return _emit("\n".join(lines) + "\n", opts["out"])
+    if fmt == "json":
+        return _emit(json.dumps(payload, indent=2), opts["out"])
+    _log(f"error: unknown format {fmt!r}")
+    return 2
 
 
 # --- argument parsing --------------------------------------------------------
@@ -458,56 +408,38 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--model", help="model spec, e.g. finite:4 or hardy:15:0.95")
     pe.add_argument("--matrix", help="path to a matrix JSON file")
     pe.add_argument("--level", type=int, help="grid refinement level (continuous models)")
-    pe.add_argument("--out", help="write output here instead of stdout")
-    pe.add_argument("--format", choices=("json", "csv"), help="output format")
-    pe.add_argument("--config", help="JSON file with default options")
-    pe.set_defaults(func=cmd_eval)
 
     pc = sub.add_parser("check", help="check catalog inequalities on sampled operands")
     pc.add_argument("--ineq", help="catalog id or comma list, e.g. thm1,cor1")
-    pc.add_argument("--model", help="model spec (default: exact finite model)")
-    pc.add_argument("--gen", choices=fuzz.MATRIX_KINDS, help="operand ensemble")
     pc.add_argument("--n", type=int, help="operand dimension")
-    pc.add_argument("--trials", type=int, help="number of random trials")
-    pc.add_argument("--seed", type=int, help="master seed")
-    pc.add_argument("--scale", type=float, help="operand scale")
-    pc.add_argument("--alpha", help="comma list of alpha values")
-    pc.add_argument("--r", help="comma list of r values")
-    pc.add_argument("--s", help="comma list of s values")
     pc.add_argument("--a", type=float, help="explicit scalar operand (lem3)")
     pc.add_argument("--b", type=float, help="explicit scalar operand (lem3)")
-    pc.add_argument("--tol", type=float, help="satisfaction tolerance")
-    pc.add_argument("--level", type=int, help="grid level for continuous models")
-    pc.add_argument("--out", help="write output here instead of stdout")
-    pc.add_argument("--format", choices=("json", "csv"), help="output format")
-    pc.add_argument("--config", help="JSON file with default options")
-    pc.set_defaults(func=cmd_check)
 
     pf = sub.add_parser("fuzz", help="randomized campaign over the catalog")
     pf.add_argument("--suite", help='"all" or a comma list of catalog ids')
     pf.add_argument("--ineq", help="comma list of ids (default: all)")
-    pf.add_argument("--model", help="model spec (default: exact finite models)")
-    pf.add_argument("--gen", choices=fuzz.MATRIX_KINDS, help="operand ensemble")
     pf.add_argument("--n", help="comma list of dimensions to cycle, e.g. 2,3,4,6")
-    pf.add_argument("--trials", type=int, help="trials per entry")
-    pf.add_argument("--seed", type=int, help="master seed")
-    pf.add_argument("--scale", type=float, help="operand scale")
-    pf.add_argument("--alpha", help="comma list of alpha values")
-    pf.add_argument("--r", help="comma list of r values")
-    pf.add_argument("--s", help="comma list of s values")
-    pf.add_argument("--tol", type=float, help="satisfaction tolerance")
-    pf.add_argument("--level", type=int, help="grid level for continuous models")
-    pf.add_argument("--out", help="CSV path (with --format csv) or JSON path")
-    pf.add_argument("--format", choices=("json", "csv"), help="what --out receives")
-    pf.add_argument("--config", help="JSON file with default options")
-    pf.set_defaults(func=cmd_fuzz)
+
+    for p in (pc, pf):
+        p.add_argument("--model", help="model spec (default: exact finite models)")
+        p.add_argument("--gen", choices=fuzz.MATRIX_KINDS, help="operand ensemble")
+        p.add_argument("--trials", type=int, help="random trials per entry")
+        p.add_argument("--seed", type=int, help="master seed")
+        p.add_argument("--scale", type=float, help="operand scale")
+        for key in ("alpha", "r", "s"):
+            p.add_argument(f"--{key}", help=f"comma list of {key} values")
+        p.add_argument("--tol", type=float, help="satisfaction tolerance")
+        p.add_argument("--level", type=int, help="grid level for continuous models")
 
     pr = sub.add_parser("report", help="gap histograms from a results CSV")
     pr.add_argument("--in", dest="input", help="results CSV from fuzz/check")
-    pr.add_argument("--out", help="write output here instead of stdout")
-    pr.add_argument("--format", choices=("json", "csv"), help="output format")
-    pr.add_argument("--config", help="JSON file with default options")
-    pr.set_defaults(func=cmd_report)
+
+    for p, func in ((pe, cmd_eval), (pc, cmd_check), (pf, cmd_fuzz), (pr, cmd_report)):
+        p.add_argument("--out", help="write output here instead of stdout "
+                                     "(fuzz --format csv: the campaign CSV)")
+        p.add_argument("--format", choices=("json", "csv"), help="output format")
+        p.add_argument("--config", help="JSON file with default options")
+        p.set_defaults(func=func)
     return top
 
 

@@ -24,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from ._cache import computation_scope
-from .calc import berezin_norm, berezin_number, numerical_radius
 from .errors import ParamOutOfRange, UnknownIneqId
 from .inequalities import (
     CATALOG,
@@ -35,12 +34,7 @@ from .inequalities import (
     _check_validated,
     _validated_operands,
 )
-from .linalg import (
-    herm_eig,
-    is_hermitian,
-    operator_norm,
-    precise_eigensolver,
-)
+from .linalg import herm_eig, precise_eigensolver
 from .models import KernelModel, finite
 from .results import InequalityResult
 
@@ -259,6 +253,18 @@ class GapStats:
     max: float
     mean: float
 
+    @classmethod
+    def of(cls, gaps) -> GapStats:
+        """Statistics of a nonempty sequence of relative gaps."""
+        arr = np.asarray(gaps, dtype=np.float64)
+        return cls(
+            count=int(arr.size),
+            min=float(arr.min()),
+            median=float(np.median(arr)),
+            max=float(arr.max()),
+            mean=float(arr.mean()),
+        )
+
 
 @dataclass
 class TrialReport:
@@ -422,65 +428,14 @@ def run_suite(
         if fh is not None:
             fh.close()
 
-    stats = {}
-    for ineq_id, gaps in gap_lists.items():
-        arr = np.asarray(gaps, dtype=np.float64)
-        stats[ineq_id] = GapStats(
-            count=int(arr.size),
-            min=float(arr.min()),
-            median=float(np.median(arr)),
-            max=float(arr.max()),
-            mean=float(arr.mean()),
-        )
     return TrialReport(
         suite=tuple(ids),
         trials=int(trials),
         rows_evaluated=rows_evaluated,
         violations=violations,
         marginal_retries=retries_total,
-        gap_stats=stats,
+        gap_stats={ineq_id: GapStats.of(gaps) for ineq_id, gaps in gap_lists.items()},
         runtime_seconds=time.monotonic() - t0,
         master_seed=int(gen.seed),
         rows=kept_rows,
-    )
-
-
-def counterexample_check(n: int = 2) -> InequalityResult:
-    """The 2n x 2n antidiagonal witness separating ber from the Berezin norm.
-
-    The operator is Hermitian with zero diagonal: its Berezin number over the
-    standard-basis kernels is exactly 0 while its Berezin norm, numerical
-    radius, and operator norm are all 1.
-    """
-    if int(n) < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    dim = 2 * int(n)
-    a = np.fliplr(np.eye(dim)).astype(np.complex128)
-    model = finite(dim)
-    bn = berezin_number(model, a)
-    nb = berezin_norm(model, a)
-    herm = is_hermitian(a)
-    w = numerical_radius(a)
-    opn = operator_norm(a)
-    ok = (
-        bn.value == 0.0
-        and nb.value == 1.0
-        and herm
-        and abs(w - 1.0) <= 1e-9
-        and abs(opn - 1.0) <= 1e-9
-    )
-    return InequalityResult(
-        ineq_id="counterexample",
-        lhs=bn.value,
-        rhs=nb.value,
-        gap=nb.value - bn.value,
-        satisfied=bool(ok),
-        witness={
-            "dimension": dim,
-            "hermitian": herm,
-            "numerical_radius": w,
-            "operator_norm": opn,
-            "number_argmax": bn.argmax,
-            "norm_argmax": nb.argmax,
-        },
     )

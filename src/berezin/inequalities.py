@@ -16,7 +16,7 @@ lem3 where any finite real orders with r <= s are allowed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -111,7 +111,6 @@ class _OperatorEnv:
 
 
 _OPERATOR_ENV = _OperatorEnv()
-_opn = operator_norm
 
 
 def power_mean(a: float, b: float, alpha: float, t: float) -> float:
@@ -161,6 +160,10 @@ def power_mean(a: float, b: float, alpha: float, t: float) -> float:
 
 def _hm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x + y) * 0.5
+
+
+def _eye(a: np.ndarray) -> np.ndarray:
+    return np.eye(a.shape[0], dtype=np.complex128)
 
 
 def _vec_quad(m: np.ndarray, x: np.ndarray) -> float:
@@ -231,20 +234,12 @@ def _ev_eqn2cmp(o, p, env):
     return [Part("main", lhs, rhs)]
 
 
-def _ev_eq1(o, p, env):
+def _ev_eq1(o, p, env, number=False):
+    """eq1; with number=True the Berezin number on the left instead (ceb)."""
     a, b, c, d = o["A"], o["B"], o["C"], o["D"]
     r, s = p["r"], p["s"]
-    lhs = env.nber(_hm(adjoint(a) @ b, adjoint(c) @ d)) ** 2
-    rhs = env.ber(_hm(abs_power(a, 2 * r), abs_power(c, 2 * r))) ** (1.0 / r) * env.ber(
-        _hm(abs_power(b, 2 * s), abs_power(d, 2 * s))
-    ) ** (1.0 / s)
-    return [Part("main", lhs, rhs)]
-
-
-def _ev_ceb(o, p, env):
-    a, b, c, d = o["A"], o["B"], o["C"], o["D"]
-    r, s = p["r"], p["s"]
-    lhs = env.ber(_hm(adjoint(a) @ b, adjoint(c) @ d)) ** 2
+    left = env.ber if number else env.nber
+    lhs = left(_hm(adjoint(a) @ b, adjoint(c) @ d)) ** 2
     rhs = env.ber(_hm(abs_power(a, 2 * r), abs_power(c, 2 * r))) ** (1.0 / r) * env.ber(
         _hm(abs_power(b, 2 * s), abs_power(d, 2 * s))
     ) ** (1.0 / s)
@@ -262,9 +257,21 @@ def _ev_cor4(o, p, env):
 
 
 def _ev_prop1(o, p, env):
+    """Proposition 1 as two parts, norm <= number and number <= norm.
+
+    On disk models both values are lower bounds attained at domain points,
+    and they stay so when lifted.  The number is raised to |symbol| at both
+    points of the norm's argmax pair: for PSD A, |<A k_lam, k_mu>|^2 <=
+    <A k_lam, k_lam> <A k_mu, k_mu>, so one of them reaches the norm
+    estimate.  Then the norm is raised to the number, since diagonal pairs
+    are pairs.
+    """
     a = o["A"]
-    nb = env.nber(a)
-    bn = env.ber(a)
+    norm = calc.berezin_norm(env.model, a, level=env.level)
+    nb, bn = norm.value, env.ber(a)
+    if not norm.exact:
+        bn = max(bn, *(abs(calc.berezin_symbol(env.model, a, pt)) for pt in norm.argmax))
+        nb = max(nb, bn)
     return [Part("norm<=number", nb, bn), Part("number<=norm", bn, nb)]
 
 
@@ -323,14 +330,20 @@ def _ev_reim(o, p, env):
     ]
 
 
-def _ev_cor6(o, p, env):
-    a, b = o["A"], o["B"]
-    r, s = p["r"], p["s"]
-    m = _hm(a @ a, b @ b)
+def _modulus_factors(a, b, r, s, env):
+    """The f_r, f_s and f_radj factors of cor6 and cor8: Berezin numbers of
+    the means of |A|^2r, |B|^2r; of |A*|^2s, |B*|^2s; of |A*|^2r, |B*|^2r."""
     f_r = env.ber(_hm(abs_power(a, 2 * r), abs_power(b, 2 * r)))
     f_s = env.ber(_hm(abs_power(adjoint(a), 2 * s), abs_power(adjoint(b), 2 * s)))
     f_radj = env.ber(_hm(abs_power(adjoint(a), 2 * r), abs_power(adjoint(b), 2 * r)))
-    nm = env.nber(m)
+    return f_r, f_s, f_radj
+
+
+def _ev_cor6(o, p, env):
+    a, b = o["A"], o["B"]
+    r, s = p["r"], p["s"]
+    f_r, f_s, f_radj = _modulus_factors(a, b, r, s, env)
+    nm = env.nber(_hm(a @ a, b @ b))
     parts = [
         Part("holder", nm**2, f_r ** (1.0 / r) * f_s ** (1.0 / s)),
         Part("power", nm ** (2.0 * r), f_r * f_radj),
@@ -350,7 +363,7 @@ def _ev_cor6(o, p, env):
 def _ev_eqn3(o, p, env):
     a, b = o["A"], o["B"]
     r, s = p["r"], p["s"]
-    eye = np.eye(a.shape[0], dtype=np.complex128)
+    eye = _eye(a)
     lhs = env.nber(_hm(a, b)) ** 2
     rhs = env.ber(_hm(abs_power(a, 2 * r), eye)) ** (1.0 / r) * env.ber(
         _hm(abs_power(adjoint(b), 2 * s), eye)
@@ -358,21 +371,10 @@ def _ev_eqn3(o, p, env):
     return [Part("main", lhs, rhs)]
 
 
-def _ev_eqn4(o, p, env):
-    a = o["A"]
-    r, s = p["r"], p["s"]
-    eye = np.eye(a.shape[0], dtype=np.complex128)
-    lhs = env.nber(a) ** 2
-    rhs = env.ber(_hm(abs_power(a, 2 * r), eye)) ** (1.0 / r) * env.ber(
-        _hm(abs_power(adjoint(a), 2 * s), eye)
-    ) ** (1.0 / s)
-    return [Part("main", lhs, rhs)]
-
-
 def _ev_eqn5(o, p, env):
     a = o["A"]
     r = p["r"]
-    eye = np.eye(a.shape[0], dtype=np.complex128)
+    eye = _eye(a)
     lhs = env.nber(a) ** (2.0 * r)
     rhs = env.ber(_hm(abs_power(a, 2 * r), eye)) * env.ber(
         _hm(abs_power(adjoint(a), 2 * r), eye)
@@ -409,9 +411,7 @@ def _ev_abprod(o, p, env):
 def _ev_cor8(o, p, env):
     a, b = o["A"], o["B"]
     r, s = p["r"], p["s"]
-    f_r = env.ber(_hm(abs_power(a, 2 * r), abs_power(b, 2 * r)))
-    f_s = env.ber(_hm(abs_power(adjoint(a), 2 * s), abs_power(adjoint(b), 2 * s)))
-    f_radj = env.ber(_hm(abs_power(adjoint(a), 2 * r), abs_power(adjoint(b), 2 * r)))
+    f_r, f_s, f_radj = _modulus_factors(a, b, r, s, env)
     parts = []
     for sign, tag in ((1.0, "plus"), (-1.0, "minus")):
         nm = env.nber(_hm(a @ b, sign * (b @ a)))
@@ -500,24 +500,6 @@ def _ev_thm3half(o, p, env):
     return [Part("main", lhs, rhs)]
 
 
-def _ev_rmk_ii(o, p, env):
-    a, b, c, d = o["A"], o["B"], o["C"], o["D"]
-    r, s = p["r"], p["s"]
-    lhs = _opn(_hm(adjoint(a) @ b, adjoint(c) @ d)) ** 2
-    rhs = _opn(
-        _hm(
-            positive_power(adjoint(b) @ b, r),
-            positive_power(adjoint(d) @ d, r),
-        )
-    ) ** (1.0 / r) * _opn(
-        _hm(
-            positive_power(adjoint(a) @ a, s),
-            positive_power(adjoint(c) @ c, s),
-        )
-    ) ** (1.0 / s)
-    return [Part("main", lhs, rhs)]
-
-
 def _ev_lem1(o, p, env):
     pm, x = o["P"], o["x"]
     r = p["r"]
@@ -594,7 +576,8 @@ _register(CatalogEntry(
     "ceb",
     "squared Berezin number of (A*B + C*D)/2 against the same Hoelder "
     "factors (number version of eq1)",
-    _gen("A", "B", "C", "D"), ("r", "s"), _ev_ceb,
+    _gen("A", "B", "C", "D"), ("r", "s"),
+    lambda o, p, env: _ev_eq1(o, p, env, number=True),
 ))
 _register(CatalogEntry(
     "cor4",
@@ -636,7 +619,7 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     "eqn4",
     "identity-padded bound for a single operator (squared norm)",
-    _gen("A",), ("r", "s"), _ev_eqn4,
+    _gen("A",), ("r", "s"), lambda o, p, env: _ev_eqn3({"A": o["A"], "B": o["A"]}, p, env),
 ))
 _register(CatalogEntry(
     "eqn5",
@@ -706,7 +689,10 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     "rmk_ii",
     "operator-norm analogue of the (A*B + C*D)/2 bound",
-    _gen("A", "B", "C", "D"), ("r", "s"), _ev_rmk_ii, needs_model=False,
+    # thm1 with X = Y = I: |I|^(2 alpha) = I, so B*|X|^(2 alpha)B = B*B
+    _gen("A", "B", "C", "D"), ("r", "s"),
+    lambda o, p, env: _ev_thm1(dict(o, X=_eye(o["A"]), Y=_eye(o["A"])), dict(p, alpha=1.0), env),
+    needs_model=False,
 ))
 _register(CatalogEntry(
     "rmk_iii",
@@ -862,3 +848,19 @@ def _check_validated(entry: CatalogEntry, case: InequalityCase, ops: dict,
             "n": n,
         },
     )
+
+
+def verify_positive_equality(model: KernelModel, a: np.ndarray,
+                             tol: float = 1e-8, level: int = 1) -> InequalityResult:
+    """Check that the Berezin norm and Berezin number agree for PSD input.
+
+    Runs the catalog entry prop1 at tolerance `tol`, so disk-model values
+    carry its lift (see `_ev_prop1`).  Raises NotPositive when the operand
+    is not PSD at the standard tolerance.  lhs is the norm, rhs the number;
+    satisfied means each is within tol * max(1, other) of the other.  The
+    witness adds `exact`, true on finite-kind models.
+    """
+    res = check(InequalityCase("prop1", {"A": a}, model=model, tolerance=tol, level=level))
+    norm, number = res.witness["parts"][0]["lhs"], res.witness["parts"][0]["rhs"]
+    return replace(res, lhs=norm, rhs=number, gap=number - norm,
+                   witness={**res.witness, "exact": model.is_finite_kind})

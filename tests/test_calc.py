@@ -406,3 +406,19 @@ class TestPositiveEquality:
     def test_rejects_non_positive(self):
         with pytest.raises(NotPositive):
             verify_positive_equality(finite(2), SHIFT)
+
+    def test_disk_model_estimates_are_lifted(self):
+        # the norm's refinement stops short of the number here; both lifted
+        # values stay lower bounds attained at domain points
+        m = hardy(3, 0.9)
+        a = gen_matrix(GeneratorSpec("positive", 4, 1.0, 0xD15C0000))
+        res = verify_positive_equality(m, a, level=0)
+        assert res.satisfied and res.witness["exact"] is False
+        assert res.lhs == res.rhs >= berezin_number(m, a, level=0).value
+        assert res.lhs >= berezin_norm(m, a, level=0).value
+
+
+@pytest.mark.parametrize("quantity", [berezin_number, berezin_norm])
+def test_negative_level_rejected_on_disk_models(quantity):
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        quantity(hardy(3, 0.9), np.eye(4, dtype=complex), level=-1)

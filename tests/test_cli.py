@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from berezin import models
+from berezin import models, run_suite
 from berezin.cli import main
 from berezin.io import save_matrix
 
@@ -117,6 +117,13 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "--matrix", str(p))
         assert code == 2
 
+    @pytest.mark.parametrize("model", ["finite:2", "hardy:1:0.9"])
+    def test_negative_level(self, capsys, identity_path, model):
+        code, out, err = run(capsys, "eval", "--model", model, "--matrix", identity_path,
+                             "--level", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "level" in err
+
 
 class TestCheck:
     def test_scalar_power_mean_case(self, capsys):
@@ -189,6 +196,13 @@ class TestCheck:
         assert code == 0
         json.loads(out)  # would raise if logs leaked into stdout
         assert err != ""
+
+
+    def test_negative_level_on_disk_model(self, capsys):
+        code, out, err = run(capsys, "check", "--ineq", "thm1", "--model", "hardy:3:0.9",
+                             "--level", "-1", "--trials", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "level" in err
 
 
 class TestFuzz:
@@ -279,6 +293,20 @@ class TestReport:
         assert lines[0] == "ineq_id,bin_lo,bin_hi,count"
         assert len(lines) == 1 + 2 * 20
 
+    def test_stats_equal_campaign_gap_stats(self, capsys, tmp_path):
+        dest = tmp_path / "rows.csv"
+        rep = run_suite(["cor1", "eqn21", "prop1"], trials=4, dims=(2, 3), csv_path=str(dest))
+        code, out, _ = run(capsys, "report", "--in", str(dest))
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == set(rep.gap_stats)
+        for ineq_id, stats in rep.gap_stats.items():
+            got = payload[ineq_id]
+            # %.17g is lossless, so the relative gaps and their stats match exactly
+            assert (got["count"], got["min"], got["median"], got["max"], got["mean"]) == (
+                stats.count, stats.min, stats.median, stats.max, stats.mean
+            )
+
     def test_zero_byte_input(self, capsys, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_bytes(b"")
@@ -299,6 +327,23 @@ class TestReport:
     def test_no_input_flag(self, capsys):
         code, _, _ = run(capsys, "report")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--matrix", "ID"],
+    ["check", "--ineq", "prop1", "--trials", "1"],
+    ["report", "--in", "ROWS"],
+    ["fuzz", "--ineq", "prop1", "--trials", "1", "--format", "json"],
+])
+def test_unwritable_out_path(capsys, tmp_path, identity_path, argv):
+    rows = tmp_path / "rows.csv"
+    rows.write_text("ineq_id,trial,n,alpha,r,s,lhs,rhs,gap,satisfied\n")
+    subst = {"ID": identity_path, "ROWS": str(rows)}
+    argv = [subst.get(a, a) for a in argv] + ["--out", str(tmp_path / "missing" / "x.json")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+    assert out == ""
 
 
 class TestConfig:

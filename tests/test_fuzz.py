@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 
 import numpy as np
@@ -12,6 +13,7 @@ from berezin import (
     counterexample_check,
     gen_commuting_pair,
     gen_matrix,
+    hardy,
     is_positive,
     run_suite,
 )
@@ -171,6 +173,14 @@ class TestRunSuite:
         assert rep.violations == []
         assert rep.rows_evaluated == 100
 
+    def test_prop1_holds_on_disk_model(self):
+        # the first campaign-disk operand: the norm's refinement stops 2.8e-8
+        # below the number, which the lift closes
+        rep = run_suite(["prop1"], model=hardy(3, 0.9), level=0, trials=1, dims=(4,),
+                        gen=GeneratorSpec(n=4, seed=0xD15C0000), collect_rows=True)
+        assert rep.violations == []
+        assert rep.rows[0]["satisfied"] and rep.rows[0]["lhs"] == rep.rows[0]["rhs"]
+
     def test_eql1_general_campaign(self):
         rep = run_suite(["eql1"], trials=100, dims=(2, 3, 4, 5, 6))
         assert rep.violations == []
@@ -272,6 +282,17 @@ class TestCsvFormat:
             assert float(got["rhs"]) == kept["rhs"]
             assert got["satisfied"] in ("true", "false")
             assert got["alpha"] == "" and got["r"] == "" and got["s"] == ""
+
+    def test_whole_catalog_golden_bytes(self, tmp_path):
+        # Pins the CSV bytes of a whole-catalog campaign at seed 0.  The hash
+        # is platform-specific (numpy, BLAS and libm builds may move last
+        # bits).  A change that moves it on purpose updates it here and
+        # reports the drift in CHANGES.md.
+        path = tmp_path / "golden.csv"
+        run_suite(trials=2, dims=(2, 3, 4, 6), csv_path=str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "75763affc9b8781f4865d6c4f018df8d10b2ef095a8ce3790cfade7c7de8a16c"
+        )
 
     def test_unix_newlines(self, tmp_path):
         path = tmp_path / "out.csv"

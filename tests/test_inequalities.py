@@ -271,6 +271,21 @@ class TestDualComputation:
         assert res.rhs == pytest.approx(rhs, rel=1e-8)
         assert res.satisfied
 
+    def test_rmk_ii(self, rng):
+        n = 3
+        a, b, c, d = (orc.rand_complex(rng, n) for _ in range(4))
+        r, s = 2.0, 1.5
+        res = _run("rmk_ii", {"A": a, "B": b, "C": c, "D": d}, {"r": r, "s": s}, n=n)
+
+        lhs = orc.op_norm((a.conj().T @ b + c.conj().T @ d) / 2) ** 2
+        t1 = (_hp(b.conj().T @ b, r) + _hp(d.conj().T @ d, r)) / 2
+        t2 = (_hp(a.conj().T @ a, s) + _hp(c.conj().T @ c, s)) / 2
+        rhs = orc.op_norm(t1) ** (1 / r) * orc.op_norm(t2) ** (1 / s)
+
+        assert res.lhs == pytest.approx(lhs, rel=1e-8)
+        assert res.rhs == pytest.approx(rhs, rel=1e-8)
+        assert res.satisfied
+
     def test_rmk_iii(self, rng):
         n = 3
         g1, g2 = orc.rand_complex(rng, n), orc.rand_complex(rng, n)
