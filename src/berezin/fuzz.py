@@ -8,17 +8,21 @@ generator specs produce identical operands byte for byte.
 `run_suite` sweeps catalog entries over a parameter grid for many random
 trials, streams one CSV row per (entry, trial, sweep point), and reports
 violations with enough context (seed, kind, dimension, scale) to replay
-them.  Each trial's operands are validated once for all its sweep points.
-A violation within 10x tolerance is re-evaluated at high precision, every
-cached quantity recomputed, before being reported; if that run satisfies
-the bound, the case counts as a numerical-marginal retry.
+them.  Every entry's parameter grid is validated before any row is
+evaluated.  Each trial's operands are validated once, and its whole grid
+goes to the entry's evaluator in one call, which computes each factor once
+per distinct value of the parameters it depends on (see `CatalogEntry`).
+A violation within 10x tolerance is re-evaluated alone, as a one-point
+grid, at high precision, every cached quantity recomputed, before being
+reported; if that run satisfies the bound, the case counts as a
+numerical-marginal retry.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,8 +35,9 @@ from .inequalities import (
     DEFAULT_TOL,
     CatalogEntry,
     InequalityCase,
-    _check_validated,
+    _check_grid,
     _validated_operands,
+    _validated_params,
 )
 from .linalg import herm_eig, precise_eigensolver
 from .models import KernelModel, finite
@@ -198,7 +203,12 @@ def sample_operands(entry: CatalogEntry, n: int, scale: float, seed: int,
 
 
 def param_grid(entry: CatalogEntry, sweep: dict | None = None) -> list[dict]:
-    """Valid parameter combinations for one entry under a sweep."""
+    """Valid parameter combinations for one entry under a sweep.
+
+    Interior-alpha entries drop alpha outside (0, 1) and lem3 keeps r <= s;
+    every other value is validated as `check` validates its parameters, so a
+    value out of range raises ParamOutOfRange here.
+    """
     sweep = sweep or {}
     if not entry.params:
         return [{}]
@@ -222,7 +232,7 @@ def param_grid(entry: CatalogEntry, sweep: dict | None = None) -> list[dict]:
         combos = [dict(c, **{name: v}) for c in combos for v in vals]
     if entry.ineq_id == "lem3":
         combos = [c for c in combos if c["r"] <= c["s"]]
-    return combos
+    return [_validated_params(entry, c) for c in combos]
 
 
 @dataclass(frozen=True)
@@ -321,7 +331,12 @@ def _csv_row(rec: dict) -> list[str]:
 
 def _run_entry_trial(entry, combos, trial, master_seed, dims, scale, matrix_kind,
                      model, tolerance, level):
-    """All sweep evaluations of one entry for one trial; returns row data."""
+    """All sweep evaluations of one entry for one trial; returns row data.
+
+    `combos` is the entry's `param_grid`, evaluated by one evaluator call.  A
+    marginal row is re-evaluated alone, as `[combo]`, under
+    `precise_eigensolver`.
+    """
     seed = (int(master_seed) ^ int(trial)) & _MASK64
     n = model.dimension if model is not None else dims[trial % len(dims)]
     ops = sample_operands(entry, n, scale, seed, matrix_kind)
@@ -331,17 +346,16 @@ def _run_entry_trial(entry, combos, trial, master_seed, dims, scale, matrix_kind
     retries = 0
     dim_echo = None if all(k == "scalar" for _, k in entry.operand_spec) else n
     with computation_scope():
-        base = InequalityCase(entry.ineq_id, ops, model=mdl, tolerance=tolerance, level=level)
-        valid = _validated_operands(entry, base)
-        for combo in combos:
-            case = replace(base, params=combo)
-            res = _check_validated(entry, case, *valid)
+        case = InequalityCase(entry.ineq_id, ops, model=mdl, tolerance=tolerance, level=level)
+        checked = _validated_operands(entry, case)
+        results = _check_grid(entry, case, *checked, combos)
+        for combo, res in zip(combos, results):
             retried = False
             if not res.satisfied:
                 margin = 10.0 * tolerance * max(1.0, res.rhs)
                 if res.lhs <= res.rhs + margin:
                     with precise_eigensolver():
-                        res = _check_validated(entry, case, *valid)
+                        (res,) = _check_grid(entry, case, *checked, [combo])
                     retried = True
                     if res.satisfied:
                         retries += 1
@@ -394,6 +408,7 @@ def run_suite(
     dims = tuple(int(d) for d in (dims or (gen.n,)))
     if any(d < 1 for d in dims):
         raise ValueError(f"dimensions must be >= 1, got {dims}")
+    grids = [param_grid(entry, sweep) for entry in entries]
 
     writer = None
     fh = None
@@ -408,8 +423,7 @@ def run_suite(
     rows_evaluated = 0
     retries_total = 0
     try:
-        for entry in entries:
-            combos = param_grid(entry, sweep)
+        for entry, combos in zip(entries, grids):
             for trial in range(trials):
                 rows, viols, retries = _run_entry_trial(
                     entry, combos, trial, gen.seed, dims, gen.scale,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -67,6 +68,17 @@ class InequalityCase:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One catalog inequality and its evaluator.
+
+    `evaluate(ops, combos, env) -> list[list[Part]]` takes the validated
+    operands, the validated parameter combinations of one trial (the whole
+    sweep grid in a campaign, `[params]` for a single `check`) and the
+    environment, and returns one part list per combination, in order.  It
+    computes each factor once per distinct value of the parameters the
+    factor depends on, with the same arithmetic as for one combination, so
+    every row is the same bit for bit however the grid is split.
+    """
+
     ineq_id: str
     description: str
     operand_spec: tuple  # ((name, kind), ...); kinds: general/positive/unit-vector/scalar
@@ -172,78 +184,115 @@ def _vec_quad(m: np.ndarray, x: np.ndarray) -> float:
 
 
 # --- evaluators ------------------------------------------------------------
+#
+# Grid evaluators (see `CatalogEntry`) hoist each factor into a `cache`d
+# closure keyed by the parameters or the exponent it depends on.  Entries with
+# at most five combinations keep the one-combination form behind `_each`.
 
 
-def _ev_thm1(o, p, env):
+def _each(ev):
+    """Grid evaluator from a one-combination evaluator ev(ops, params, env)."""
+    return lambda o, combos, env: [ev(o, p, env) for p in combos]
+
+
+def _abs_powers(m):
+    """e -> |M|^e, each exponent computed once."""
+    return cache(partial(abs_power, m))
+
+
+def _ber_mean(env, f, g):
+    """e -> ber((f(e) + g(e))/2), each exponent computed once."""
+    return cache(lambda e: env.ber(_hm(f(e), g(e))))
+
+
+def _ev_thm1(o, combos, env):
     a, b, c, d, x, y = o["A"], o["B"], o["C"], o["D"], o["X"], o["Y"]
-    al, r, s = p["alpha"], p["r"], p["s"]
     lhs = env.nber(_hm(adjoint(a) @ x @ b, adjoint(c) @ y @ d)) ** 2
-    t1 = _hm(
-        positive_power(adjoint(b) @ abs_power(x, 2 * al) @ b, r),
-        positive_power(adjoint(d) @ abs_power(y, 2 * al) @ d, r),
-    )
-    t2 = _hm(
-        positive_power(adjoint(a) @ abs_power(adjoint(x), 2 * (1 - al)) @ a, s),
-        positive_power(adjoint(c) @ abs_power(adjoint(y), 2 * (1 - al)) @ c, s),
-    )
-    rhs = env.ber(t1) ** (1.0 / r) * env.ber(t2) ** (1.0 / s)
-    return [Part("main", lhs, rhs)]
 
+    @cache
+    def inner(al):  # B*|X|^(2 alpha)B and D*|Y|^(2 alpha)D
+        return adjoint(b) @ abs_power(x, 2 * al) @ b, adjoint(d) @ abs_power(y, 2 * al) @ d
 
-def _ev_cor1(o, p, env):
-    a, b = o["A"], o["B"]
-    al, r, s = p["alpha"], p["r"], p["s"]
-    lhs = env.nber(_hm(a, b)) ** 2
-    rhs = (
-        env.ber(_hm(abs_power(a, 2 * al * r), abs_power(b, 2 * al * r))) ** (1.0 / r)
-        * env.ber(
-            _hm(
-                abs_power(adjoint(a), 2 * (1 - al) * s),
-                abs_power(adjoint(b), 2 * (1 - al) * s),
-            )
+    @cache
+    def outer(al):  # A*|X*|^(2(1 - alpha))A and C*|Y*|^(2(1 - alpha))C
+        return (
+            adjoint(a) @ abs_power(adjoint(x), 2 * (1 - al)) @ a,
+            adjoint(c) @ abs_power(adjoint(y), 2 * (1 - al)) @ c,
         )
-        ** (1.0 / s)
-    )
-    return [Part("main", lhs, rhs)]
+
+    @cache
+    def f_r(al, r):
+        bxb, dyd = inner(al)
+        return env.ber(_hm(positive_power(bxb, r), positive_power(dyd, r))) ** (1.0 / r)
+
+    @cache
+    def f_s(al, s):
+        axa, cyc = outer(al)
+        return env.ber(_hm(positive_power(axa, s), positive_power(cyc, s))) ** (1.0 / s)
+
+    return [
+        [Part("main", lhs, f_r(p["alpha"], p["r"]) * f_s(p["alpha"], p["s"]))]
+        for p in combos
+    ]
 
 
-def _eqn1_factors(o, p, env):
+def _ev_cor1(o, combos, env):
     a, b = o["A"], o["B"]
-    al, r = p["alpha"], p["r"]
-    x = env.ber(abs_power(a, 2 * al * r) + abs_power(b, 2 * al * r))
-    y = env.ber(
-        abs_power(adjoint(a), 2 * (1 - al) * r)
-        + abs_power(adjoint(b), 2 * (1 - al) * r)
-    )
-    return x, y
+    lhs = env.nber(_hm(a, b)) ** 2
+    f = _ber_mean(env, _abs_powers(a), _abs_powers(b))
+    g = _ber_mean(env, _abs_powers(adjoint(a)), _abs_powers(adjoint(b)))
+    out = []
+    for p in combos:
+        al, r, s = p["alpha"], p["r"], p["s"]
+        rhs = f(2 * al * r) ** (1.0 / r) * g(2 * (1 - al) * s) ** (1.0 / s)
+        out.append([Part("main", lhs, rhs)])
+    return out
 
 
-def _ev_eqn1(o, p, env):
-    r = p["r"]
-    x, y = _eqn1_factors(o, p, env)
-    lhs = env.nber(o["A"] + o["B"]) ** r
-    rhs = 2.0 ** (r - 1.0) * math.sqrt(x) * math.sqrt(y)
-    return [Part("main", lhs, rhs)]
+def _eqn1_factors(o, env):
+    """(alpha, r) -> the Berezin numbers of |A|^(2 alpha r) + |B|^(2 alpha r)
+    and of |A*|^(2(1-alpha)r) + |B*|^(2(1-alpha)r)."""
+    a, b = o["A"], o["B"]
+    pa, pb = _abs_powers(a), _abs_powers(b)
+    qa, qb = _abs_powers(adjoint(a)), _abs_powers(adjoint(b))
+    x = cache(lambda e: env.ber(pa(e) + pb(e)))
+    y = cache(lambda e: env.ber(qa(e) + qb(e)))
+    return lambda al, r: (x(2 * al * r), y(2 * (1 - al) * r))
 
 
-def _ev_eqn2cmp(o, p, env):
-    r = p["r"]
-    x, y = _eqn1_factors(o, p, env)
-    lhs = 2.0 ** (r - 1.0) * math.sqrt(x * y)
-    rhs = 2.0 ** (r - 2.0) * (x + y)
-    return [Part("main", lhs, rhs)]
+def _ev_eqn1(o, combos, env):
+    factors = _eqn1_factors(o, env)
+    nm = env.nber(o["A"] + o["B"])
+    out = []
+    for p in combos:
+        r = p["r"]
+        x, y = factors(p["alpha"], r)
+        out.append([Part("main", nm**r, 2.0 ** (r - 1.0) * math.sqrt(x) * math.sqrt(y))])
+    return out
 
 
-def _ev_eq1(o, p, env, number=False):
+def _ev_eqn2cmp(o, combos, env):
+    factors = _eqn1_factors(o, env)
+    out = []
+    for p in combos:
+        r = p["r"]
+        x, y = factors(p["alpha"], r)
+        out.append([Part("main", 2.0 ** (r - 1.0) * math.sqrt(x * y), 2.0 ** (r - 2.0) * (x + y))])
+    return out
+
+
+def _ev_eq1(o, combos, env, number=False):
     """eq1; with number=True the Berezin number on the left instead (ceb)."""
     a, b, c, d = o["A"], o["B"], o["C"], o["D"]
-    r, s = p["r"], p["s"]
     left = env.ber if number else env.nber
     lhs = left(_hm(adjoint(a) @ b, adjoint(c) @ d)) ** 2
-    rhs = env.ber(_hm(abs_power(a, 2 * r), abs_power(c, 2 * r))) ** (1.0 / r) * env.ber(
-        _hm(abs_power(b, 2 * s), abs_power(d, 2 * s))
-    ) ** (1.0 / s)
-    return [Part("main", lhs, rhs)]
+    f = _ber_mean(env, _abs_powers(a), _abs_powers(c))
+    g = _ber_mean(env, _abs_powers(b), _abs_powers(d))
+    out = []
+    for p in combos:
+        r, s = p["r"], p["s"]
+        out.append([Part("main", lhs, f(2 * r) ** (1.0 / r) * g(2 * s) ** (1.0 / s))])
+    return out
 
 
 def _ev_cor4(o, p, env):
@@ -275,26 +324,31 @@ def _ev_prop1(o, p, env):
     return [Part("norm<=number", nb, bn), Part("number<=norm", bn, nb)]
 
 
-def _ev_cor5(o, p, env):
+def _ev_cor5(o, combos, env):
     a, b = o["A"], o["B"]
-    r, s = p["r"], p["s"]
-    m = _hm(adjoint(a) @ b, adjoint(b) @ a)
-    x_r = env.ber(_hm(abs_power(a, 2 * r), abs_power(b, 2 * r)))
-    x_s = env.ber(_hm(abs_power(a, 2 * s), abs_power(b, 2 * s)))
-    nm = env.nber(m)
-    parts = [
-        Part("holder", nm**2, x_r ** (1.0 / r) * x_s ** (1.0 / s)),
-        Part("power", nm**r, x_r),
-    ]
-    if r == 1.0:
-        parts.append(
-            Part(
-                "sum",
-                env.nber(adjoint(a) @ b + adjoint(b) @ a),
-                env.ber(adjoint(a) @ a + adjoint(b) @ b),
-            )
+    x = _ber_mean(env, _abs_powers(a), _abs_powers(b))
+    nm = env.nber(_hm(adjoint(a) @ b, adjoint(b) @ a))
+
+    @cache
+    def total():
+        return Part(
+            "sum",
+            env.nber(adjoint(a) @ b + adjoint(b) @ a),
+            env.ber(adjoint(a) @ a + adjoint(b) @ b),
         )
-    return parts
+
+    out = []
+    for p in combos:
+        r, s = p["r"], p["s"]
+        x_r = x(2 * r)
+        parts = [
+            Part("holder", nm**2, x_r ** (1.0 / r) * x(2 * s) ** (1.0 / s)),
+            Part("power", nm**r, x_r),
+        ]
+        if r == 1.0:
+            parts.append(total())
+        out.append(parts)
+    return out
 
 
 def _ev_eqn21(o, p, env):
@@ -330,45 +384,51 @@ def _ev_reim(o, p, env):
     ]
 
 
-def _modulus_factors(a, b, r, s, env):
-    """The f_r, f_s and f_radj factors of cor6 and cor8: Berezin numbers of
-    the means of |A|^2r, |B|^2r; of |A*|^2s, |B*|^2s; of |A*|^2r, |B*|^2r."""
-    f_r = env.ber(_hm(abs_power(a, 2 * r), abs_power(b, 2 * r)))
-    f_s = env.ber(_hm(abs_power(adjoint(a), 2 * s), abs_power(adjoint(b), 2 * s)))
-    f_radj = env.ber(_hm(abs_power(adjoint(a), 2 * r), abs_power(adjoint(b), 2 * r)))
-    return f_r, f_s, f_radj
+def _modulus_factors(a, b, env):
+    """The factors of cor6 and cor8: e -> the Berezin number of the mean of
+    |A|^e, |B|^e, and e -> that of the mean of |A*|^e, |B*|^e."""
+    return (
+        _ber_mean(env, _abs_powers(a), _abs_powers(b)),
+        _ber_mean(env, _abs_powers(adjoint(a)), _abs_powers(adjoint(b))),
+    )
 
 
-def _ev_cor6(o, p, env):
+def _ev_cor6(o, combos, env):
     a, b = o["A"], o["B"]
-    r, s = p["r"], p["s"]
-    f_r, f_s, f_radj = _modulus_factors(a, b, r, s, env)
+    f, g = _modulus_factors(a, b, env)
     nm = env.nber(_hm(a @ a, b @ b))
-    parts = [
-        Part("holder", nm**2, f_r ** (1.0 / r) * f_s ** (1.0 / s)),
-        Part("power", nm ** (2.0 * r), f_r * f_radj),
-    ]
-    if r == 1.0 and s == 1.0:
-        parts.append(
-            Part(
-                "sum",
-                env.nber(a @ a + b @ b) ** 2,
-                env.ber(adjoint(a) @ a + adjoint(b) @ b)
-                * env.ber(a @ adjoint(a) + b @ adjoint(b)),
+    out = []
+    for p in combos:
+        r, s = p["r"], p["s"]
+        f_r = f(2 * r)
+        parts = [
+            Part("holder", nm**2, f_r ** (1.0 / r) * g(2 * s) ** (1.0 / s)),
+            Part("power", nm ** (2.0 * r), f_r * g(2 * r)),
+        ]
+        if r == 1.0 and s == 1.0:
+            parts.append(
+                Part(
+                    "sum",
+                    env.nber(a @ a + b @ b) ** 2,
+                    env.ber(adjoint(a) @ a + adjoint(b) @ b)
+                    * env.ber(a @ adjoint(a) + b @ adjoint(b)),
+                )
             )
-        )
-    return parts
+        out.append(parts)
+    return out
 
 
-def _ev_eqn3(o, p, env):
+def _ev_eqn3(o, combos, env):
     a, b = o["A"], o["B"]
-    r, s = p["r"], p["s"]
     eye = _eye(a)
     lhs = env.nber(_hm(a, b)) ** 2
-    rhs = env.ber(_hm(abs_power(a, 2 * r), eye)) ** (1.0 / r) * env.ber(
-        _hm(abs_power(adjoint(b), 2 * s), eye)
-    ) ** (1.0 / s)
-    return [Part("main", lhs, rhs)]
+    f = _ber_mean(env, _abs_powers(a), lambda e: eye)
+    g = _ber_mean(env, _abs_powers(adjoint(b)), lambda e: eye)
+    out = []
+    for p in combos:
+        r, s = p["r"], p["s"]
+        out.append([Part("main", lhs, f(2 * r) ** (1.0 / r) * g(2 * s) ** (1.0 / s))])
+    return out
 
 
 def _ev_eqn5(o, p, env):
@@ -382,42 +442,52 @@ def _ev_eqn5(o, p, env):
     return [Part("main", lhs, rhs)]
 
 
-def _ev_abprod(o, p, env):
+def _ev_abprod(o, combos, env):
     a, b = o["A"], o["B"]
-    r, s = p["r"], p["s"]
     nm = env.nber(a @ b)
-    f_ar = env.ber(abs_power(adjoint(a), 2 * r))
-    f_bs = env.ber(abs_power(b, 2 * s))
-    f_br = env.ber(abs_power(b, 2 * r))
-    parts = [
-        Part(
-            "holder",
-            nm**2,
-            2.0 ** (2.0 - 1.0 / r - 1.0 / s) * f_ar ** (1.0 / r) * f_bs ** (1.0 / s),
-        ),
-        Part("power", nm ** (2.0 * r), 2.0 ** (2.0 * r - 2.0) * f_ar * f_br),
-    ]
-    if r == 1.0 and s == 1.0:
-        parts.append(
+    f_a = cache(lambda e: env.ber(abs_power(adjoint(a), e)))
+    f_b = cache(lambda e: env.ber(abs_power(b, e)))
+    out = []
+    for p in combos:
+        r, s = p["r"], p["s"]
+        f_ar = f_a(2 * r)
+        parts = [
             Part(
-                "factored",
-                nm,
-                math.sqrt(env.ber(a @ adjoint(a))) * math.sqrt(env.ber(adjoint(b) @ b)),
+                "holder",
+                nm**2,
+                2.0 ** (2.0 - 1.0 / r - 1.0 / s) * f_ar ** (1.0 / r) * f_b(2 * s) ** (1.0 / s),
+            ),
+            Part("power", nm ** (2.0 * r), 2.0 ** (2.0 * r - 2.0) * f_ar * f_b(2 * r)),
+        ]
+        if r == 1.0 and s == 1.0:
+            parts.append(
+                Part(
+                    "factored",
+                    nm,
+                    math.sqrt(env.ber(a @ adjoint(a))) * math.sqrt(env.ber(adjoint(b) @ b)),
+                )
             )
-        )
-    return parts
+        out.append(parts)
+    return out
 
 
-def _ev_cor8(o, p, env):
+def _ev_cor8(o, combos, env):
     a, b = o["A"], o["B"]
-    r, s = p["r"], p["s"]
-    f_r, f_s, f_radj = _modulus_factors(a, b, r, s, env)
-    parts = []
-    for sign, tag in ((1.0, "plus"), (-1.0, "minus")):
-        nm = env.nber(_hm(a @ b, sign * (b @ a)))
-        parts.append(Part(f"holder-{tag}", nm**2, f_r ** (1.0 / r) * f_s ** (1.0 / s)))
-        parts.append(Part(f"power-{tag}", nm ** (2.0 * r), f_r * f_radj))
-    return parts
+    f, g = _modulus_factors(a, b, env)
+    signed = [
+        (tag, env.nber(_hm(a @ b, sign * (b @ a))))
+        for sign, tag in ((1.0, "plus"), (-1.0, "minus"))
+    ]
+    out = []
+    for p in combos:
+        r, s = p["r"], p["s"]
+        f_r, f_s, f_radj = f(2 * r), g(2 * s), g(2 * r)
+        parts = []
+        for tag, nm in signed:
+            parts.append(Part(f"holder-{tag}", nm**2, f_r ** (1.0 / r) * f_s ** (1.0 / s)))
+            parts.append(Part(f"power-{tag}", nm ** (2.0 * r), f_r * f_radj))
+        out.append(parts)
+    return out
 
 
 def _ev_eqn6(o, p, env):
@@ -439,34 +509,42 @@ def _ev_eql1(o, p, env):
     return [Part("main", env.nber(cogram - gram), env.ber(gram + cogram))]
 
 
-def _ev_thm2(o, p, env):
+def _ev_thm2(o, combos, env):
     a, b = o["A"], o["B"]
-    al, r, s = p["alpha"], p["r"], p["s"]
-    m = _hm(
-        positive_power(a, al) @ positive_power(b, 1 - al),
-        positive_power(a, 1 - al) @ positive_power(b, al),
-    )
-    rhs = env.ber(
-        _hm(positive_power(a, 2 * al * r), positive_power(a, 2 * (1 - al) * r))
-    ) ** (1.0 / r) * env.ber(
-        _hm(positive_power(b, 2 * al * s), positive_power(b, 2 * (1 - al) * s))
-    ) ** (1.0 / s)
-    return [Part("main", env.nber(m) ** 2, rhs)]
+    pa, pb = cache(partial(positive_power, a)), cache(partial(positive_power, b))
+
+    @cache
+    def lhs(al):
+        return env.nber(_hm(pa(al) @ pb(1 - al), pa(1 - al) @ pb(al))) ** 2
+
+    @cache
+    def f_a(al, r):
+        return env.ber(_hm(pa(2 * al * r), pa(2 * (1 - al) * r))) ** (1.0 / r)
+
+    @cache
+    def f_b(al, s):
+        return env.ber(_hm(pb(2 * al * s), pb(2 * (1 - al) * s))) ** (1.0 / s)
+
+    return [
+        [Part("main", lhs(p["alpha"]), f_a(p["alpha"], p["r"]) * f_b(p["alpha"], p["s"]))]
+        for p in combos
+    ]
 
 
-def _ev_eqn11(o, p, env):
+def _ev_eqn11(o, combos, env):
     a, b = o["A"], o["B"]
-    al, r = p["alpha"], p["r"]
-    m = (
-        positive_power(a, al) @ positive_power(b, 1 - al)
-        + positive_power(a, 1 - al) @ positive_power(b, al)
-    )
-    rhs = (
-        2.0 ** (2.0 * r - 2.0)
-        * env.ber(positive_power(a, 2 * al * r) + positive_power(a, 2 * (1 - al) * r))
-        * env.ber(positive_power(b, 2 * al * r) + positive_power(b, 2 * (1 - al) * r))
-    )
-    return [Part("main", env.nber(m) ** (2.0 * r), rhs)]
+    pa, pb = cache(partial(positive_power, a)), cache(partial(positive_power, b))
+    nm = cache(lambda al: env.nber(pa(al) @ pb(1 - al) + pa(1 - al) @ pb(al)))
+    out = []
+    for p in combos:
+        al, r = p["alpha"], p["r"]
+        rhs = (
+            2.0 ** (2.0 * r - 2.0)
+            * env.ber(pa(2 * al * r) + pa(2 * (1 - al) * r))
+            * env.ber(pb(2 * al * r) + pb(2 * (1 - al) * r))
+        )
+        out.append([Part("main", nm(al) ** (2.0 * r), rhs)])
+    return out
 
 
 def _ev_eqn12(o, p, env):
@@ -577,18 +655,18 @@ _register(CatalogEntry(
     "squared Berezin number of (A*B + C*D)/2 against the same Hoelder "
     "factors (number version of eq1)",
     _gen("A", "B", "C", "D"), ("r", "s"),
-    lambda o, p, env: _ev_eq1(o, p, env, number=True),
+    lambda o, combos, env: _ev_eq1(o, combos, env, number=True),
 ))
 _register(CatalogEntry(
     "cor4",
     "2r-th power of the Berezin norm of (A*B + C*D)/2 against a product "
     "of two Berezin numbers",
-    _gen("A", "B", "C", "D"), ("r",), _ev_cor4,
+    _gen("A", "B", "C", "D"), ("r",), _each(_ev_cor4),
 ))
 _register(CatalogEntry(
     "prop1",
     "Berezin norm equals Berezin number for positive operators",
-    _pos("A"), (), _ev_prop1,
+    _pos("A"), (), _each(_ev_prop1),
 ))
 _register(CatalogEntry(
     "cor5",
@@ -599,12 +677,12 @@ _register(CatalogEntry(
     "eqn21",
     "2r-th power of the Berezin norm of an average against the mean of "
     "|A|^2r and |B|^2r",
-    _gen("A", "B"), ("r",), _ev_eqn21,
+    _gen("A", "B"), ("r",), _each(_ev_eqn21),
 ))
 _register(CatalogEntry(
     "reim",
     "bounds through the Hermitian and skew parts of A",
-    _gen("A"), ("r",), _ev_reim,
+    _gen("A"), ("r",), _each(_ev_reim),
 ))
 _register(CatalogEntry(
     "cor6",
@@ -619,12 +697,13 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     "eqn4",
     "identity-padded bound for a single operator (squared norm)",
-    _gen("A",), ("r", "s"), lambda o, p, env: _ev_eqn3({"A": o["A"], "B": o["A"]}, p, env),
+    _gen("A",), ("r", "s"),
+    lambda o, combos, env: _ev_eqn3({"A": o["A"], "B": o["A"]}, combos, env),
 ))
 _register(CatalogEntry(
     "eqn5",
     "identity-padded bound for a single operator (2r-th power)",
-    _gen("A",), ("r",), _ev_eqn5,
+    _gen("A",), ("r",), _each(_ev_eqn5),
 ))
 _register(CatalogEntry(
     "abprod",
@@ -640,13 +719,13 @@ _register(CatalogEntry(
     "eqn6",
     "r-th power of the Berezin norm of AA* +/- A*A against Berezin "
     "numbers of (A*A)^r + (AA*)^r",
-    _gen("A",), ("r",), _ev_eqn6,
+    _gen("A",), ("r",), _each(_ev_eqn6),
 ))
 _register(CatalogEntry(
     "eql1",
     "Berezin norm of the self-commutator against the Berezin number of "
     "A*A + AA*",
-    _gen("A",), (), _ev_eql1,
+    _gen("A",), (), _each(_ev_eql1),
 ))
 _register(CatalogEntry(
     "thm2",
@@ -662,23 +741,23 @@ _register(CatalogEntry(
     "eqn12",
     "Berezin norm of A^(1/2) B^(1/2) against the geometric mean of "
     "Berezin numbers (positive operators)",
-    _pos("A", "B"), (), _ev_eqn12,
+    _pos("A", "B"), (), _each(_ev_eqn12),
 ))
 _register(CatalogEntry(
     "eqn13",
     "Berezin norm of (AB)^(1/2) for commuting positive operators",
-    _pos("A", "B"), (), _ev_eqn13, commuting=("A", "B"),
+    _pos("A", "B"), (), _each(_ev_eqn13), commuting=("A", "B"),
 ))
 _register(CatalogEntry(
     "thm3",
     "squared Berezin norm of a convex combination against a quadratic "
     "mean plus a cross Berezin number",
-    _gen("A", "B"), ("alpha",), _ev_thm3,
+    _gen("A", "B"), ("alpha",), _each(_ev_thm3),
 ))
 _register(CatalogEntry(
     "thm3half",
     "the alpha = 1/2 convex-combination bound, scaled to a plain sum",
-    _gen("A", "B"), (), _ev_thm3half,
+    _gen("A", "B"), (), _each(_ev_thm3half),
 ))
 _register(CatalogEntry(
     "rmk_i",
@@ -691,7 +770,9 @@ _register(CatalogEntry(
     "operator-norm analogue of the (A*B + C*D)/2 bound",
     # thm1 with X = Y = I: |I|^(2 alpha) = I, so B*|X|^(2 alpha)B = B*B
     _gen("A", "B", "C", "D"), ("r", "s"),
-    lambda o, p, env: _ev_thm1(dict(o, X=_eye(o["A"]), Y=_eye(o["A"])), dict(p, alpha=1.0), env),
+    lambda o, combos, env: _ev_thm1(
+        dict(o, X=_eye(o["A"]), Y=_eye(o["A"])), [dict(p, alpha=1.0) for p in combos], env
+    ),
     needs_model=False,
 ))
 _register(CatalogEntry(
@@ -703,25 +784,25 @@ _register(CatalogEntry(
     "rmk_iv",
     "operator-norm analogue of the convex-combination bound, with the "
     "numerical radius in the cross term",
-    _gen("A", "B"), ("alpha",), _ev_thm3, needs_model=False,
+    _gen("A", "B"), ("alpha",), _each(_ev_thm3), needs_model=False,
 ))
 _register(CatalogEntry(
     "lem1",
     "scalar power bound: <Px, x>^r <= <P^r x, x> for positive P, unit x",
-    (("P", "positive"), ("x", "unit-vector")), ("r",), _ev_lem1,
+    (("P", "positive"), ("x", "unit-vector")), ("r",), _each(_ev_lem1),
     needs_model=False,
 ))
 _register(CatalogEntry(
     "lem2",
     "mixed Schwarz bound through |A|^{2a} and |A*|^{2(1-a)}",
     (("A", "general"), ("x", "unit-vector"), ("y", "unit-vector")),
-    ("alpha",), _ev_lem2, needs_model=False,
+    ("alpha",), _each(_ev_lem2), needs_model=False,
 ))
 _register(CatalogEntry(
     "lem3",
     "weighted power means of two nonnegative scalars are monotone in the "
     "order",
-    (("a", "scalar"), ("b", "scalar")), ("alpha", "r", "s"), _ev_lem3,
+    (("a", "scalar"), ("b", "scalar")), ("alpha", "r", "s"), _each(_ev_lem3),
     interior_alpha=True, needs_model=False,
 ))
 
@@ -820,20 +901,31 @@ def check(case: InequalityCase) -> InequalityResult:
     entry = CATALOG.get(case.ineq_id)
     if entry is None:
         raise UnknownIneqId(f"no catalog entry {case.ineq_id!r}")
-    return _check_validated(entry, case, *_validated_operands(entry, case))
+    ops, n = _validated_operands(entry, case)
+    return _check_grid(entry, case, ops, n, [_validated_params(entry, case.params)])[0]
 
 
-def _check_validated(entry: CatalogEntry, case: InequalityCase, ops: dict,
-                     n: int | None) -> InequalityResult:
-    """`check` after `_validated_operands(entry, case)` returned (ops, n)."""
-    params = _validated_params(entry, case.params)
+def _check_grid(entry: CatalogEntry, case: InequalityCase, ops: dict, n: int | None,
+                combos: list[dict]) -> list[InequalityResult]:
+    """One `check` result per parameter combination, from one evaluator call.
+
+    (ops, n) is `_validated_operands(entry, case)`, each combination has
+    passed `_validated_params`, and `case.params` is not read.
+    """
     env = _Env(case.model, case.level) if entry.needs_model else _OPERATOR_ENV
-    parts = entry.evaluate(ops, params, env)
     tol = float(case.tolerance)
+    return [
+        _result(case.ineq_id, parts, params, n, tol)
+        for params, parts in zip(combos, entry.evaluate(ops, combos, env), strict=True)
+    ]
+
+
+def _result(ineq_id: str, parts: list, params: dict, n: int | None,
+            tol: float) -> InequalityResult:
     ok = all(pt.lhs <= pt.rhs + tol * max(1.0, pt.rhs) for pt in parts)
     worst = min(parts, key=lambda pt: (pt.rhs - pt.lhs) / max(1.0, pt.rhs))
     return InequalityResult(
-        ineq_id=case.ineq_id,
+        ineq_id=ineq_id,
         lhs=worst.lhs,
         rhs=worst.rhs,
         gap=worst.rhs - worst.lhs,

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 
@@ -9,6 +10,7 @@ import pytest
 import _oracles as orc
 from berezin import (
     GeneratorSpec,
+    ParamOutOfRange,
     UnknownIneqId,
     counterexample_check,
     gen_commuting_pair,
@@ -25,8 +27,9 @@ from berezin.fuzz import (
     param_grid,
     sample_operands,
 )
-from berezin import fuzz, inequalities
-from berezin.inequalities import CATALOG
+from berezin import _cache, finite, fuzz, inequalities
+from berezin.inequalities import CATALOG, InequalityCase, Part, check
+from berezin.linalg import precise_eigensolver
 
 
 class TestValueStream:
@@ -227,6 +230,60 @@ class TestRunSuite:
         assert len(second_trial) == len(shifted.rows)
         for got, want in zip(second_trial, shifted.rows):
             assert got["lhs"] == want["lhs"] and got["rhs"] == want["rhs"]
+
+
+class TestMarginalRetry:
+    def test_only_the_marginal_row_is_rerun_precisely(self, tmp_path, monkeypatch):
+        # cor4 at r = 2 is made to fail by 5x the tolerance in float64 only;
+        # the retry re-evaluates that one combination under precise_dps.
+        entry = CATALOG["cor4"]
+        calls = []
+
+        def marginal_in_float64(ops, combos, env):
+            precise = _cache.precise_dps.get() is not None
+            calls.append((precise, [c["r"] for c in combos]))
+            out = entry.evaluate(ops, combos, env)
+            if not precise:
+                out = [
+                    [Part("main", 1.0 + 5e-9, 1.0)] if c["r"] == 2.0 else parts
+                    for c, parts in zip(combos, out)
+                ]
+            return out
+
+        monkeypatch.setitem(CATALOG, "cor4", dataclasses.replace(entry, evaluate=marginal_in_float64))
+        path = tmp_path / "retry.csv"
+        gen = GeneratorSpec(n=3, seed=11)
+        rep = run_suite(["cor4"], gen=gen, trials=1, dims=(3,), csv_path=str(path))
+        assert rep.marginal_retries == 1 and rep.violations == []
+        assert calls == [(False, [1.0, 1.5, 2.0, 3.0]), (True, [2.0])]
+
+        ops = sample_operands(entry, 3, 1.0, gen.seed ^ 0)
+        with precise_eigensolver():
+            want = check(InequalityCase("cor4", ops, params={"r": 2.0}, model=finite(3)))
+        with open(path, newline="") as fh:
+            rows = {row["r"]: row for row in csv.DictReader(fh)}
+        assert rows["2"]["lhs"] == fuzz._fmt(want.lhs) and rows["2"]["rhs"] == fuzz._fmt(want.rhs)
+        assert rows["2"]["satisfied"] == "true"
+
+
+class TestEarlyParamValidation:
+    def test_bad_sweep_raises_before_any_row(self, tmp_path, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(fuzz, "sample_operands", lambda *a, **k: sampled.append(a))
+        path = tmp_path / "never.csv"
+        with pytest.raises(ParamOutOfRange, match=r"^thm1 needs r >= 1, got 0\.5$"):
+            run_suite(["prop1", "thm1"], sweep={"r": [0.5]}, trials=2, csv_path=str(path))
+        with pytest.raises(ParamOutOfRange, match=r"^alpha must lie in \[0, 1\], got 1\.5$"):
+            run_suite(["thm1"], sweep={"alpha": [1.5]}, trials=2)
+        assert sampled == [] and not path.exists()
+
+    def test_filters_keep_their_behaviour(self):
+        grid = param_grid(CATALOG["eqn2cmp"], {"alpha": [0.0, 0.5, 1.0]})
+        assert {c["alpha"] for c in grid} == {0.5}
+        grid = param_grid(CATALOG["lem3"], {"alpha": [0.5], "r": [0.5, 3.0], "s": [1.0]})
+        assert grid == [{"alpha": 0.5, "r": 0.5, "s": 1.0}]
+        with pytest.raises(ParamOutOfRange, match="no valid values for parameter alpha"):
+            param_grid(CATALOG["eqn2cmp"], {"alpha": [0.0, 1.0]})
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,11 +13,20 @@ from berezin import (
     ParamOutOfRange,
     UnknownIneqId,
     finite,
+    hardy,
     power_mean,
     verify_positive_equality,
 )
 from berezin.fuzz import param_grid, sample_operands
-from berezin.inequalities import CATALOG, CATALOG_ORDER, InequalityCase, check
+from berezin._cache import computation_scope
+from berezin.inequalities import (
+    CATALOG,
+    CATALOG_ORDER,
+    InequalityCase,
+    _check_grid,
+    _validated_operands,
+    check,
+)
 
 I2 = np.eye(2, dtype=complex)
 SHIFT = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -371,6 +381,42 @@ class TestRandomSatisfaction:
             ops = sample_operands(entry, 3, 1.0, seed * 7919 + 11)
             res = _run(ineq_id, ops, combos[seed % len(combos)], n=3)
             assert res.satisfied, (ineq_id, seed, res.lhs, res.rhs)
+
+
+class TestGridEvaluation:
+    """One evaluator call over the whole grid equals one `check` per
+    combination, bit for bit: the oracle for the grid evaluators."""
+
+    @staticmethod
+    def _assert_grid_matches_checks(entry, ops, model, level=1):
+        case = InequalityCase(entry.ineq_id, ops, model=model, level=level)
+        combos = param_grid(entry, None)
+        with computation_scope():
+            grid = _check_grid(entry, case, *_validated_operands(entry, case), combos)
+        with computation_scope():
+            single = [check(replace(case, params=combo)) for combo in combos]
+        assert len(grid) == len(single) == len(combos)
+        for combo, got, want in zip(combos, grid, single):
+            assert (got.lhs.hex(), got.rhs.hex(), got.witness["part"]) == (
+                want.lhs.hex(), want.rhs.hex(), want.witness["part"]
+            ), (entry.ineq_id, combo)
+            assert got.satisfied == want.satisfied and got.witness == want.witness
+
+    @pytest.mark.parametrize("ineq_id", CATALOG_ORDER)
+    def test_finite_models(self, ineq_id):
+        entry = CATALOG[ineq_id]
+        for n in (2, 3, 4, 6):
+            for seed in (5, 0x5EED):
+                ops = sample_operands(entry, n, 1.0, seed)
+                model = finite(n) if entry.needs_model else None
+                self._assert_grid_matches_checks(entry, ops, model)
+
+    @pytest.mark.parametrize("ineq_id", CATALOG_ORDER)
+    def test_disk_model(self, ineq_id):
+        entry = CATALOG[ineq_id]
+        model = hardy(3, 0.9)
+        ops = sample_operands(entry, model.dimension, 1.0, 0xD15C)
+        self._assert_grid_matches_checks(entry, ops, model if entry.needs_model else None, level=0)
 
 
 class TestValidation:
