@@ -236,23 +236,17 @@ class _Lines:
         coef = self._sums(q[:, None] * a * q, self.diag)
         return self._circle(coef, _horner(self.den, r * r), -1.0)
 
-    def lam_ray(self, g: np.ndarray, t: float):
-        """|g . k_lam| at lam = r e^{it}: |sum_j g_j c_j conj(lam)^j| / ||raw(lam)||."""
-        return self._ray((g * self.c * np.exp(-1j * t * self.j))[::-1].tolist(), True)
+    def kernel_ray(self, v: np.ndarray, t: float, sign: float):
+        """|sum_j v_j c_j z^j| / ||raw(z)|| at z = r e^{sign i t}, r moving.
 
-    def lam_circle(self, g: np.ndarray, r: float):
-        """|g . k_lam| at lam = r e^{it}, t moving."""
-        coef = (g * self.c * r**self.j)[::-1].tolist()
-        return self._circle(coef, math.sqrt(_horner(self.den, r * r)), -1.0)
+        sign -1 gives |v . k_lam| (conj(lam)^j), sign +1 |conj(k_mu) . v|.
+        """
+        return self._ray((v * self.c * np.exp(sign * 1j * t * self.j))[::-1].tolist(), True)
 
-    def mu_ray(self, u: np.ndarray, t: float):
-        """|conj(k_mu) . u| at mu = r e^{it}: |sum_j u_j c_j mu^j| / ||raw(mu)||."""
-        return self._ray((u * self.c * np.exp(1j * t * self.j))[::-1].tolist(), True)
-
-    def mu_circle(self, u: np.ndarray, r: float):
-        """|conj(k_mu) . u| at mu = r e^{it}, t moving."""
-        coef = (u * self.c * r**self.j)[::-1].tolist()
-        return self._circle(coef, math.sqrt(_horner(self.den, r * r)), 1.0)
+    def kernel_circle(self, v: np.ndarray, r: float, sign: float):
+        """The same value at z = r e^{sign i t}, t moving."""
+        coef = (v * self.c * r**self.j)[::-1].tolist()
+        return self._circle(coef, math.sqrt(_horner(self.den, r * r)), sign)
 
 
 def _refine_symbol(model, a, point, level):
@@ -291,14 +285,14 @@ def _refine_pair(model, a, lam, mu, level):
     def kern(rr, tt):
         return _unit_kernel(model, w, complex(rr * math.cos(tt), rr * math.sin(tt)))
 
-    best = lines.lam_ray(kern(rm, tm).conj() @ a, tl)(rl)
+    best = lines.kernel_ray(kern(rm, tm).conj() @ a, tl, -1.0)(rl)
     for _ in range(REFINE_ROUNDS):
         g = kern(rm, tm).conj() @ a
-        rl, f1 = _golden_max(lines.lam_ray(g, tl), rl_lo, rl_hi, iters=REFINE_ITERS)
-        tl, f2 = _golden_max(lines.lam_circle(g, rl), tl_lo, tl_hi, iters=REFINE_ITERS)
+        rl, f1 = _golden_max(lines.kernel_ray(g, tl, -1.0), rl_lo, rl_hi, iters=REFINE_ITERS)
+        tl, f2 = _golden_max(lines.kernel_circle(g, rl, -1.0), tl_lo, tl_hi, iters=REFINE_ITERS)
         u = a @ kern(rl, tl)
-        rm, f3 = _golden_max(lines.mu_ray(u, tm), rm_lo, rm_hi, iters=REFINE_ITERS)
-        tm, f4 = _golden_max(lines.mu_circle(u, rm), tm_lo, tm_hi, iters=REFINE_ITERS)
+        rm, f3 = _golden_max(lines.kernel_ray(u, tm, 1.0), rm_lo, rm_hi, iters=REFINE_ITERS)
+        tm, f4 = _golden_max(lines.kernel_circle(u, rm, 1.0), tm_lo, tm_hi, iters=REFINE_ITERS)
         best = max(best, f1, f2, f3, f4)
     p = complex(rl * math.cos(tl), rl * math.sin(tl))
     q = complex(rm * math.cos(tm), rm * math.sin(tm))

@@ -47,22 +47,14 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _floats_csv(text) -> tuple:
+def _numbers_csv(text, cast=float) -> tuple:
+    """A comma list (or a config file's list) of numbers, each `cast`."""
     if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
+        return tuple(cast(v) for v in text)
     items = [t for t in str(text).split(",") if t.strip() != ""]
     if not items:
         raise ValueError("empty number list")
-    return tuple(float(t) for t in items)
-
-
-def _ints_csv(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    items = [t for t in str(text).split(",") if t.strip() != ""]
-    if not items:
-        raise ValueError("empty integer list")
-    return tuple(int(t) for t in items)
+    return tuple(cast(t) for t in items)
 
 
 def _emit(text: str, out_path) -> int:
@@ -199,7 +191,7 @@ def _entry_ids(text) -> list[str]:
 
 def _campaign_options(opts, default_format: str, default_trials: int):
     """The options check and fuzz share, resolved with their defaults."""
-    sweep = {key: _floats_csv(opts[key]) for key in ("alpha", "r", "s")
+    sweep = {key: _numbers_csv(opts[key]) for key in ("alpha", "r", "s")
              if opts[key] is not None}
     run = argparse.Namespace(
         tol=float(opts["tol"]) if opts["tol"] is not None else DEFAULT_TOL,
@@ -258,7 +250,7 @@ def cmd_check(args) -> int:
             for key in ("alpha", "r", "s"):
                 if opts[key] is None:
                     raise ValueError(f"--{key} is required with --a/--b")
-                vals = _floats_csv(opts[key])
+                vals = _numbers_csv(opts[key])
                 if len(vals) != 1:
                     raise ValueError(f"--{key} must be a single value here")
                 params[key] = vals[0]
@@ -314,7 +306,7 @@ def cmd_fuzz(args) -> int:
         if chosen and str(chosen).strip().lower() != "all":
             ids = _entry_ids(chosen)
         run = _campaign_options(opts, "csv", 100)
-        dims = _ints_csv(opts["n"]) if opts["n"] is not None else fuzz.DEFAULT_DIMS
+        dims = _numbers_csv(opts["n"], int) if opts["n"] is not None else fuzz.DEFAULT_DIMS
         report = fuzz.run_suite(
             ids,
             model=run.model,

@@ -9,13 +9,13 @@ generator specs produce identical operands byte for byte.
 trials, streams one CSV row per (entry, trial, sweep point), and reports
 violations with enough context (seed, kind, dimension, scale) to replay
 them.  Every entry's parameter grid is validated before any row is
-evaluated.  Each trial's operands are validated once, and its whole grid
-goes to the entry's evaluator in one call, which computes each factor once
-per distinct value of the parameters it depends on (see `CatalogEntry`).
-A violation within 10x tolerance is re-evaluated alone, as a one-point
-grid, at high precision, every cached quantity recomputed, before being
-reported; if that run satisfies the bound, the case counts as a
-numerical-marginal retry.
+evaluated.  Each trial's operands are validated once and bound to the
+entry's evaluator once, which then evaluates every point of the grid and
+computes each factor once per distinct value of the parameters it depends
+on (see `CatalogEntry`).  A violation within 10x tolerance is re-evaluated
+alone at high precision, by an evaluator rebuilt so that every factor and
+cached quantity is recomputed, before being reported; if that run satisfies
+the bound, the case counts as a numerical-marginal retry.
 """
 
 from __future__ import annotations
@@ -205,9 +205,10 @@ def sample_operands(entry: CatalogEntry, n: int, scale: float, seed: int,
 def param_grid(entry: CatalogEntry, sweep: dict | None = None) -> list[dict]:
     """Valid parameter combinations for one entry under a sweep.
 
-    Interior-alpha entries drop alpha outside (0, 1) and lem3 keeps r <= s;
-    every other value is validated as `check` validates its parameters, so a
-    value out of range raises ParamOutOfRange here.
+    Interior-alpha entries drop alpha outside (0, 1) and lem3 keeps r <= s,
+    raising ParamOutOfRange when a filter leaves nothing; every other value
+    is validated as `check` validates its parameters, so a value out of
+    range raises ParamOutOfRange here.
     """
     sweep = sweep or {}
     if not entry.params:
@@ -232,6 +233,8 @@ def param_grid(entry: CatalogEntry, sweep: dict | None = None) -> list[dict]:
         combos = [dict(c, **{name: v}) for c in combos for v in vals]
     if entry.ineq_id == "lem3":
         combos = [c for c in combos if c["r"] <= c["s"]]
+        if not combos:
+            raise ParamOutOfRange("no valid (r, s) with r <= s for lem3")
     return [_validated_params(entry, c) for c in combos]
 
 
@@ -333,9 +336,9 @@ def _run_entry_trial(entry, combos, trial, master_seed, dims, scale, matrix_kind
                      model, tolerance, level):
     """All sweep evaluations of one entry for one trial; returns row data.
 
-    `combos` is the entry's `param_grid`, evaluated by one evaluator call.  A
-    marginal row is re-evaluated alone, as `[combo]`, under
-    `precise_eigensolver`.
+    `combos` is the entry's `param_grid`, evaluated by one evaluator bound
+    to the trial's operands.  A marginal row is re-evaluated alone, as
+    `[combo]`, by an evaluator rebuilt under `precise_eigensolver`.
     """
     seed = (int(master_seed) ^ int(trial)) & _MASK64
     n = model.dimension if model is not None else dims[trial % len(dims)]

@@ -70,13 +70,14 @@ class InequalityCase:
 class CatalogEntry:
     """One catalog inequality and its evaluator.
 
-    `evaluate(ops, combos, env) -> list[list[Part]]` takes the validated
-    operands, the validated parameter combinations of one trial (the whole
-    sweep grid in a campaign, `[params]` for a single `check`) and the
-    environment, and returns one part list per combination, in order.  It
-    computes each factor once per distinct value of the parameters the
-    factor depends on, with the same arithmetic as for one combination, so
-    every row is the same bit for bit however the grid is split.
+    `evaluate(ops, env) -> parts` binds one trial's validated operands and
+    the environment; `parts(**params) -> list[Part]` then takes one
+    validated combination, its argument names being `params`.  A campaign
+    calls `parts` once per point of the trial's sweep grid, `check` once.
+    Each factor is computed once per distinct value of the parameters it
+    depends on (once per trial if it depends on none), with the same
+    arithmetic as for one combination, so every row is the same bit for bit
+    however many points share the evaluator.
     """
 
     ineq_id: str
@@ -185,14 +186,10 @@ def _vec_quad(m: np.ndarray, x: np.ndarray) -> float:
 
 # --- evaluators ------------------------------------------------------------
 #
-# Grid evaluators (see `CatalogEntry`) hoist each factor into a `cache`d
-# closure keyed by the parameters or the exponent it depends on.  Entries with
-# at most five combinations keep the one-combination form behind `_each`.
-
-
-def _each(ev):
-    """Grid evaluator from a one-combination evaluator ev(ops, params, env)."""
-    return lambda o, combos, env: [ev(o, p, env) for p in combos]
+# Each evaluator binds one trial's operands and returns parts(**params) (see
+# `CatalogEntry`).  A factor that depends on no parameter is computed in the
+# evaluator body; one that depends on some of them sits in a `cache`d closure
+# keyed by those parameters or by the exponent.
 
 
 def _abs_powers(m):
@@ -205,7 +202,7 @@ def _ber_mean(env, f, g):
     return cache(lambda e: env.ber(_hm(f(e), g(e))))
 
 
-def _ev_thm1(o, combos, env):
+def _ev_thm1(o, env):
     a, b, c, d, x, y = o["A"], o["B"], o["C"], o["D"], o["X"], o["Y"]
     lhs = env.nber(_hm(adjoint(a) @ x @ b, adjoint(c) @ y @ d)) ** 2
 
@@ -230,23 +227,17 @@ def _ev_thm1(o, combos, env):
         axa, cyc = outer(al)
         return env.ber(_hm(positive_power(axa, s), positive_power(cyc, s))) ** (1.0 / s)
 
-    return [
-        [Part("main", lhs, f_r(p["alpha"], p["r"]) * f_s(p["alpha"], p["s"]))]
-        for p in combos
-    ]
+    return lambda alpha, r, s: [Part("main", lhs, f_r(alpha, r) * f_s(alpha, s))]
 
 
-def _ev_cor1(o, combos, env):
+def _ev_cor1(o, env):
     a, b = o["A"], o["B"]
     lhs = env.nber(_hm(a, b)) ** 2
     f = _ber_mean(env, _abs_powers(a), _abs_powers(b))
     g = _ber_mean(env, _abs_powers(adjoint(a)), _abs_powers(adjoint(b)))
-    out = []
-    for p in combos:
-        al, r, s = p["alpha"], p["r"], p["s"]
-        rhs = f(2 * al * r) ** (1.0 / r) * g(2 * (1 - al) * s) ** (1.0 / s)
-        out.append([Part("main", lhs, rhs)])
-    return out
+    return lambda alpha, r, s: [
+        Part("main", lhs, f(2 * alpha * r) ** (1.0 / r) * g(2 * (1 - alpha) * s) ** (1.0 / s))
+    ]
 
 
 def _eqn1_factors(o, env):
@@ -260,52 +251,44 @@ def _eqn1_factors(o, env):
     return lambda al, r: (x(2 * al * r), y(2 * (1 - al) * r))
 
 
-def _ev_eqn1(o, combos, env):
+def _ev_eqn1(o, env):
     factors = _eqn1_factors(o, env)
     nm = env.nber(o["A"] + o["B"])
-    out = []
-    for p in combos:
-        r = p["r"]
-        x, y = factors(p["alpha"], r)
-        out.append([Part("main", nm**r, 2.0 ** (r - 1.0) * math.sqrt(x) * math.sqrt(y))])
-    return out
+
+    def parts(alpha, r):
+        x, y = factors(alpha, r)
+        return [Part("main", nm**r, 2.0 ** (r - 1.0) * math.sqrt(x) * math.sqrt(y))]
+    return parts
 
 
-def _ev_eqn2cmp(o, combos, env):
+def _ev_eqn2cmp(o, env):
     factors = _eqn1_factors(o, env)
-    out = []
-    for p in combos:
-        r = p["r"]
-        x, y = factors(p["alpha"], r)
-        out.append([Part("main", 2.0 ** (r - 1.0) * math.sqrt(x * y), 2.0 ** (r - 2.0) * (x + y))])
-    return out
+
+    def parts(alpha, r):
+        x, y = factors(alpha, r)
+        return [Part("main", 2.0 ** (r - 1.0) * math.sqrt(x * y), 2.0 ** (r - 2.0) * (x + y))]
+    return parts
 
 
-def _ev_eq1(o, combos, env, number=False):
+def _ev_eq1(o, env, number=False):
     """eq1; with number=True the Berezin number on the left instead (ceb)."""
     a, b, c, d = o["A"], o["B"], o["C"], o["D"]
     left = env.ber if number else env.nber
     lhs = left(_hm(adjoint(a) @ b, adjoint(c) @ d)) ** 2
     f = _ber_mean(env, _abs_powers(a), _abs_powers(c))
     g = _ber_mean(env, _abs_powers(b), _abs_powers(d))
-    out = []
-    for p in combos:
-        r, s = p["r"], p["s"]
-        out.append([Part("main", lhs, f(2 * r) ** (1.0 / r) * g(2 * s) ** (1.0 / s))])
-    return out
+    return lambda r, s: [Part("main", lhs, f(2 * r) ** (1.0 / r) * g(2 * s) ** (1.0 / s))]
 
 
-def _ev_cor4(o, p, env):
+def _ev_cor4(o, env):
     a, b, c, d = o["A"], o["B"], o["C"], o["D"]
-    r = p["r"]
-    lhs = env.nber(_hm(adjoint(a) @ b, adjoint(c) @ d)) ** (2.0 * r)
-    rhs = env.ber(_hm(abs_power(a, 2 * r), abs_power(c, 2 * r))) * env.ber(
-        _hm(abs_power(b, 2 * r), abs_power(d, 2 * r))
-    )
-    return [Part("main", lhs, rhs)]
+    nm = env.nber(_hm(adjoint(a) @ b, adjoint(c) @ d))
+    f = _ber_mean(env, _abs_powers(a), _abs_powers(c))
+    g = _ber_mean(env, _abs_powers(b), _abs_powers(d))
+    return lambda r: [Part("main", nm ** (2.0 * r), f(2 * r) * g(2 * r))]
 
 
-def _ev_prop1(o, p, env):
+def _ev_prop1(o, env):
     """Proposition 1 as two parts, norm <= number and number <= norm.
 
     On disk models both values are lower bounds attained at domain points,
@@ -321,10 +304,10 @@ def _ev_prop1(o, p, env):
     if not norm.exact:
         bn = max(bn, *(abs(calc.berezin_symbol(env.model, a, pt)) for pt in norm.argmax))
         nb = max(nb, bn)
-    return [Part("norm<=number", nb, bn), Part("number<=norm", bn, nb)]
+    return lambda: [Part("norm<=number", nb, bn), Part("number<=norm", bn, nb)]
 
 
-def _ev_cor5(o, combos, env):
+def _ev_cor5(o, env):
     a, b = o["A"], o["B"]
     x = _ber_mean(env, _abs_powers(a), _abs_powers(b))
     nm = env.nber(_hm(adjoint(a) @ b, adjoint(b) @ a))
@@ -337,51 +320,49 @@ def _ev_cor5(o, combos, env):
             env.ber(adjoint(a) @ a + adjoint(b) @ b),
         )
 
-    out = []
-    for p in combos:
-        r, s = p["r"], p["s"]
+    def parts(r, s):
         x_r = x(2 * r)
-        parts = [
+        out = [
             Part("holder", nm**2, x_r ** (1.0 / r) * x(2 * s) ** (1.0 / s)),
             Part("power", nm**r, x_r),
         ]
         if r == 1.0:
-            parts.append(total())
-        out.append(parts)
-    return out
-
-
-def _ev_eqn21(o, p, env):
-    a, b = o["A"], o["B"]
-    r = p["r"]
-    lhs = env.nber(_hm(a, b)) ** (2.0 * r)
-    rhs = env.ber(_hm(abs_power(a, 2 * r), abs_power(b, 2 * r)))
-    parts = [Part("main", lhs, rhs)]
-    if r == 1.0:
-        parts.append(
-            Part(
-                "sum",
-                env.nber(a + b) ** 2,
-                2.0 * env.ber(adjoint(a) @ a + adjoint(b) @ b),
-            )
-        )
+            out.append(total())
+        return out
     return parts
 
 
-def _ev_reim(o, p, env):
+def _ev_eqn21(o, env):
+    a, b = o["A"], o["B"]
+    nm = env.nber(_hm(a, b))
+    f = _ber_mean(env, _abs_powers(a), _abs_powers(b))
+
+    def parts(r):
+        out = [Part("main", nm ** (2.0 * r), f(2 * r))]
+        if r == 1.0:
+            out.append(Part(
+                "sum",
+                env.nber(a + b) ** 2,
+                2.0 * env.ber(adjoint(a) @ a + adjoint(b) @ b),
+            ))
+        return out
+    return parts
+
+
+def _ev_reim(o, env):
     a = o["A"]
-    r = p["r"]
     re, im = re_part(a), im_part(a)
-    mixed = env.ber(_hm(abs_power(a, 2 * r), abs_power(adjoint(a), 2 * r)))
-    return [
-        Part(
-            "full",
-            env.nber(a) ** (2.0 * r),
-            2.0 ** (2.0 * r - 1.0) * env.ber(abs_power(re, 2 * r) + abs_power(im, 2 * r)),
-        ),
-        Part("re", env.nber(re) ** (2.0 * r), mixed),
-        Part("im", env.nber(im) ** (2.0 * r), mixed),
-    ]
+    nm, nm_re, nm_im = env.nber(a), env.nber(re), env.nber(im)
+    mixed = _ber_mean(env, _abs_powers(a), _abs_powers(adjoint(a)))
+
+    def parts(r):
+        full = env.ber(abs_power(re, 2 * r) + abs_power(im, 2 * r))
+        return [
+            Part("full", nm ** (2.0 * r), 2.0 ** (2.0 * r - 1.0) * full),
+            Part("re", nm_re ** (2.0 * r), mixed(2 * r)),
+            Part("im", nm_im ** (2.0 * r), mixed(2 * r)),
+        ]
+    return parts
 
 
 def _modulus_factors(a, b, env):
@@ -393,65 +374,55 @@ def _modulus_factors(a, b, env):
     )
 
 
-def _ev_cor6(o, combos, env):
+def _ev_cor6(o, env):
     a, b = o["A"], o["B"]
     f, g = _modulus_factors(a, b, env)
     nm = env.nber(_hm(a @ a, b @ b))
-    out = []
-    for p in combos:
-        r, s = p["r"], p["s"]
+
+    def parts(r, s):
         f_r = f(2 * r)
-        parts = [
+        out = [
             Part("holder", nm**2, f_r ** (1.0 / r) * g(2 * s) ** (1.0 / s)),
             Part("power", nm ** (2.0 * r), f_r * g(2 * r)),
         ]
         if r == 1.0 and s == 1.0:
-            parts.append(
-                Part(
-                    "sum",
-                    env.nber(a @ a + b @ b) ** 2,
-                    env.ber(adjoint(a) @ a + adjoint(b) @ b)
-                    * env.ber(a @ adjoint(a) + b @ adjoint(b)),
-                )
-            )
-        out.append(parts)
-    return out
+            out.append(Part(
+                "sum",
+                env.nber(a @ a + b @ b) ** 2,
+                env.ber(adjoint(a) @ a + adjoint(b) @ b)
+                * env.ber(a @ adjoint(a) + b @ adjoint(b)),
+            ))
+        return out
+    return parts
 
 
-def _ev_eqn3(o, combos, env):
+def _ev_eqn3(o, env):
     a, b = o["A"], o["B"]
     eye = _eye(a)
     lhs = env.nber(_hm(a, b)) ** 2
     f = _ber_mean(env, _abs_powers(a), lambda e: eye)
     g = _ber_mean(env, _abs_powers(adjoint(b)), lambda e: eye)
-    out = []
-    for p in combos:
-        r, s = p["r"], p["s"]
-        out.append([Part("main", lhs, f(2 * r) ** (1.0 / r) * g(2 * s) ** (1.0 / s))])
-    return out
+    return lambda r, s: [Part("main", lhs, f(2 * r) ** (1.0 / r) * g(2 * s) ** (1.0 / s))]
 
 
-def _ev_eqn5(o, p, env):
+def _ev_eqn5(o, env):
     a = o["A"]
-    r = p["r"]
     eye = _eye(a)
-    lhs = env.nber(a) ** (2.0 * r)
-    rhs = env.ber(_hm(abs_power(a, 2 * r), eye)) * env.ber(
-        _hm(abs_power(adjoint(a), 2 * r), eye)
-    )
-    return [Part("main", lhs, rhs)]
+    nm = env.nber(a)
+    f = _ber_mean(env, _abs_powers(a), lambda e: eye)
+    g = _ber_mean(env, _abs_powers(adjoint(a)), lambda e: eye)
+    return lambda r: [Part("main", nm ** (2.0 * r), f(2 * r) * g(2 * r))]
 
 
-def _ev_abprod(o, combos, env):
+def _ev_abprod(o, env):
     a, b = o["A"], o["B"]
     nm = env.nber(a @ b)
     f_a = cache(lambda e: env.ber(abs_power(adjoint(a), e)))
     f_b = cache(lambda e: env.ber(abs_power(b, e)))
-    out = []
-    for p in combos:
-        r, s = p["r"], p["s"]
+
+    def parts(r, s):
         f_ar = f_a(2 * r)
-        parts = [
+        out = [
             Part(
                 "holder",
                 nm**2,
@@ -460,56 +431,54 @@ def _ev_abprod(o, combos, env):
             Part("power", nm ** (2.0 * r), 2.0 ** (2.0 * r - 2.0) * f_ar * f_b(2 * r)),
         ]
         if r == 1.0 and s == 1.0:
-            parts.append(
-                Part(
-                    "factored",
-                    nm,
-                    math.sqrt(env.ber(a @ adjoint(a))) * math.sqrt(env.ber(adjoint(b) @ b)),
-                )
-            )
-        out.append(parts)
-    return out
+            out.append(Part(
+                "factored",
+                nm,
+                math.sqrt(env.ber(a @ adjoint(a))) * math.sqrt(env.ber(adjoint(b) @ b)),
+            ))
+        return out
+    return parts
 
 
-def _ev_cor8(o, combos, env):
+def _ev_cor8(o, env):
     a, b = o["A"], o["B"]
     f, g = _modulus_factors(a, b, env)
     signed = [
         (tag, env.nber(_hm(a @ b, sign * (b @ a))))
         for sign, tag in ((1.0, "plus"), (-1.0, "minus"))
     ]
-    out = []
-    for p in combos:
-        r, s = p["r"], p["s"]
+
+    def parts(r, s):
         f_r, f_s, f_radj = f(2 * r), g(2 * s), g(2 * r)
-        parts = []
+        out = []
         for tag, nm in signed:
-            parts.append(Part(f"holder-{tag}", nm**2, f_r ** (1.0 / r) * f_s ** (1.0 / s)))
-            parts.append(Part(f"power-{tag}", nm ** (2.0 * r), f_r * f_radj))
-        out.append(parts)
-    return out
+            out.append(Part(f"holder-{tag}", nm**2, f_r ** (1.0 / r) * f_s ** (1.0 / s)))
+            out.append(Part(f"power-{tag}", nm ** (2.0 * r), f_r * f_radj))
+        return out
+    return parts
 
 
-def _ev_eqn6(o, p, env):
-    a = o["A"]
-    r = p["r"]
-    gram = adjoint(a) @ a
-    cogram = a @ adjoint(a)
-    rhs = 2.0 ** (r - 1.0) * env.ber(positive_power(gram, r) + positive_power(cogram, r))
-    return [
-        Part("plus", env.nber(cogram + gram) ** r, rhs),
-        Part("minus", env.nber(cogram - gram) ** r, rhs),
-    ]
-
-
-def _ev_eql1(o, p, env):
+def _ev_eqn6(o, env):
     a = o["A"]
     gram = adjoint(a) @ a
     cogram = a @ adjoint(a)
-    return [Part("main", env.nber(cogram - gram), env.ber(gram + cogram))]
+    plus, minus = env.nber(cogram + gram), env.nber(cogram - gram)
+
+    def parts(r):
+        rhs = 2.0 ** (r - 1.0) * env.ber(positive_power(gram, r) + positive_power(cogram, r))
+        return [Part("plus", plus**r, rhs), Part("minus", minus**r, rhs)]
+    return parts
 
 
-def _ev_thm2(o, combos, env):
+def _ev_eql1(o, env):
+    a = o["A"]
+    gram = adjoint(a) @ a
+    cogram = a @ adjoint(a)
+    lhs, rhs = env.nber(cogram - gram), env.ber(gram + cogram)
+    return lambda: [Part("main", lhs, rhs)]
+
+
+def _ev_thm2(o, env):
     a, b = o["A"], o["B"]
     pa, pb = cache(partial(positive_power, a)), cache(partial(positive_power, b))
 
@@ -525,81 +494,82 @@ def _ev_thm2(o, combos, env):
     def f_b(al, s):
         return env.ber(_hm(pb(2 * al * s), pb(2 * (1 - al) * s))) ** (1.0 / s)
 
-    return [
-        [Part("main", lhs(p["alpha"]), f_a(p["alpha"], p["r"]) * f_b(p["alpha"], p["s"]))]
-        for p in combos
-    ]
+    return lambda alpha, r, s: [Part("main", lhs(alpha), f_a(alpha, r) * f_b(alpha, s))]
 
 
-def _ev_eqn11(o, combos, env):
+def _ev_eqn11(o, env):
     a, b = o["A"], o["B"]
     pa, pb = cache(partial(positive_power, a)), cache(partial(positive_power, b))
     nm = cache(lambda al: env.nber(pa(al) @ pb(1 - al) + pa(1 - al) @ pb(al)))
-    out = []
-    for p in combos:
-        al, r = p["alpha"], p["r"]
+
+    def parts(alpha, r):
         rhs = (
             2.0 ** (2.0 * r - 2.0)
-            * env.ber(pa(2 * al * r) + pa(2 * (1 - al) * r))
-            * env.ber(pb(2 * al * r) + pb(2 * (1 - al) * r))
+            * env.ber(pa(2 * alpha * r) + pa(2 * (1 - alpha) * r))
+            * env.ber(pb(2 * alpha * r) + pb(2 * (1 - alpha) * r))
         )
-        out.append([Part("main", nm(al) ** (2.0 * r), rhs)])
-    return out
+        return [Part("main", nm(alpha) ** (2.0 * r), rhs)]
+    return parts
 
 
-def _ev_eqn12(o, p, env):
+def _ev_eqn12(o, env):
     a, b = o["A"], o["B"]
     lhs = env.nber(positive_sqrt(a) @ positive_sqrt(b))
     rhs = math.sqrt(env.ber(a)) * math.sqrt(env.ber(b))
-    return [Part("main", lhs, rhs)]
+    return lambda: [Part("main", lhs, rhs)]
 
 
-def _ev_eqn13(o, p, env):
+def _ev_eqn13(o, env):
     a, b = o["A"], o["B"]
     lhs = env.nber(positive_sqrt(a @ b))
     rhs = math.sqrt(env.ber(a)) * math.sqrt(env.ber(b))
-    return [Part("main", lhs, rhs)]
+    return lambda: [Part("main", lhs, rhs)]
 
 
-def _ev_thm3(o, p, env):
+def _ev_thm3(o, env):
     a, b = o["A"], o["B"]
-    al = p["alpha"]
-    lhs = env.nber(al * a + (1 - al) * b) ** 2
-    rhs = env.ber(
-        al**2 * (adjoint(a) @ a) + (1 - al) ** 2 * (adjoint(b) @ b)
-    ) + 2.0 * al * (1 - al) * env.cross(adjoint(b) @ a)
-    return [Part("main", lhs, rhs)]
+    gram_a, gram_b = adjoint(a) @ a, adjoint(b) @ b
+    cross = env.cross(adjoint(b) @ a)
+
+    def parts(alpha):
+        lhs = env.nber(alpha * a + (1 - alpha) * b) ** 2
+        rhs = env.ber(
+            alpha**2 * gram_a + (1 - alpha) ** 2 * gram_b
+        ) + 2.0 * alpha * (1 - alpha) * cross
+        return [Part("main", lhs, rhs)]
+    return parts
 
 
-def _ev_thm3half(o, p, env):
+def _ev_thm3half(o, env):
     a, b = o["A"], o["B"]
     lhs = env.nber(a + b) ** 2
     rhs = env.ber(adjoint(a) @ a + adjoint(b) @ b) + 2.0 * env.ber(adjoint(b) @ a)
-    return [Part("main", lhs, rhs)]
+    return lambda: [Part("main", lhs, rhs)]
 
 
-def _ev_lem1(o, p, env):
+def _ev_lem1(o, env):
     pm, x = o["P"], o["x"]
-    r = p["r"]
-    lhs = _vec_quad(pm, x) ** r
-    rhs = _vec_quad(positive_power(pm, r), x)
-    return [Part("main", lhs, rhs)]
+    quad = _vec_quad(pm, x)
+    return lambda r: [Part("main", quad**r, _vec_quad(positive_power(pm, r), x))]
 
 
-def _ev_lem2(o, p, env):
+def _ev_lem2(o, env):
     a, x, y = o["A"], o["x"], o["y"]
-    al = p["alpha"]
     lhs = abs(complex(y.conj() @ (a @ x))) ** 2
-    rhs = _vec_quad(abs_power(a, 2 * al), x) * _vec_quad(
-        abs_power(adjoint(a), 2 * (1 - al)), y
-    )
-    return [Part("main", lhs, rhs)]
+
+    def parts(alpha):
+        rhs = _vec_quad(abs_power(a, 2 * alpha), x) * _vec_quad(
+            abs_power(adjoint(a), 2 * (1 - alpha)), y
+        )
+        return [Part("main", lhs, rhs)]
+    return parts
 
 
-def _ev_lem3(o, p, env):
+def _ev_lem3(o, env):
     a, b = o["a"], o["b"]
-    al, r, s = p["alpha"], p["r"], p["s"]
-    return [Part("main", power_mean(a, b, al, r), power_mean(a, b, al, s))]
+    return lambda alpha, r, s: [
+        Part("main", power_mean(a, b, alpha, r), power_mean(a, b, alpha, s))
+    ]
 
 
 # --- catalog ---------------------------------------------------------------
@@ -655,18 +625,18 @@ _register(CatalogEntry(
     "squared Berezin number of (A*B + C*D)/2 against the same Hoelder "
     "factors (number version of eq1)",
     _gen("A", "B", "C", "D"), ("r", "s"),
-    lambda o, combos, env: _ev_eq1(o, combos, env, number=True),
+    lambda o, env: _ev_eq1(o, env, number=True),
 ))
 _register(CatalogEntry(
     "cor4",
     "2r-th power of the Berezin norm of (A*B + C*D)/2 against a product "
     "of two Berezin numbers",
-    _gen("A", "B", "C", "D"), ("r",), _each(_ev_cor4),
+    _gen("A", "B", "C", "D"), ("r",), _ev_cor4,
 ))
 _register(CatalogEntry(
     "prop1",
     "Berezin norm equals Berezin number for positive operators",
-    _pos("A"), (), _each(_ev_prop1),
+    _pos("A"), (), _ev_prop1,
 ))
 _register(CatalogEntry(
     "cor5",
@@ -677,12 +647,12 @@ _register(CatalogEntry(
     "eqn21",
     "2r-th power of the Berezin norm of an average against the mean of "
     "|A|^2r and |B|^2r",
-    _gen("A", "B"), ("r",), _each(_ev_eqn21),
+    _gen("A", "B"), ("r",), _ev_eqn21,
 ))
 _register(CatalogEntry(
     "reim",
     "bounds through the Hermitian and skew parts of A",
-    _gen("A"), ("r",), _each(_ev_reim),
+    _gen("A"), ("r",), _ev_reim,
 ))
 _register(CatalogEntry(
     "cor6",
@@ -698,12 +668,12 @@ _register(CatalogEntry(
     "eqn4",
     "identity-padded bound for a single operator (squared norm)",
     _gen("A",), ("r", "s"),
-    lambda o, combos, env: _ev_eqn3({"A": o["A"], "B": o["A"]}, combos, env),
+    lambda o, env: _ev_eqn3({"A": o["A"], "B": o["A"]}, env),
 ))
 _register(CatalogEntry(
     "eqn5",
     "identity-padded bound for a single operator (2r-th power)",
-    _gen("A",), ("r",), _each(_ev_eqn5),
+    _gen("A",), ("r",), _ev_eqn5,
 ))
 _register(CatalogEntry(
     "abprod",
@@ -719,13 +689,13 @@ _register(CatalogEntry(
     "eqn6",
     "r-th power of the Berezin norm of AA* +/- A*A against Berezin "
     "numbers of (A*A)^r + (AA*)^r",
-    _gen("A",), ("r",), _each(_ev_eqn6),
+    _gen("A",), ("r",), _ev_eqn6,
 ))
 _register(CatalogEntry(
     "eql1",
     "Berezin norm of the self-commutator against the Berezin number of "
     "A*A + AA*",
-    _gen("A",), (), _each(_ev_eql1),
+    _gen("A",), (), _ev_eql1,
 ))
 _register(CatalogEntry(
     "thm2",
@@ -741,23 +711,23 @@ _register(CatalogEntry(
     "eqn12",
     "Berezin norm of A^(1/2) B^(1/2) against the geometric mean of "
     "Berezin numbers (positive operators)",
-    _pos("A", "B"), (), _each(_ev_eqn12),
+    _pos("A", "B"), (), _ev_eqn12,
 ))
 _register(CatalogEntry(
     "eqn13",
     "Berezin norm of (AB)^(1/2) for commuting positive operators",
-    _pos("A", "B"), (), _each(_ev_eqn13), commuting=("A", "B"),
+    _pos("A", "B"), (), _ev_eqn13, commuting=("A", "B"),
 ))
 _register(CatalogEntry(
     "thm3",
     "squared Berezin norm of a convex combination against a quadratic "
     "mean plus a cross Berezin number",
-    _gen("A", "B"), ("alpha",), _each(_ev_thm3),
+    _gen("A", "B"), ("alpha",), _ev_thm3,
 ))
 _register(CatalogEntry(
     "thm3half",
     "the alpha = 1/2 convex-combination bound, scaled to a plain sum",
-    _gen("A", "B"), (), _each(_ev_thm3half),
+    _gen("A", "B"), (), _ev_thm3half,
 ))
 _register(CatalogEntry(
     "rmk_i",
@@ -770,9 +740,7 @@ _register(CatalogEntry(
     "operator-norm analogue of the (A*B + C*D)/2 bound",
     # thm1 with X = Y = I: |I|^(2 alpha) = I, so B*|X|^(2 alpha)B = B*B
     _gen("A", "B", "C", "D"), ("r", "s"),
-    lambda o, combos, env: _ev_thm1(
-        dict(o, X=_eye(o["A"]), Y=_eye(o["A"])), [dict(p, alpha=1.0) for p in combos], env
-    ),
+    lambda o, env: partial(_ev_thm1(dict(o, X=_eye(o["A"]), Y=_eye(o["A"])), env), 1.0),
     needs_model=False,
 ))
 _register(CatalogEntry(
@@ -784,25 +752,25 @@ _register(CatalogEntry(
     "rmk_iv",
     "operator-norm analogue of the convex-combination bound, with the "
     "numerical radius in the cross term",
-    _gen("A", "B"), ("alpha",), _each(_ev_thm3), needs_model=False,
+    _gen("A", "B"), ("alpha",), _ev_thm3, needs_model=False,
 ))
 _register(CatalogEntry(
     "lem1",
     "scalar power bound: <Px, x>^r <= <P^r x, x> for positive P, unit x",
-    (("P", "positive"), ("x", "unit-vector")), ("r",), _each(_ev_lem1),
+    (("P", "positive"), ("x", "unit-vector")), ("r",), _ev_lem1,
     needs_model=False,
 ))
 _register(CatalogEntry(
     "lem2",
     "mixed Schwarz bound through |A|^{2a} and |A*|^{2(1-a)}",
     (("A", "general"), ("x", "unit-vector"), ("y", "unit-vector")),
-    ("alpha",), _each(_ev_lem2), needs_model=False,
+    ("alpha",), _ev_lem2, needs_model=False,
 ))
 _register(CatalogEntry(
     "lem3",
     "weighted power means of two nonnegative scalars are monotone in the "
     "order",
-    (("a", "scalar"), ("b", "scalar")), ("alpha", "r", "s"), _each(_ev_lem3),
+    (("a", "scalar"), ("b", "scalar")), ("alpha", "r", "s"), _ev_lem3,
     interior_alpha=True, needs_model=False,
 ))
 
@@ -907,17 +875,15 @@ def check(case: InequalityCase) -> InequalityResult:
 
 def _check_grid(entry: CatalogEntry, case: InequalityCase, ops: dict, n: int | None,
                 combos: list[dict]) -> list[InequalityResult]:
-    """One `check` result per parameter combination, from one evaluator call.
+    """One `check` result per parameter combination, from one evaluator.
 
     (ops, n) is `_validated_operands(entry, case)`, each combination has
     passed `_validated_params`, and `case.params` is not read.
     """
     env = _Env(case.model, case.level) if entry.needs_model else _OPERATOR_ENV
+    parts = entry.evaluate(ops, env)
     tol = float(case.tolerance)
-    return [
-        _result(case.ineq_id, parts, params, n, tol)
-        for params, parts in zip(combos, entry.evaluate(ops, combos, env), strict=True)
-    ]
+    return [_result(case.ineq_id, parts(**params), params, n, tol) for params in combos]
 
 
 def _result(ineq_id: str, parts: list, params: dict, n: int | None,

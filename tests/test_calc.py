@@ -252,10 +252,10 @@ class TestLineEvaluators:
                 lam_moving, mu_moving = abs(g @ k), abs(k.conj() @ u)
                 assert lines.symbol_ray(a, t)(r) == pytest.approx(symbol, abs=tol)
                 assert lines.symbol_circle(a, r)(t) == pytest.approx(symbol, abs=tol)
-                assert lines.lam_ray(g, t)(r) == pytest.approx(lam_moving, abs=tol)
-                assert lines.lam_circle(g, r)(t) == pytest.approx(lam_moving, abs=tol)
-                assert lines.mu_ray(u, t)(r) == pytest.approx(mu_moving, abs=tol)
-                assert lines.mu_circle(u, r)(t) == pytest.approx(mu_moving, abs=tol)
+                assert lines.kernel_ray(g, t, -1.0)(r) == pytest.approx(lam_moving, abs=tol)
+                assert lines.kernel_circle(g, r, -1.0)(t) == pytest.approx(lam_moving, abs=tol)
+                assert lines.kernel_ray(u, t, 1.0)(r) == pytest.approx(mu_moving, abs=tol)
+                assert lines.kernel_circle(u, r, 1.0)(t) == pytest.approx(mu_moving, abs=tol)
 
 
 class TestRefineDomainCheck:

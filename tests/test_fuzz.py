@@ -235,27 +235,30 @@ class TestRunSuite:
 class TestMarginalRetry:
     def test_only_the_marginal_row_is_rerun_precisely(self, tmp_path, monkeypatch):
         # cor4 at r = 2 is made to fail by 5x the tolerance in float64 only;
-        # the retry re-evaluates that one combination under precise_dps.
+        # the retry rebuilds the evaluator and re-evaluates that one
+        # combination under precise_dps.
         entry = CATALOG["cor4"]
-        calls = []
+        built, calls = [], []
 
-        def marginal_in_float64(ops, combos, env):
+        def marginal_in_float64(ops, env):
             precise = _cache.precise_dps.get() is not None
-            calls.append((precise, [c["r"] for c in combos]))
-            out = entry.evaluate(ops, combos, env)
-            if not precise:
-                out = [
-                    [Part("main", 1.0 + 5e-9, 1.0)] if c["r"] == 2.0 else parts
-                    for c, parts in zip(combos, out)
-                ]
-            return out
+            built.append(precise)
+            parts = entry.evaluate(ops, env)
+
+            def marginal_parts(r):
+                calls.append((precise, r))
+                if not precise and r == 2.0:
+                    return [Part("main", 1.0 + 5e-9, 1.0)]
+                return parts(r=r)
+            return marginal_parts
 
         monkeypatch.setitem(CATALOG, "cor4", dataclasses.replace(entry, evaluate=marginal_in_float64))
         path = tmp_path / "retry.csv"
         gen = GeneratorSpec(n=3, seed=11)
         rep = run_suite(["cor4"], gen=gen, trials=1, dims=(3,), csv_path=str(path))
         assert rep.marginal_retries == 1 and rep.violations == []
-        assert calls == [(False, [1.0, 1.5, 2.0, 3.0]), (True, [2.0])]
+        assert calls == [(False, 1.0), (False, 1.5), (False, 2.0), (False, 3.0), (True, 2.0)]
+        assert built == [False, True]
 
         ops = sample_operands(entry, 3, 1.0, gen.seed ^ 0)
         with precise_eigensolver():
@@ -284,6 +287,13 @@ class TestEarlyParamValidation:
         assert grid == [{"alpha": 0.5, "r": 0.5, "s": 1.0}]
         with pytest.raises(ParamOutOfRange, match="no valid values for parameter alpha"):
             param_grid(CATALOG["eqn2cmp"], {"alpha": [0.0, 1.0]})
+
+    def test_lem3_sweep_without_r_le_s_raises_before_any_row(self, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(fuzz, "sample_operands", lambda *a, **k: sampled.append(a))
+        with pytest.raises(ParamOutOfRange, match=r"^no valid \(r, s\) with r <= s for lem3$"):
+            run_suite(["lem3"], sweep={"r": [3.0], "s": [1.0]}, trials=2)
+        assert sampled == []
 
 
 class TestDeterminism:
