@@ -14,6 +14,7 @@ the best value over levels 0..L, so refinement never loses ground.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -195,6 +196,8 @@ class _Lines:
         self.den = (self.c * self.c)[::-1].tolist()  # ||raw||^2 as a polynomial in r^2
         self.anti = np.add.outer(self.j, self.j).ravel()  # i + j
         self.diag = (np.subtract.outer(self.j, self.j).T + (n - 1)).ravel()  # j - i + N
+        for arr in (self.c, self.j, self.anti, self.diag):
+            arr.flags.writeable = False
 
     def _sums(self, m: np.ndarray, index: np.ndarray) -> list:
         """Sums of m's entries grouped by `index`, highest index first."""
@@ -249,6 +252,13 @@ class _Lines:
         return self._circle(coef, math.sqrt(_horner(self.den, r * r)), sign)
 
 
+@functools.lru_cache(maxsize=64)
+def _lines(model: KernelModel) -> _Lines:
+    """The model's _Lines, built on first use and shared (read-only), as
+    models._weights is."""
+    return _Lines(model)
+
+
 def _refine_symbol(model, a, point, level):
     """Alternating golden-section polish of |symbol| around one grid point.
 
@@ -258,7 +268,7 @@ def _refine_symbol(model, a, point, level):
     pass; every step is then a Horner evaluation, not a kernel vector.
     """
     (r_lo, r_hi, r), (t_lo, t_hi, th) = _polar_brackets(model, point, level)
-    lines = _Lines(model)
+    lines = _lines(model)
     best = lines.symbol_ray(a, th)(r)
     for _ in range(REFINE_ROUNDS):
         r, fr = _golden_max(lines.symbol_ray(a, th), r_lo, r_hi, iters=REFINE_ITERS)
@@ -280,7 +290,7 @@ def _refine_pair(model, a, lam, mu, level):
     (rl_lo, rl_hi, rl), (tl_lo, tl_hi, tl) = _polar_brackets(model, lam, level)
     (rm_lo, rm_hi, rm), (tm_lo, tm_hi, tm) = _polar_brackets(model, mu, level)
     w = _weights(model)
-    lines = _Lines(model)
+    lines = _lines(model)
 
     def kern(rr, tt):
         return _unit_kernel(model, w, complex(rr * math.cos(tt), rr * math.sin(tt)))

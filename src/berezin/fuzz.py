@@ -6,10 +6,15 @@ seed alone: trial t of a campaign uses seed master_seed XOR t, and identical
 generator specs produce identical operands byte for byte.
 
 `run_suite` sweeps catalog entries over a parameter grid for many random
-trials, streams one CSV row per (entry, trial, sweep point), and reports
+trials, writes one CSV row per (entry, trial, sweep point), and reports
 violations with enough context (seed, kind, dimension, scale) to replay
 them.  Every entry's parameter grid is validated before any row is
-evaluated.  Each trial's operands are validated once and bound to the
+evaluated.  Evaluation is trial-major: one memo scope (`computation_scope`)
+per trial holds every entry's evaluation of that trial, so entries whose
+operands coincide (same seed, same spec) share eigensystems, Berezin numbers
+and norms.  Rows stay entry-major: each entry's rows go to a temporary spill
+file, and the spills are copied to the CSV in entry order after the last
+trial.  Each trial's operands are validated once per entry and bound to the
 entry's evaluator once, which then evaluates every point of the grid and
 computes each factor once per distinct value of the parameters it depends
 on (see `CatalogEntry`).  A violation within 10x tolerance is re-evaluated
@@ -21,7 +26,12 @@ the bound, the case counts as a numerical-marginal retry.
 from __future__ import annotations
 
 import csv
+import io
+import math
+import shutil
+import tempfile
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -205,7 +215,8 @@ def sample_operands(entry: CatalogEntry, n: int, scale: float, seed: int,
 def param_grid(entry: CatalogEntry, sweep: dict | None = None) -> list[dict]:
     """Valid parameter combinations for one entry under a sweep.
 
-    Interior-alpha entries drop alpha outside (0, 1) and lem3 keeps r <= s,
+    A non-finite sweep value raises ParamOutOfRange first.  Then
+    interior-alpha entries drop alpha outside (0, 1) and lem3 keeps r <= s,
     raising ParamOutOfRange when a filter leaves nothing; every other value
     is validated as `check` validates its parameters, so a value out of
     range raises ParamOutOfRange here.
@@ -217,6 +228,8 @@ def param_grid(entry: CatalogEntry, sweep: dict | None = None) -> list[dict]:
     for name in entry.params:
         if name in sweep:
             vals = tuple(float(v) for v in sweep[name])
+            if not all(map(math.isfinite, vals)):  # before the filters below
+                raise ParamOutOfRange(f"parameter {name} must be finite")
         elif name == "alpha":
             vals = DEFAULT_ALPHAS
         elif entry.ineq_id == "lem3":
@@ -332,13 +345,22 @@ def _csv_row(rec: dict) -> list[str]:
     ]
 
 
+def _take(block: io.StringIO) -> bytes:
+    """The rows formatted into `block` so far, UTF-8 encoded; empties it."""
+    text = block.getvalue()
+    block.seek(0)
+    block.truncate()
+    return text.encode("utf-8")
+
+
 def _run_entry_trial(entry, combos, trial, master_seed, dims, scale, matrix_kind,
                      model, tolerance, level):
     """All sweep evaluations of one entry for one trial; returns row data.
 
     `combos` is the entry's `param_grid`, evaluated by one evaluator bound
-    to the trial's operands.  A marginal row is re-evaluated alone, as
-    `[combo]`, by an evaluator rebuilt under `precise_eigensolver`.
+    to the trial's operands, in the caller's memo scope.  A marginal row is
+    re-evaluated alone, as `[combo]`, by an evaluator rebuilt under
+    `precise_eigensolver`.
     """
     seed = (int(master_seed) ^ int(trial)) & _MASK64
     n = model.dimension if model is not None else dims[trial % len(dims)]
@@ -348,29 +370,28 @@ def _run_entry_trial(entry, combos, trial, master_seed, dims, scale, matrix_kind
     violations = []
     retries = 0
     dim_echo = None if all(k == "scalar" for _, k in entry.operand_spec) else n
-    with computation_scope():
-        case = InequalityCase(entry.ineq_id, ops, model=mdl, tolerance=tolerance, level=level)
-        checked = _validated_operands(entry, case)
-        results = _check_grid(entry, case, *checked, combos)
-        for combo, res in zip(combos, results):
-            retried = False
-            if not res.satisfied:
-                margin = 10.0 * tolerance * max(1.0, res.rhs)
-                if res.lhs <= res.rhs + margin:
-                    with precise_eigensolver():
-                        (res,) = _check_grid(entry, case, *checked, [combo])
-                    retried = True
-                    if res.satisfied:
-                        retries += 1
-            if not res.satisfied:
-                violations.append(Violation(
-                    ineq_id=entry.ineq_id, trial=trial, n=n, params=dict(combo),
-                    lhs=res.lhs, rhs=res.rhs, gap=res.gap, seed=seed,
-                    kind=matrix_kind, scale=scale, retried=retried,
-                    witness=dict(res.witness),
-                ))
-            rel_gap = res.gap / max(1.0, res.rhs)
-            rows.append((_row_record(entry.ineq_id, trial, dim_echo, combo, res), rel_gap))
+    case = InequalityCase(entry.ineq_id, ops, model=mdl, tolerance=tolerance, level=level)
+    checked = _validated_operands(entry, case)
+    results = _check_grid(entry, case, *checked, combos)
+    for combo, res in zip(combos, results):
+        retried = False
+        if not res.satisfied:
+            margin = 10.0 * tolerance * max(1.0, res.rhs)
+            if res.lhs <= res.rhs + margin:
+                with precise_eigensolver():
+                    (res,) = _check_grid(entry, case, *checked, [combo])
+                retried = True
+                if res.satisfied:
+                    retries += 1
+        if not res.satisfied:
+            violations.append(Violation(
+                ineq_id=entry.ineq_id, trial=trial, n=n, params=dict(combo),
+                lhs=res.lhs, rhs=res.rhs, gap=res.gap, seed=seed,
+                kind=matrix_kind, scale=scale, retried=retried,
+                witness=dict(res.witness),
+            ))
+        rel_gap = res.gap / max(1.0, res.rhs)
+        rows.append((_row_record(entry.ineq_id, trial, dim_echo, combo, res), rel_gap))
     return rows, violations, retries
 
 
@@ -394,9 +415,13 @@ def run_suite(
     master XOR t, and gen.n fixes the dimension unless `dims` cycles several.
     model: force one kernel model (continuous models give exploratory lower
     bounds); default is an exact finite model at each trial's dimension.
-    Operands are validated once per (entry, trial); a marginal violation is
-    re-evaluated at high precision (see the module docstring).  CSV rows
-    stream to csv_path in a deterministic order (entry, trial, sweep point).
+    Trials run in order, each in one memo scope shared by every entry;
+    operands are validated once per (entry, trial), and a marginal violation
+    is re-evaluated at high precision (see the module docstring).  CSV rows
+    reach csv_path in a deterministic entry-major order (entry, trial, sweep
+    point), as do `violations` and the collected rows.  csv_path is opened,
+    and its header written, before the first trial; the rows are copied in
+    after the last one, so a campaign that raises leaves only the header.
     """
     t0 = time.monotonic()
     gen = gen or GeneratorSpec()
@@ -413,46 +438,67 @@ def run_suite(
         raise ValueError(f"dimensions must be >= 1, got {dims}")
     grids = [param_grid(entry, sweep) for entry in entries]
 
-    writer = None
+    # Rows are evaluated trial-major but written entry-major: each (entry,
+    # trial) block of rows goes to its entry's spill file, and the spills are
+    # copied to csv_path in entry order after the last trial.  One csv writer
+    # formats every block, since each writer holds a 128 KiB record buffer.
+    block = io.StringIO(newline="")
+    writer = csv.writer(block, lineterminator="\n")
     fh = None
+    spills = []
     if csv_path is not None:
-        fh = open(csv_path, "w", encoding="utf-8", newline="")
-        writer = csv.writer(fh, lineterminator="\n")
+        fh = open(csv_path, "wb")
         writer.writerow(CSV_COLUMNS)
+        fh.write(_take(block))
 
-    violations: list[Violation] = []
-    gap_lists: dict[str, list[float]] = {e.ineq_id: [] for e in entries}
-    kept_rows: list[dict] | None = [] if collect_rows else None
+    # per entry, in trial order; joined in entry order after the last trial
+    violations = [[] for _ in entries]
+    gaps = [array("d") for _ in entries]
+    kept = [[] for _ in entries] if collect_rows else None
     rows_evaluated = 0
     retries_total = 0
     try:
-        for entry, combos in zip(entries, grids):
-            for trial in range(trials):
-                rows, viols, retries = _run_entry_trial(
-                    entry, combos, trial, gen.seed, dims, gen.scale,
-                    gen.kind, model, tolerance, level,
-                )
-                violations.extend(viols)
-                retries_total += retries
-                for rec, rel_gap in rows:
-                    rows_evaluated += 1
-                    gap_lists[entry.ineq_id].append(rel_gap)
-                    if writer is not None:
-                        writer.writerow(_csv_row(rec))
-                    if kept_rows is not None:
-                        kept_rows.append(rec)
+        if fh is not None:
+            for _ in entries:
+                spills.append(tempfile.TemporaryFile(buffering=0))  # one write per block
+        for trial in range(trials):
+            with computation_scope():  # shared by every entry's trial
+                for i, (entry, combos) in enumerate(zip(entries, grids)):
+                    rows, viols, retries = _run_entry_trial(
+                        entry, combos, trial, gen.seed, dims, gen.scale,
+                        gen.kind, model, tolerance, level,
+                    )
+                    violations[i].extend(viols)
+                    retries_total += retries
+                    rows_evaluated += len(rows)
+                    for rec, rel_gap in rows:
+                        gaps[i].append(rel_gap)
+                        if spills:
+                            writer.writerow(_csv_row(rec))
+                        if kept is not None:
+                            kept[i].append(rec)
+                    if spills:
+                        spills[i].write(_take(block))
+        for spill in spills:
+            spill.seek(0)
+            shutil.copyfileobj(spill, fh)
     finally:
+        for f in spills:
+            f.close()
         if fh is not None:
             fh.close()
 
+    gap_lists: dict[str, array] = {}
+    for entry, g in zip(entries, gaps):
+        gap_lists.setdefault(entry.ineq_id, array("d")).extend(g)
     return TrialReport(
         suite=tuple(ids),
         trials=int(trials),
         rows_evaluated=rows_evaluated,
-        violations=violations,
+        violations=[v for vs in violations for v in vs],
         marginal_retries=retries_total,
-        gap_stats={ineq_id: GapStats.of(gaps) for ineq_id, gaps in gap_lists.items()},
+        gap_stats={ineq_id: GapStats.of(g) for ineq_id, g in gap_lists.items()},
         runtime_seconds=time.monotonic() - t0,
         master_seed=int(gen.seed),
-        rows=kept_rows,
+        rows=None if kept is None else [rec for rs in kept for rec in rs],
     )

@@ -43,7 +43,11 @@ def precise_eigensolver(dps: int = 50):
 
 
 class HermEig(NamedTuple):
-    """Eigenvalues (ascending, real) and orthonormal eigenvector columns."""
+    """Eigenvalues (ascending, real) and orthonormal eigenvector columns.
+
+    The arrays are read-only: memoized eigensystems are shared by every
+    caller in a scope.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
@@ -146,14 +150,18 @@ def herm_eig(h: np.ndarray, tol: float = HERMITIAN_TOL) -> HermEig:
 def _singular_system(a: np.ndarray) -> HermEig:
     """Singular values of A (ascending) with the eigenvectors of A*A."""
     ev = _herm_eig(adjoint(a) @ a, HERMITIAN_TOL)
-    return HermEig(np.sqrt(_clamped_nonneg(ev.values, "A*A")), ev.vectors)
+    s = np.sqrt(_clamped_nonneg(ev.values, "A*A"))
+    s.flags.writeable = False
+    return HermEig(s, ev.vectors)
 
 
 @scoped
 def _psd_eig(h: np.ndarray) -> HermEig:
     """Eigensystem of a PSD matrix, round-off negatives clamped to 0."""
     ev = herm_eig(h, HERMITIAN_TOL)  # the call (and memo key) of is_positive
-    return HermEig(_clamped_nonneg(ev.values, "operand"), ev.vectors)
+    w = _clamped_nonneg(ev.values, "operand")
+    w.flags.writeable = False
+    return HermEig(w, ev.vectors)
 
 
 def operator_norm(a: np.ndarray) -> float:

@@ -258,6 +258,34 @@ class TestLineEvaluators:
                 assert lines.kernel_circle(u, r, 1.0)(t) == pytest.approx(mu_moving, abs=tol)
 
 
+class TestLinesCache:
+    """One _Lines per model, shared read-only by every refinement pass."""
+
+    def test_built_once_per_model(self, rng, monkeypatch):
+        built = []
+
+        class Counting(calc._Lines):
+            def __init__(self, model):
+                built.append(model)
+                super().__init__(model)
+
+        calc._lines.cache_clear()
+        monkeypatch.setattr(calc, "_Lines", Counting)
+        m, a = hardy(3, 0.9), orc.rand_complex(rng, 4)
+        try:
+            berezin_number(m, a, level=1), berezin_norm(m, a, level=1)
+            berezin_number(m, 2.0 * a, level=0)
+        finally:
+            calc._lines.cache_clear()
+        assert built == [m]
+
+    def test_shared_arrays_are_read_only(self):
+        lines = calc._lines(bergman(4, 0.9))
+        assert lines is calc._lines(bergman(4, 0.9))
+        for arr in (lines.c, lines.j, lines.anti, lines.diag):
+            assert not arr.flags.writeable
+
+
 class TestRefineDomainCheck:
     """The refinement checks its start point once, for every point it visits."""
 

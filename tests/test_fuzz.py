@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from berezin.fuzz import (
     param_grid,
     sample_operands,
 )
-from berezin import _cache, finite, fuzz, inequalities
+from berezin import _cache, calc, finite, fuzz, inequalities
 from berezin.inequalities import CATALOG, InequalityCase, Part, check
 from berezin.linalg import precise_eigensolver
 
@@ -295,6 +296,16 @@ class TestEarlyParamValidation:
             run_suite(["lem3"], sweep={"r": [3.0], "s": [1.0]}, trials=2)
         assert sampled == []
 
+    def test_non_finite_sweep_value_raises_before_the_filters(self):
+        # the lem3 and interior-alpha filters would otherwise report "no valid ..."
+        cases = [(["lem3"], {"r": [float("nan")]}, "r"),
+                 (["eqn2cmp"], {"alpha": [float("inf")]}, "alpha"),
+                 (["lem3"], {"alpha": [0.5], "s": [float("-inf")]}, "s"),
+                 (["thm1"], {"r": [float("nan")]}, "r")]
+        for suite, sweep, name in cases:
+            with pytest.raises(ParamOutOfRange, match=rf"^parameter {name} must be finite$"):
+                run_suite(suite, sweep=sweep, trials=1)
+
 
 class TestDeterminism:
     def test_report_identical_across_runs(self):
@@ -326,6 +337,57 @@ class TestScope:
         rep = run_suite(["thm1", "prop1", "lem3"], trials=3, dims=(2, 3))
         assert rep.rows_evaluated > 9
         assert sorted(calls) == ["lem3"] * 3 + ["prop1"] * 3 + ["thm1"] * 3
+
+
+class TestTrialScope:
+    """One memo scope per trial, shared by every entry; rows stay entry-major."""
+
+    def test_berezin_number_computed_once_per_distinct_operand(self, monkeypatch):
+        computed = []
+        uncached = calc.berezin_number.__wrapped__
+
+        def counting(model, a, level=1):
+            computed.append((model, a.shape, a.tobytes(), level, _cache.precise_dps.get()))
+            return uncached(model, a, level)
+
+        monkeypatch.setattr(calc, "berezin_number", _cache.scoped(counting))
+        run_suite(model=hardy(3, 0.9), level=0, trials=1, dims=(4,),
+                  gen=GeneratorSpec(n=4, seed=0xD15C0000))
+        assert len(computed) > len(CATALOG)
+        assert len(computed) == len(set(computed))
+
+    def test_failed_campaign_leaves_only_the_header(self, tmp_path, monkeypatch):
+        entry = CATALOG["prop1"]
+        built = []
+
+        def fails_at_trial_1(ops, env):
+            built.append(1)
+            if len(built) == 2:
+                raise RuntimeError("evaluator failed at trial 1")
+            return entry.evaluate(ops, env)
+
+        monkeypatch.setitem(CATALOG, "prop1", dataclasses.replace(entry, evaluate=fails_at_trial_1))
+        path = tmp_path / "failed.csv"
+        with pytest.raises(RuntimeError, match="trial 1"):
+            run_suite(["cor1", "prop1"], trials=3, csv_path=str(path))
+        assert path.read_bytes() == b",".join(c.encode() for c in CSV_COLUMNS) + b"\n"
+
+    def test_rows_are_not_held_until_the_end(self, tmp_path):
+        path = tmp_path / "spilled.csv"
+
+        def peak_and_rows(trials):
+            tracemalloc.start()
+            try:
+                rep = run_suite(["thm1"], trials=trials, csv_path=str(path))
+                return tracemalloc.get_traced_memory()[1], rep.rows_evaluated
+            finally:
+                tracemalloc.stop()
+
+        peak_and_rows(1)  # first-call costs
+        small, few = peak_and_rows(2)
+        large, many = peak_and_rows(10)
+        shortest_row = min(len(line) for line in path.read_bytes().splitlines(keepends=True)[1:])
+        assert (large - small) / (many - few) < shortest_row
 
 
 class TestCsvFormat:

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from berezin import (
     re_part,
     spectral_radius,
 )
+from berezin import linalg
 from berezin._cache import computation_scope
 
 I2 = np.eye(2, dtype=complex)
@@ -177,6 +180,19 @@ class TestScopedGuards:
             with pytest.raises(NotHermitian):
                 herm_eig(h, tol=1e-14)
             assert not is_positive(h, 1e-14)
+
+
+class TestSharedResults:
+    """Memoized eigensystems are shared across callers, so none can be edited."""
+
+    def test_eigensystem_arrays_are_read_only(self, rng):
+        g = orc.rand_complex(rng, 3)
+        p = g.conj().T @ g
+        for scope in (contextlib.nullcontext, computation_scope):
+            with scope():
+                for ev in (herm_eig(p), linalg._singular_system(g), linalg._psd_eig(p)):
+                    assert not ev.values.flags.writeable
+                    assert not ev.vectors.flags.writeable
 
 
 class TestAbsPower:
