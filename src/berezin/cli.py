@@ -263,7 +263,7 @@ def cmd_check(args) -> int:
         except (BerezinError, ValueError) as exc:
             _log(f"error: {exc}")
             return 2
-        rec = fuzz._row_record("lem3", 0, None, params, res)
+        rec = fuzz._row_record("lem3", 0, None, params, res.lhs, res.rhs, res.satisfied)
         if run.fmt == "csv":
             text = _rows_to_csv_text([rec])
         else:

@@ -45,13 +45,14 @@ from .inequalities import (
     DEFAULT_TOL,
     CatalogEntry,
     InequalityCase,
-    _check_grid,
+    _evaluate_grid,
+    _result,
     _validated_operands,
     _validated_params,
+    _verdict,
 )
 from .linalg import herm_eig, precise_eigensolver
 from .models import KernelModel, finite
-from .results import InequalityResult
 
 _MASK64 = (1 << 64) - 1
 
@@ -315,7 +316,8 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _row_record(ineq_id, trial, n, params, res: InequalityResult) -> dict:
+def _row_record(ineq_id, trial, n, params, lhs: float, rhs: float,
+                satisfied: bool) -> dict:
     return {
         "ineq_id": ineq_id,
         "trial": int(trial),
@@ -323,10 +325,10 @@ def _row_record(ineq_id, trial, n, params, res: InequalityResult) -> dict:
         "alpha": params.get("alpha"),
         "r": params.get("r"),
         "s": params.get("s"),
-        "lhs": res.lhs,
-        "rhs": res.rhs,
-        "gap": res.gap,
-        "satisfied": bool(res.satisfied),
+        "lhs": lhs,
+        "rhs": rhs,
+        "gap": rhs - lhs,
+        "satisfied": bool(satisfied),
     }
 
 
@@ -371,27 +373,30 @@ def _run_entry_trial(entry, combos, trial, master_seed, dims, scale, matrix_kind
     retries = 0
     dim_echo = None if all(k == "scalar" for _, k in entry.operand_spec) else n
     case = InequalityCase(entry.ineq_id, ops, model=mdl, tolerance=tolerance, level=level)
-    checked = _validated_operands(entry, case)
-    results = _check_grid(entry, case, *checked, combos)
-    for combo, res in zip(combos, results):
+    valid_ops, n_ops = _validated_operands(entry, case)
+    tol = float(tolerance)
+    for combo, parts in zip(combos, _evaluate_grid(entry, case, valid_ops, combos)):
+        worst, ok = _verdict(parts, tol)
         retried = False
-        if not res.satisfied:
-            margin = 10.0 * tolerance * max(1.0, res.rhs)
-            if res.lhs <= res.rhs + margin:
+        if not ok:
+            margin = 10.0 * tolerance * max(1.0, worst.rhs)
+            if worst.lhs <= worst.rhs + margin:
                 with precise_eigensolver():
-                    (res,) = _check_grid(entry, case, *checked, [combo])
+                    (parts,) = _evaluate_grid(entry, case, valid_ops, [combo])
+                worst, ok = _verdict(parts, tol)
                 retried = True
-                if res.satisfied:
+                if ok:
                     retries += 1
-        if not res.satisfied:
+        if not ok:  # the full witness is built for violations only
+            res = _result(entry.ineq_id, parts, combo, n_ops, tol)
             violations.append(Violation(
                 ineq_id=entry.ineq_id, trial=trial, n=n, params=dict(combo),
                 lhs=res.lhs, rhs=res.rhs, gap=res.gap, seed=seed,
                 kind=matrix_kind, scale=scale, retried=retried,
-                witness=dict(res.witness),
+                witness=res.witness,
             ))
-        rel_gap = res.gap / max(1.0, res.rhs)
-        rows.append((_row_record(entry.ineq_id, trial, dim_echo, combo, res), rel_gap))
+        rec = _row_record(entry.ineq_id, trial, dim_echo, combo, worst.lhs, worst.rhs, ok)
+        rows.append((rec, rec["gap"] / max(1.0, worst.rhs)))
     return rows, violations, retries
 
 
@@ -481,7 +486,9 @@ def run_suite(
                         spills[i].write(_take(block))
         for spill in spills:
             spill.seek(0)
-            shutil.copyfileobj(spill, fh)
+            # in small chunks: shutil's 64 KiB default would make the copy the
+            # campaign's memory peak, growing with the rows up to that size
+            shutil.copyfileobj(spill, fh, io.DEFAULT_BUFFER_SIZE)
     finally:
         for f in spills:
             f.close()

@@ -870,26 +870,35 @@ def check(case: InequalityCase) -> InequalityResult:
     if entry is None:
         raise UnknownIneqId(f"no catalog entry {case.ineq_id!r}")
     ops, n = _validated_operands(entry, case)
-    return _check_grid(entry, case, ops, n, [_validated_params(entry, case.params)])[0]
+    params = _validated_params(entry, case.params)
+    (parts,) = _evaluate_grid(entry, case, ops, [params])
+    return _result(case.ineq_id, parts, params, n, float(case.tolerance))
 
 
-def _check_grid(entry: CatalogEntry, case: InequalityCase, ops: dict, n: int | None,
-                combos: list[dict]) -> list[InequalityResult]:
-    """One `check` result per parameter combination, from one evaluator.
+def _evaluate_grid(entry: CatalogEntry, case: InequalityCase, ops: dict,
+                   combos: list[dict]) -> list[list[Part]]:
+    """The parts of each parameter combination, from one evaluator.
 
-    (ops, n) is `_validated_operands(entry, case)`, each combination has
-    passed `_validated_params`, and `case.params` is not read.
+    `ops` is the first item of `_validated_operands(entry, case)`, each
+    combination has passed `_validated_params`, and `case.params` is not
+    read.
     """
     env = _Env(case.model, case.level) if entry.needs_model else _OPERATOR_ENV
     parts = entry.evaluate(ops, env)
-    tol = float(case.tolerance)
-    return [_result(case.ineq_id, parts(**params), params, n, tol) for params in combos]
+    return [parts(**params) for params in combos]
 
 
-def _result(ineq_id: str, parts: list, params: dict, n: int | None,
-            tol: float) -> InequalityResult:
+def _verdict(parts: list[Part], tol: float) -> tuple[Part, bool]:
+    """The part with the least relative slack, and whether every part holds."""
     ok = all(pt.lhs <= pt.rhs + tol * max(1.0, pt.rhs) for pt in parts)
     worst = min(parts, key=lambda pt: (pt.rhs - pt.lhs) / max(1.0, pt.rhs))
+    return worst, ok
+
+
+def _result(ineq_id: str, parts: list[Part], params: dict, n: int | None,
+            tol: float) -> InequalityResult:
+    """The `check` result of one combination's parts, with its full witness."""
+    worst, ok = _verdict(parts, tol)
     return InequalityResult(
         ineq_id=ineq_id,
         lhs=worst.lhs,

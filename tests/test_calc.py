@@ -146,18 +146,20 @@ class TestSandwich:
 
 class TestNumericalRadius:
     def test_shift_half(self):
-        assert abs(numerical_radius(SHIFT) - 0.5) <= 1e-10
+        # g is flat: Re(e^{i theta} S) has spectrum {1/2, -1/2} at every theta
+        assert abs(numerical_radius(SHIFT) - 0.5) <= 1e-14
 
     def test_hermitian_top_eigenvalue(self):
         h = np.array([[2, 1], [1, 2]], dtype=complex)
         assert numerical_radius(h) == pytest.approx(3.0, abs=1e-10)
 
     def test_normal_spectral_radius(self):
-        assert numerical_radius(np.diag([1.0, 1j])) == pytest.approx(1.0, abs=1e-10)
+        # g has kinks where the two eigenvalue curves cross
+        assert numerical_radius(np.diag([1.0, 1j])) == pytest.approx(1.0, abs=1e-14)
 
     def test_pure_imaginary_spectrum(self):
         # the rotation sweep must cover a full half-turn of phases
-        assert numerical_radius(np.diag([2j, 0.0])) == pytest.approx(2.0, abs=1e-10)
+        assert numerical_radius(np.diag([2j, 0.0])) == pytest.approx(2.0, abs=1e-14)
 
     def test_against_brute_sweep(self, rng):
         for n in (2, 4):
@@ -176,6 +178,83 @@ class TestNumericalRadius:
         for _ in range(5):
             a = orc.rand_complex(rng, 4)
             assert numerical_radius(a) >= 0.5 * operator_norm(a) - 1e-9
+
+    @staticmethod
+    def _grid(a):
+        """lambda_max(Re(e^{i theta} A)) on the 256-point theta grid."""
+        th = 2.0 * np.pi * np.arange(calc.RADIUS_GRID) / calc.RADIUS_GRID
+        rot = np.exp(1j * th)[:, None, None] * a
+        return np.linalg.eigvalsh((rot + rot.conj().transpose(0, 2, 1)) / 2.0)[:, -1]
+
+    @staticmethod
+    def _slope(a, th):
+        """(g, g') at th for g = lambda_max(Re(e^{i theta} A)), from a fresh eigh."""
+        re, im = (a + a.conj().T) / 2.0, (a - a.conj().T) / 2j
+        w, v = np.linalg.eigh(math.cos(th) * re - math.sin(th) * im)
+        x = v[:, -1]
+        return w[-1], float((x.conj() @ ((-math.sin(th) * re - math.cos(th) * im) @ x)).real)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 16])
+    def test_johnson_enclosure(self, rng, n):
+        # every unit x has |<Ax, x>| <= g(theta_k) / cos(pi / 256) at the
+        # grid angle nearest -arg <Ax, x> (C. R. Johnson, 1978)
+        for _ in range(8):
+            a = orc.rand_complex(rng, n)
+            top, w = float(self._grid(a).max()), numerical_radius(a)
+            assert top * (1.0 - 1e-14) <= w <= top / math.cos(math.pi / calc.RADIUS_GRID) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 16])
+    def test_newton_ascent_ends_stationary(self, rng, n):
+        h = 2.0 * np.pi / calc.RADIUS_GRID
+        for _ in range(8):
+            a = orc.rand_complex(rng, n)
+            scale = float(np.linalg.norm(a))
+            start = h * int(np.argmax(self._grid(a)))
+            best, end = calc._radius_ascent(a, (a + a.conj().T) / 2.0, (a - a.conj().T) / 2j,
+                                            start, h, 64.0 * np.finfo(float).eps * scale)
+            g, slope = self._slope(a, end)
+            # a 1e-10 bracket alone leaves |g'| near 1e-10 ||A||
+            assert abs(slope) <= 1e-12 * scale
+            assert best >= g - 1e-14 * scale
+            assert numerical_radius(a) >= best
+
+    @pytest.mark.parametrize("a, want", [
+        (np.array([[3.0 - 4.0j]]), 5.0),
+        (np.zeros((3, 3), dtype=complex), 0.0),
+        (_shift_matrix(16), math.cos(math.pi / 17)),
+        (np.fliplr(np.eye(4)).astype(complex), 1.0),  # the antidiagonal witness
+    ])
+    def test_special_cases(self, a, want):
+        assert numerical_radius(a) == pytest.approx(want, abs=1e-14 * max(1.0, want))
+
+    def test_eigensolve_budget(self, monkeypatch):
+        # one batched grid solve, then a few Newton steps (one eigh each) from
+        # each start: the grid's local maxima and its top 8 points
+        a = gen_matrix(GeneratorSpec("general", 16, 1.0, seed=0xB0D6E7))
+        g = self._grid(a)
+        local = np.flatnonzero((g >= np.roll(g, 1)) & (g >= np.roll(g, -1)))
+        starts = len(set(local.tolist()) | set(np.argsort(-g, kind="stable")[:8].tolist()))
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda h, name=name, solve=solve: (
+                counts.__setitem__(name, counts[name] + 1) or solve(h)))
+        numerical_radius(a)
+        assert counts["eigvalsh"] == 1
+        assert starts <= counts["eigh"] <= 8 * starts
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros((0, 0), dtype=complex), "empty matrix"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "matrix entries must be finite"),
+        (np.full((2, 2), np.nan + 0j), "matrix entries must be finite"),
+    ])
+    def test_bad_input_raises_value_error(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            numerical_radius(bad)
+
+    def test_non_square_raises_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            numerical_radius(np.ones((2, 3), dtype=complex))
 
 
 class TestContinuousEstimates:
@@ -401,14 +480,18 @@ class TestScopedCache:
         assert first == again
 
     def test_precise_mode_recomputes_numerical_radius(self, rng, monkeypatch):
+        # counts the grid's eigvalsh and every Newton step's eigh
         calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(1) or eigvalsh(h))
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda h, solve=solve, name=name: calls.append(name) or solve(h))
         a = orc.rand_complex(rng, 3)
         with computation_scope():
             first = numerical_radius(a)
             solves = len(calls)
-            assert solves > 0 and numerical_radius(a) == first and len(calls) == solves
+            assert {"eigh", "eigvalsh"} <= set(calls)
+            assert numerical_radius(a) == first and len(calls) == solves
             with precise_eigensolver():
                 assert numerical_radius(a) == first
             assert len(calls) == 2 * solves

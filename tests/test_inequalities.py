@@ -23,7 +23,8 @@ from berezin.inequalities import (
     CATALOG,
     CATALOG_ORDER,
     InequalityCase,
-    _check_grid,
+    _evaluate_grid,
+    _result,
     _validated_operands,
     check,
 )
@@ -392,7 +393,9 @@ class TestGridEvaluation:
         case = InequalityCase(entry.ineq_id, ops, model=model, level=level)
         combos = param_grid(entry, None)
         with computation_scope():
-            grid = _check_grid(entry, case, *_validated_operands(entry, case), combos)
+            valid, n = _validated_operands(entry, case)
+            grid = [_result(entry.ineq_id, parts, combo, n, case.tolerance)
+                    for combo, parts in zip(combos, _evaluate_grid(entry, case, valid, combos))]
         with computation_scope():
             single = [check(replace(case, params=combo)) for combo in combos]
         assert len(grid) == len(single) == len(combos)
