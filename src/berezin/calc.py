@@ -5,11 +5,14 @@ Finite-kind models admit exact evaluation: the Berezin number is the largest
 diagonal modulus and the Berezin norm the largest entry modulus, both maxima
 over finitely many kernel pairs.  Continuous models are sampled on nested
 polar grids and refined locally, producing lower bounds attained at domain
-points (exact=False).  The refinement runs three rounds of alternating
-golden-section search over radius and angle around the best grid points;
-along each search line the value is a ratio of polynomials in the moving
-coordinate, evaluated by Horner's rule (_Lines).  Estimates at level L take
-the best value over levels 0..L, so refinement never loses ground.
+points (exact=False).  From each of the best grid points (or pairs) a
+safeguarded Newton ascent climbs log|symbol|^2, or log|<A k_lam, k_mu>|^2
+in the four real coordinates of the pair, on exact derivatives: with w =
+conj(lam) and p_j = c_j w^j, the jet P = [p, p', p''] gives every first and
+second derivative through the 3x3 matrices P*AP and P*P (_jet, _log_terms).
+One driver (_ascent) steps for both, holding a point on the disk's edge to
+the circle; the value is the best over its iterates.  Estimates at level L
+take the best value over levels 0..L, so refinement never loses ground.
 
 The numerical radius is w(A) = max over theta of g(theta) = lambda_max(
 Re(e^{i theta} A)).  One batched eigvalsh samples g on a 256-point grid;
@@ -32,21 +35,15 @@ from ._cache import scoped
 from .errors import DimensionMismatch, PointOutOfDomain
 from .linalg import as_complex_matrix, im_part, is_hermitian, operator_norm, re_part
 from .models import (
-    KernelModel, OmegaGrid, _unit_kernel, _weights, default_grid, finite, kernel_matrix,
+    BASE_RADII, KernelModel, OmegaGrid, _weights, default_grid, finite, kernel_matrix,
     normalized_kernel,
 )
 from .results import InequalityResult
 
 # Multistart width for local refinement of grid maxima.
 TOP_K = 5
-# Iterations per golden-section pass when refining grid maxima.
-REFINE_ITERS = 60
-# Rounds of coordinate-alternating refinement.
-REFINE_ROUNDS = 3
 # theta sample count for the numerical radius.
 RADIUS_GRID = 256
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -99,35 +96,6 @@ def berezin_set_sample(model: KernelModel, a: np.ndarray, grid: OmegaGrid | None
     ]
 
 
-def _golden_max(f, lo: float, hi: float, iters: int):
-    """Golden-section search for a maximum; returns the best point seen.
-
-    Endpoints are evaluated too, so boundary maxima are not lost.  Runs
-    `iters` interior steps.
-    """
-    best_x, best_f = lo, f(lo)
-    fh = f(hi)
-    if fh > best_f:
-        best_x, best_f = hi, fh
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    for x, v in ((c, fc), (d, fd)):
-        if v > best_f:
-            best_x, best_f = x, v
-    return best_x, best_f
-
-
 def _top_k(v: np.ndarray) -> np.ndarray:
     """Flat indices of the TOP_K largest entries of v, largest first.
 
@@ -145,167 +113,197 @@ def _top_k(v: np.ndarray) -> np.ndarray:
     return cand[np.argsort(-v.flat[cand], kind="stable")[:TOP_K]]
 
 
-def _polar_brackets(model: KernelModel, point: complex, level: int):
-    """Refinement brackets around a grid point, clipped to the domain.
-
-    Every golden-section point lies inside these brackets, so one check of
-    the start point here stands for the per-point domain check of
-    _unit_kernel: |point| <= radius bounds both radial ends.
-    """
-    n_ang = 16 * (2**level)
-    n_rad = 8 * (2**level)
-    dr = model.radius / n_rad
-    dth = 2.0 * np.pi / n_ang
-    r0 = abs(point)
-    if not r0 <= model.radius * (1.0 + 1e-12):  # NaN fails too
+def _check_start(model: KernelModel, point) -> None:
+    """The one domain check of an ascent: its iterates are projected onto
+    the disk, so they pass the check of _unit_kernel once the start does."""
+    if not abs(point) <= model.radius * (1.0 + 1e-12):  # NaN fails too
         raise PointOutOfDomain(f"refinement start {point!r} outside the domain")
-    th0 = math.atan2(point.imag, point.real)
-    r_lo, r_hi = max(0.0, r0 - dr), min(model.radius, r0 + dr)
-    return (r_lo, r_hi, r0), (th0 - dth, th0 + dth, th0)
-
-
-def _horner(coef, x):
-    """sum coef[k] x^(deg - k), coefficients highest degree first."""
-    acc = 0.0
-    for c in coef:
-        acc = acc * x + c
-    return acc
-
-
-class _Lines:
-    """|<A k_lam, k_mu>| along one golden-section line, as a polynomial ratio.
-
-    The raw kernel is raw_j(lam) = c_j conj(lam)^j, with c_j = 1 (hardy),
-    sqrt(j+1) (bergman) or 1/sqrt(j!) (fock), as in models._weights.  A
-    line is a ray (angle t fixed, radius moving) or a circle (radius r
-    fixed, angle moving).  Each method builds its line's coefficients once
-    and returns the value as a function of the moving coordinate, evaluated
-    by Horner's rule.  Points are not checked: the callers check the
-    bracket that holds them.
-    """
-
-    def __init__(self, model: KernelModel):
-        w = _weights(model)
-        n = model.dimension
-        if w.scale is None:
-            self.c = np.ones(n)
-        else:
-            self.c = 1.0 / w.scale if w.divide else w.scale
-        self.j = np.arange(n)
-        self.den = (self.c * self.c)[::-1].tolist()  # ||raw||^2 as a polynomial in r^2
-        self.anti = np.add.outer(self.j, self.j).ravel()  # i + j
-        self.diag = (np.subtract.outer(self.j, self.j).T + (n - 1)).ravel()  # j - i + N
-        for arr in (self.c, self.j, self.anti, self.diag):
-            arr.flags.writeable = False
-
-    def _sums(self, m: np.ndarray, index: np.ndarray) -> list:
-        """Sums of m's entries grouped by `index`, highest index first."""
-        flat = m.ravel()
-        size = 2 * len(self.j) - 1
-        sums = (np.bincount(index, flat.real, size)
-                + 1j * np.bincount(index, flat.imag, size))
-        return sums[::-1].tolist()
-
-    def _ray(self, coef, root: bool):
-        """r -> |P(r)| / Q(r^2), or / sqrt(Q(r^2)) when `root`."""
-        den = self.den
-
-        def f(r):
-            q = _horner(den, r * r)
-            return abs(_horner(coef, r)) / (math.sqrt(q) if root else q)
-        return f
-
-    @staticmethod
-    def _circle(coef, norm: float, sign: float):
-        """t -> |P(e^{sign i t})| / norm."""
-        return lambda t: abs(_horner(coef, complex(math.cos(t), sign * math.sin(t)))) / norm
-
-    def symbol_ray(self, a: np.ndarray, t: float):
-        """|symbol| at r e^{it}: |sum_m C_m r^m| / sum_j c_j^2 r^{2j}.
-
-        With S_ij = c_i c_j A_ij, C_m sums S_ij e^{i(i-j)t} over i + j = m.
-        """
-        p = np.exp(1j * t * self.j)
-        s = (self.c * p)[:, None] * a * (self.c * p.conj())
-        return self._ray(self._sums(s, self.anti), False)
-
-    def symbol_circle(self, a: np.ndarray, r: float):
-        """|symbol| at r e^{it}, t moving: |sum_d B_d e^{-idt}| / ||raw||^2.
-
-        B_d sums S_ij r^{i+j} over j - i = d.
-        """
-        q = self.c * r**self.j
-        coef = self._sums(q[:, None] * a * q, self.diag)
-        return self._circle(coef, _horner(self.den, r * r), -1.0)
-
-    def kernel_ray(self, v: np.ndarray, t: float, sign: float):
-        """|sum_j v_j c_j z^j| / ||raw(z)|| at z = r e^{sign i t}, r moving.
-
-        sign -1 gives |v . k_lam| (conj(lam)^j), sign +1 |conj(k_mu) . v|.
-        """
-        return self._ray((v * self.c * np.exp(sign * 1j * t * self.j))[::-1].tolist(), True)
-
-    def kernel_circle(self, v: np.ndarray, r: float, sign: float):
-        """The same value at z = r e^{sign i t}, t moving."""
-        coef = (v * self.c * r**self.j)[::-1].tolist()
-        return self._circle(coef, math.sqrt(_horner(self.den, r * r)), sign)
 
 
 @functools.lru_cache(maxsize=64)
-def _lines(model: KernelModel) -> _Lines:
-    """The model's _Lines, built on first use and shared (read-only), as
-    models._weights is."""
-    return _Lines(model)
+def _jet(model: KernelModel):
+    """w -> P(w) = [p, p', p''], the kernel jet as an n x 3 array.
 
-
-def _refine_symbol(model, a, point, level):
-    """Alternating golden-section polish of |symbol| around one grid point.
-
-    REFINE_ROUNDS rounds, each a pass over the radius and then one over the
-    angle.  Along each pass the symbol is a ratio of polynomials in the
-    moving coordinate (see _Lines), whose coefficients are built once per
-    pass; every step is then a Horner evaluation, not a kernel vector.
+    p_j(w) = c_j w^j, with c_j = 1 (hardy), sqrt(j+1) (bergman) or
+    1/sqrt(j!) (fock) as in models._weights, so P[j, k] = coef[j, k] *
+    w^expo[j, k] with coef = c_j [1, j, j(j-1)] and expo = max(j - k, 0).
+    Built once per model, as models._weights is; its arrays are read-only.
     """
-    (r_lo, r_hi, r), (t_lo, t_hi, th) = _polar_brackets(model, point, level)
-    lines = _lines(model)
-    best = lines.symbol_ray(a, th)(r)
-    for _ in range(REFINE_ROUNDS):
-        r, fr = _golden_max(lines.symbol_ray(a, th), r_lo, r_hi, iters=REFINE_ITERS)
-        th, ft = _golden_max(lines.symbol_circle(a, r), t_lo, t_hi, iters=REFINE_ITERS)
-        best = max(best, fr, ft)
-    lam = complex(r * math.cos(th), r * math.sin(th))
-    return best, lam
+    wt = _weights(model)
+    j = wt.exponents
+    c = np.ones(len(j)) if wt.scale is None else wt.scale ** (-1.0 if wt.divide else 1.0)
+    coef = c[:, None] * np.stack([np.ones(len(j)), j, j * (j - 1.0)], axis=1)
+    expo = np.maximum(j[:, None] - np.arange(3), 0)
+    coef.flags.writeable = expo.flags.writeable = False
+    return lambda w: coef * (w**j)[expo]
 
 
-def _refine_pair(model, a, lam, mu, level):
-    """Four-coordinate polish of |<A k_lam, k_mu>| around a grid pair.
+def _log_terms(q):
+    """h1, h2, h11, h12, h22 of h = log H, H holomorphic in (z1, z2).
 
-    REFINE_ROUNDS rounds of golden-section passes over the radius and the
-    angle of lam, then of mu.  Each pass moves one point, so the other side
-    is a fixed vector, g = conj(k_mu) A or u = A k_lam, computed once from
-    the kernel vector; along the pass the value is a polynomial ratio in the
-    moving coordinate, evaluated by Horner's rule (see _Lines).
+    q[a][b] is H's derivative of order a in z2 and b in z1.
     """
-    (rl_lo, rl_hi, rl), (tl_lo, tl_hi, tl) = _polar_brackets(model, lam, level)
-    (rm_lo, rm_hi, rm), (tm_lo, tm_hi, tm) = _polar_brackets(model, mu, level)
-    w = _weights(model)
-    lines = _lines(model)
+    q00 = q[0][0]
+    h1, h2 = q[0][1] / q00, q[1][0] / q00
+    return h1, h2, q[0][2] / q00 - h1 * h1, q[1][1] / q00 - h1 * h2, q[2][0] / q00 - h2 * h2
 
-    def kern(rr, tt):
-        return _unit_kernel(model, w, complex(rr * math.cos(tt), rr * math.sin(tt)))
 
-    best = lines.kernel_ray(kern(rm, tm).conj() @ a, tl, -1.0)(rl)
-    for _ in range(REFINE_ROUNDS):
-        g = kern(rm, tm).conj() @ a
-        rl, f1 = _golden_max(lines.kernel_ray(g, tl, -1.0), rl_lo, rl_hi, iters=REFINE_ITERS)
-        tl, f2 = _golden_max(lines.kernel_circle(g, rl, -1.0), tl_lo, tl_hi, iters=REFINE_ITERS)
-        u = a @ kern(rl, tl)
-        rm, f3 = _golden_max(lines.kernel_ray(u, tm, 1.0), rm_lo, rm_hi, iters=REFINE_ITERS)
-        tm, f4 = _golden_max(lines.kernel_circle(u, rm, 1.0), tm_lo, tm_hi, iters=REFINE_ITERS)
-        best = max(best, f1, f2, f3, f4)
-    p = complex(rl * math.cos(tl), rl * math.sin(tl))
-    q = complex(rm * math.cos(tm), rm * math.sin(tm))
-    return best, (p, q)
+def _diagonal(h1, h2, h11, h12, h22):
+    """Gradient and Hessian in (Re w, Im w) of Re h(w, conj(w))."""
+    hxy = (h22 - h11).imag
+    return ([(h1 + h2).real, (h2 - h1).imag],
+            [[(h11 + 2.0 * h12 + h22).real, hxy], [hxy, (2.0 * h12 - h11 - h22).real]])
+
+
+def _block(c: complex, d) -> list:
+    """Hessian block of Re h in (Re z, Im z) from c = h_zz (holomorphic),
+    minus the 2x2 block d."""
+    return [[c.real - d[0][0], -c.imag - d[0][1]], [-c.imag - d[1][0], -c.real - d[1][1]]]
+
+
+def _number_derivatives(jet, a, x):
+    """|symbol| at lam = conj(w), w = x[0] + i x[1], with the gradient and
+    Hessian in x of G = log|N|^2 - 2 log D, N = p*Ap and D = ||p||^2.
+
+    N(w) = H(w, conj(w)) for H(z1, z2) = p(z2)^T A p(z1), and D likewise
+    with A = I, so both come from the 3x3 matrices P*AP and P*P.  The
+    derivatives are None where N = 0.
+    """
+    p = jet(complex(x[0], x[1]))
+    ph = p.conj().T
+    q, e = (ph @ (a @ p)).tolist(), (ph @ p).tolist()
+    val = abs(q[0][0]) / e[0][0].real
+    if val == 0.0:
+        return val, None, None
+    terms = [2.0 * (u - v) for u, v in zip(_log_terms(q), _log_terms(e))]
+    return (val, *_diagonal(*terms))
+
+
+def _norm_derivatives(jet, a, x):
+    """|<A k_lam, k_mu>| at lam = conj(w), w = x[0] + i x[1], mu = x[2] +
+    i x[3], with the gradient and Hessian in x of F = log|M|^2 - log D(w) -
+    log D(mu), M = p(mu)^T A p(w) and D = ||p||^2.
+
+    M is holomorphic in (w, mu), so its terms come from P(mu)^T A P(w); each
+    log D is a diagonal restriction, as in _number_derivatives.  The
+    derivatives are None where M = 0.
+    """
+    pw = jet(complex(x[0], x[1]))
+    pm = jet(complex(x[2], x[3]))
+    q = (pm.T @ (a @ pw)).tolist()
+    ew, em = (pw.conj().T @ pw).tolist(), (pm.conj().T @ pm).tolist()
+    val = abs(q[0][0]) / math.sqrt(ew[0][0].real * em[0][0].real)
+    if val == 0.0:
+        return val, None, None
+    h1, h2, h11, h12, h22 = (2.0 * t for t in _log_terms(q))
+    gw, hw = _diagonal(*_log_terms(ew))
+    gm, hm = _diagonal(*_log_terms(em))
+    bw, bm, bx = _block(h11, hw), _block(h22, hm), _block(h12, ((0.0, 0.0), (0.0, 0.0)))
+    grad = [h1.real - gw[0], -h1.imag - gw[1], h2.real - gm[0], -h2.imag - gm[1]]
+    return val, grad, [bw[0] + bx[0], bw[1] + bx[1], bx[0] + bm[0], bx[1] + bm[1]]
+
+
+def _newton_step(hess, g):
+    """-hess^{-1} g, or None unless hess is negative definite: Gaussian
+    elimination on -hess without pivoting, whose pivots are all positive
+    exactly when -hess is positive definite."""
+    k = len(g)
+    m = [[-v for v in row] + [t] for row, t in zip(hess, g)]
+    for i in range(k):
+        if not m[i][i] > 0.0:
+            return None
+        for r in range(i + 1, k):
+            f = m[r][i] / m[i][i]
+            m[r] = [u - f * v for u, v in zip(m[r], m[i])]
+    d = [0.0] * k
+    for i in reversed(range(k)):
+        d[i] = (m[i][k] - sum(m[i][j] * d[j] for j in range(i + 1, k))) / m[i][i]
+    return d
+
+
+def _ascent(derivatives, x: list, radius: float, h: float):
+    """Safeguarded Newton ascent over one or two points in |z| <= radius.
+
+    x lists (Re z, Im z) of each point; derivatives(x) returns the value
+    and the gradient and Hessian of its log-square in x.  A point on the
+    edge whose gradient points outward moves along the circle: its two
+    coordinates give way to the unit tangent, with curvature term -g.z/|z|^2.
+    The step is Newton's where the Hessian is negative definite and
+    otherwise the gradient step that maximises the quadratic model, or h
+    where the model is not concave along the gradient.  It is clipped to
+    length h, and each point is then projected onto the disk.  Stops on a
+    step below 1e-13 radius, a gradient below 1e-14 / h, zero or non-finite
+    derivatives, or after 16 evaluations.  Returns the largest value over
+    the iterates and its x.
+    """
+    best, arg = -1.0, x
+    edge2 = (radius * (1.0 - 1e-12)) ** 2
+    for _ in range(16):
+        val, g, hess = derivatives(x)
+        if val > best:
+            best, arg = val, x
+        if g is None or not math.isfinite(sum(g) + sum(map(sum, hess))):
+            break
+        cols, curv = [], []  # step coordinates, as sparse columns over x
+        for i in range(0, len(x), 2):
+            zx, zy = x[i], x[i + 1]
+            r2 = zx * zx + zy * zy
+            out = g[i] * zx + g[i + 1] * zy
+            if r2 >= edge2 and out > 0.0:
+                r = math.sqrt(r2)
+                cols.append(((i, -zy / r), (i + 1, zx / r)))
+                curv.append(-out / r2)
+            else:
+                cols += [((i, 1.0),), ((i + 1, 1.0),)]
+                curv += [0.0, 0.0]
+        gr = [sum(u * g[i] for i, u in c) for c in cols]
+        hr = [[sum(u * v * hess[i][j] for i, u in ci for j, v in cj) for cj in cols]
+              for ci in cols]
+        for k, c in enumerate(curv):
+            hr[k][k] += c
+        d = _newton_step(hr, gr)
+        if d is None:
+            gg = sum(t * t for t in gr)
+            if gg * h * h <= 1e-28:
+                break
+            ghg = sum(s * t * u for s, row in zip(gr, hr) for t, u in zip(gr, row))
+            scale = gg / -ghg if ghg < 0.0 else h / math.sqrt(gg)
+            d = [scale * t for t in gr]
+        size = math.sqrt(sum(t * t for t in d))
+        if size < 1e-13 * radius:
+            break
+        scale = min(1.0, h / size)
+        x = list(x)
+        for c, t in zip(cols, d):
+            for i, u in c:
+                x[i] += scale * t * u
+        for i in range(0, len(x), 2):
+            r = math.hypot(x[i], x[i + 1])
+            if r > radius:
+                x[i], x[i + 1] = x[i] * radius / r, x[i + 1] * radius / r
+    return best, arg
+
+
+def _ascend_number(model: KernelModel, a: np.ndarray, point, level: int):
+    """Newton polish of |symbol| from a grid point; returns (value, argmax)."""
+    _check_start(model, point)
+    derivs = functools.partial(_number_derivatives, _jet(model), a)
+    x0 = [point.real, -point.imag]
+    h = model.radius / (BASE_RADII * 2**level)  # the grid's radial spacing
+    val, x = _ascent(derivs, x0, model.radius, h)
+    return val, complex(x[0], -x[1])
+
+
+def _ascend_norm(model: KernelModel, a: np.ndarray, lam, mu, level: int):
+    """Newton polish of |<A k_lam, k_mu>| from a grid pair; returns
+    (value, (lam, mu))."""
+    _check_start(model, lam)
+    _check_start(model, mu)
+    derivs = functools.partial(_norm_derivatives, _jet(model), a)
+    x0 = [lam.real, -lam.imag, mu.real, mu.imag]
+    h = model.radius / (BASE_RADII * 2**level)  # the grid's radial spacing
+    val, x = _ascent(derivs, x0, model.radius, h)
+    return val, (complex(x[0], -x[1]), complex(x[2], x[3]))
 
 
 @scoped
@@ -332,7 +330,7 @@ def berezin_number(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEsti
         for idx in _top_k(vals):
             if vals[idx] > best_val:
                 best_val, best_arg = float(vals[idx]), pts[idx]
-            ref_val, ref_arg = _refine_symbol(model, a, pts[idx], lev)
+            ref_val, ref_arg = _ascend_number(model, a, pts[idx], lev)
             if ref_val > best_val:
                 best_val, best_arg = ref_val, ref_arg
     return SupEstimate(value=best_val, argmax=best_arg, exact=False)
@@ -368,7 +366,7 @@ def berezin_norm(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEstima
             lam, mu = pts[jl], pts[im]
             if by_lam[jl, im] > best_val:
                 best_val, best_arg = float(by_lam[jl, im]), (lam, mu)
-            ref_val, ref_arg = _refine_pair(model, a, lam, mu, lev)
+            ref_val, ref_arg = _ascend_norm(model, a, lam, mu, lev)
             if ref_val > best_val:
                 best_val, best_arg = ref_val, ref_arg
     return SupEstimate(value=best_val, argmax=best_arg, exact=False)

@@ -217,17 +217,6 @@ def _report_payload(report: fuzz.TrialReport, include_rows: bool) -> dict:
     return payload
 
 
-def _rows_to_csv_text(rows: list[dict]) -> str:
-    import io as _io
-
-    buf = _io.StringIO()
-    wr = csv.writer(buf, lineterminator="\n")
-    wr.writerow(fuzz.CSV_COLUMNS)
-    for rec in rows:
-        wr.writerow(fuzz._csv_row(rec))
-    return buf.getvalue()
-
-
 def cmd_check(args) -> int:
     try:
         opts = _merged(args)
@@ -265,7 +254,7 @@ def cmd_check(args) -> int:
             return 2
         rec = fuzz._row_record("lem3", 0, None, params, res.lhs, res.rhs, res.satisfied)
         if run.fmt == "csv":
-            text = _rows_to_csv_text([rec])
+            text = fuzz._CsvText().take([rec])
         else:
             text = json.dumps({"cases": [rec], "violations": 0 if res.satisfied else 1}, indent=2)
         return _emit(text, opts["out"]) or (0 if res.satisfied else 1)
@@ -292,7 +281,7 @@ def cmd_check(args) -> int:
         f"in {report.runtime_seconds:.2f}s"
     )
     if run.fmt == "csv":
-        text = _rows_to_csv_text(report.rows)
+        text = fuzz._CsvText().take(report.rows)
     else:
         text = json.dumps(_report_payload(report, include_rows=True), indent=2)
     return _emit(text, opts["out"]) or (1 if report.violations else 0)

@@ -347,12 +347,24 @@ def _csv_row(rec: dict) -> list[str]:
     ]
 
 
-def _take(block: io.StringIO) -> bytes:
-    """The rows formatted into `block` so far, UTF-8 encoded; empties it."""
-    text = block.getvalue()
-    block.seek(0)
-    block.truncate()
-    return text.encode("utf-8")
+class _CsvText:
+    """The campaign CSV, header first, as text taken in pieces.  run_suite and
+    the CLI both format through it, one per campaign, since each csv writer
+    holds a 128 KiB record buffer."""
+
+    def __init__(self):
+        self._buf = io.StringIO(newline="")
+        self._writer = csv.writer(self._buf, lineterminator="\n")
+        self._writer.writerow(CSV_COLUMNS)
+
+    def take(self, recs=()) -> str:
+        """The text so far, after formatting `recs`; empties the buffer."""
+        for rec in recs:
+            self._writer.writerow(_csv_row(rec))
+        text = self._buf.getvalue()
+        self._buf.seek(0)
+        self._buf.truncate()
+        return text
 
 
 def _run_entry_trial(entry, combos, trial, master_seed, dims, scale, matrix_kind,
@@ -445,16 +457,13 @@ def run_suite(
 
     # Rows are evaluated trial-major but written entry-major: each (entry,
     # trial) block of rows goes to its entry's spill file, and the spills are
-    # copied to csv_path in entry order after the last trial.  One csv writer
-    # formats every block, since each writer holds a 128 KiB record buffer.
-    block = io.StringIO(newline="")
-    writer = csv.writer(block, lineterminator="\n")
+    # copied to csv_path in entry order after the last trial.
+    text = _CsvText()
     fh = None
     spills = []
     if csv_path is not None:
         fh = open(csv_path, "wb")
-        writer.writerow(CSV_COLUMNS)
-        fh.write(_take(block))
+        fh.write(text.take().encode("utf-8"))
 
     # per entry, in trial order; joined in entry order after the last trial
     violations = [[] for _ in entries]
@@ -478,12 +487,10 @@ def run_suite(
                     rows_evaluated += len(rows)
                     for rec, rel_gap in rows:
                         gaps[i].append(rel_gap)
-                        if spills:
-                            writer.writerow(_csv_row(rec))
                         if kept is not None:
                             kept[i].append(rec)
                     if spills:
-                        spills[i].write(_take(block))
+                        spills[i].write(text.take(rec for rec, _ in rows).encode("utf-8"))
         for spill in spills:
             spill.seek(0)
             # in small chunks: shutil's 64 KiB default would make the copy the

@@ -309,72 +309,108 @@ class TestContinuousEstimates:
 DISK_MODELS = (hardy(15, 0.95), bergman(15, 0.95), fock(15, 3.0))
 
 
-def _polar(r, t):
-    return complex(r * math.cos(t), r * math.sin(t))
+def _log_square(model, a, x):
+    """2 log|<A k_lam, k_mu>| from the oracle kernels, which take points past
+    the edge too: lam = conj(x[0] + i x[1]), and mu = x[2] + i x[3], or lam."""
+    lam = complex(x[0], -x[1])
+    mu = complex(x[2], x[3]) if len(x) == 4 else lam
+    return 2.0 * math.log(abs(orc.kernel_vec(model, mu).conj() @ (a @ orc.kernel_vec(model, lam))))
 
 
-class TestLineEvaluators:
-    """Each Horner line evaluator equals the kernel-vector value it replaces."""
+class TestAscentDerivatives:
+    """The ascent's exact gradient and Hessian equal central differences."""
 
     @pytest.mark.parametrize("model", (*DISK_MODELS, hardy(3, 0.9)), ids=str)
-    def test_agree_with_kernel_vectors(self, rng, model):
-        lines = calc._Lines(model)
-        for _ in range(5):
-            a = orc.rand_complex(rng, model.dimension)
-            tol = 1e-12 * operator_norm(a)
-            t = rng.uniform(-math.pi, math.pi)
-            other = normalized_kernel(model, _polar(rng.uniform(0, model.radius), rng.uniform(-4, 4)))
-            g, u = other.conj() @ a, a @ other  # the fixed side of a pair pass
-            for r in (0.0, rng.uniform(0, model.radius), model.radius):
-                k = normalized_kernel(model, _polar(r, t))
-                symbol = abs(k.conj() @ (a @ k))
-                lam_moving, mu_moving = abs(g @ k), abs(k.conj() @ u)
-                assert lines.symbol_ray(a, t)(r) == pytest.approx(symbol, abs=tol)
-                assert lines.symbol_circle(a, r)(t) == pytest.approx(symbol, abs=tol)
-                assert lines.kernel_ray(g, t, -1.0)(r) == pytest.approx(lam_moving, abs=tol)
-                assert lines.kernel_circle(g, r, -1.0)(t) == pytest.approx(lam_moving, abs=tol)
-                assert lines.kernel_ray(u, t, 1.0)(r) == pytest.approx(mu_moving, abs=tol)
-                assert lines.kernel_circle(u, r, 1.0)(t) == pytest.approx(mu_moving, abs=tol)
+    def test_match_central_differences(self, rng, model):
+        a = orc.rand_complex(rng, model.dimension)
+        jet, r = calc._jet(model), model.radius
+        eps = 1e-5 * max(1.0, r)
+        edge = (r * math.cos(1.0), r * math.sin(1.0))
+        for fn, points in (
+            (calc._number_derivatives, [(0.0, 0.0), (0.3 * r, -0.2 * r), edge]),
+            (calc._norm_derivatives, [(0.0, 0.0, 0.0, 0.0), (0.3 * r, -0.2 * r, 0.1 * r, 0.5 * r),
+                                      (*edge, -r * math.sin(2.0), r * math.cos(2.0))]),
+        ):
+            for x in map(np.array, points):
+                val, grad, hess = fn(jet, a, list(x))
+                grad, hess = np.array(grad), np.array(hess)
+                assert 2.0 * math.log(val) == pytest.approx(_log_square(model, a, x), abs=1e-12)
+                steps = eps * np.eye(len(x))
+
+                def f(*shifts):
+                    return _log_square(model, a, x + sum(shifts))
+
+                fd_grad = np.array([(f(e) - f(-e)) / (2 * eps) for e in steps])
+                fd_hess = np.array([[(f(e, d) - f(e, -d) - f(-e, d) + f(-e, -d)) / (4 * eps * eps)
+                                     for d in steps] for e in steps])
+                assert np.allclose(hess, hess.T, rtol=0, atol=1e-12 * max(1.0, np.abs(hess).max()))
+                assert np.abs(grad - fd_grad).max() <= 1e-6 * max(1.0, np.abs(grad).max())
+                assert np.abs(hess - fd_hess).max() <= 1e-4 * max(1.0, np.abs(hess).max())
 
 
-class TestLinesCache:
-    """One _Lines per model, shared read-only by every refinement pass."""
+class TestJetCache:
+    """One kernel jet per model, shared read-only by every ascent."""
 
-    def test_built_once_per_model(self, rng, monkeypatch):
-        built = []
-
-        class Counting(calc._Lines):
-            def __init__(self, model):
-                built.append(model)
-                super().__init__(model)
-
-        calc._lines.cache_clear()
-        monkeypatch.setattr(calc, "_Lines", Counting)
+    def test_built_once_per_model(self, rng):
+        calc._jet.cache_clear()
         m, a = hardy(3, 0.9), orc.rand_complex(rng, 4)
-        try:
-            berezin_number(m, a, level=1), berezin_norm(m, a, level=1)
-            berezin_number(m, 2.0 * a, level=0)
-        finally:
-            calc._lines.cache_clear()
-        assert built == [m]
+        berezin_number(m, a, level=1), berezin_norm(m, a, level=1)
+        berezin_number(m, 2.0 * a, level=0)
+        info = calc._jet.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     def test_shared_arrays_are_read_only(self):
-        lines = calc._lines(bergman(4, 0.9))
-        assert lines is calc._lines(bergman(4, 0.9))
-        for arr in (lines.c, lines.j, lines.anti, lines.diag):
-            assert not arr.flags.writeable
+        jet = calc._jet(bergman(4, 0.9))
+        assert jet is calc._jet(bergman(4, 0.9))
+        for cell in jet.__closure__:
+            if isinstance(cell.cell_contents, np.ndarray):
+                assert not cell.cell_contents.flags.writeable
 
 
 class TestRefineDomainCheck:
-    """The refinement checks its start point once, for every point it visits."""
+    """The ascents check their start points once, for every point they visit."""
 
     @pytest.mark.parametrize("start", [0.95 + 0.5j, complex(math.nan, 0.0), complex(math.inf, 0.0)])
     def test_start_outside_domain_raises(self, start):
         m, a = hardy(4, 0.9), np.eye(5, dtype=complex)
         with pytest.raises(PointOutOfDomain):
-            calc._refine_symbol(m, a, start, 0)
+            calc._ascend_number(m, a, start, 0)
         with pytest.raises(PointOutOfDomain):
-            calc._refine_pair(m, a, 0.1j, start, 0)
+            calc._ascend_norm(m, a, 0.1j, start, 0)
+        with pytest.raises(PointOutOfDomain):
+            calc._ascend_norm(m, a, start, 0.1j, 0)
+
+
+def _disk_sample(model, center, radius):
+    """center, and a polar sample of the disk of `radius` around it, each point
+    projected onto the domain."""
+    pts = [center]
+    for r in np.linspace(0.0, radius, 7)[1:]:
+        for t in np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False):
+            p = center + r * complex(math.cos(t), math.sin(t))
+            pts.append(p if abs(p) <= model.radius else p * (model.radius / abs(p)))
+    return pts
+
+
+class TestLocalMaximum:
+    """Each continuous-model estimate sits at a local maximum of its value."""
+
+    @pytest.mark.parametrize("model", (*DISK_MODELS, hardy(3, 0.9)), ids=str)
+    def test_no_higher_value_nearby(self, model):
+        delta = model.radius / 64
+        for seed in range(3):
+            a = gen_matrix(GeneratorSpec("general", model.dimension, 1.0, seed=seed))
+            tol = 1e-12 * operator_norm(a)
+            for level in (0, 1):
+                bn = berezin_number(model, a, level=level)
+                k = kernel_matrix(model, _disk_sample(model, bn.argmax, delta))
+                near = np.abs(np.einsum("ij,ij->j", k.conj(), a @ k))
+                assert near.max() <= bn.value + tol
+            nb = berezin_norm(model, a, level=0)
+            lam, mu = nb.argmax
+            kl = kernel_matrix(model, _disk_sample(model, lam, delta))
+            km = kernel_matrix(model, _disk_sample(model, mu, delta))
+            assert np.abs(km.conj().T @ (a @ kl)).max() <= nb.value + tol
 
 
 class TestRefinedBounds:
