@@ -35,7 +35,7 @@ from ._cache import scoped
 from .errors import DimensionMismatch, PointOutOfDomain
 from .linalg import as_complex_matrix, im_part, is_hermitian, operator_norm, re_part
 from .models import (
-    BASE_RADII, KernelModel, OmegaGrid, _weights, default_grid, finite, kernel_matrix,
+    BASE_RADII, KernelModel, OmegaGrid, _coefficients, default_grid, finite, kernel_matrix,
     normalized_kernel,
 )
 from .results import InequalityResult
@@ -115,7 +115,8 @@ def _top_k(v: np.ndarray) -> np.ndarray:
 
 def _check_start(model: KernelModel, point) -> None:
     """The one domain check of an ascent: its iterates are projected onto
-    the disk, so they pass the check of _unit_kernel once the start does."""
+    the disk, so they stay in the domain that kernel_matrix and
+    normalized_kernel check once the start does."""
     if not abs(point) <= model.radius * (1.0 + 1e-12):  # NaN fails too
         raise PointOutOfDomain(f"refinement start {point!r} outside the domain")
 
@@ -124,17 +125,16 @@ def _check_start(model: KernelModel, point) -> None:
 def _jet(model: KernelModel):
     """w -> P(w) = [p, p', p''], the kernel jet as an n x 3 array.
 
-    p_j(w) = c_j w^j, with c_j = 1 (hardy), sqrt(j+1) (bergman) or
-    1/sqrt(j!) (fock) as in models._weights, so P[j, k] = coef[j, k] *
-    w^expo[j, k] with coef = c_j [1, j, j(j-1)] and expo = max(j - k, 0).
-    Built once per model, as models._weights is; its arrays are read-only.
+    p_j(w) = c_j w^j with c_j from the kernel table models._coefficients,
+    so P[j, k] = coef[j, k] * w^expo[j, k] with coef = c_j [1, j, j(j-1)]
+    and expo = max(j - k, 0).  Built once per model; its arrays are
+    read-only.
     """
-    wt = _weights(model)
-    j = wt.exponents
-    c = np.ones(len(j)) if wt.scale is None else wt.scale ** (-1.0 if wt.divide else 1.0)
+    c = _coefficients(model.kind, model.dimension)
+    j = np.arange(model.dimension)
     coef = c[:, None] * np.stack([np.ones(len(j)), j, j * (j - 1.0)], axis=1)
     expo = np.maximum(j[:, None] - np.arange(3), 0)
-    coef.flags.writeable = expo.flags.writeable = False
+    j.flags.writeable = coef.flags.writeable = expo.flags.writeable = False
     return lambda w: coef * (w**j)[expo]
 
 
@@ -414,8 +414,8 @@ def numerical_radius(a: np.ndarray) -> float:
     Evaluates g(theta) = lambda_max(Re(e^{i theta} A)) on a 256-point grid
     over [0, 2 pi) in one batched eigvalsh, then runs a safeguarded Newton
     ascent of g (one eigh per step, see _radius_ascent) from every discrete
-    local maximum and the top 8 grid points.  The value is the larger of the
-    grid maximum and |<Ax, x>| over the top eigenvectors x of every iterate,
+    local maximum of the grid.  The value is the larger of the grid
+    maximum and |<Ax, x>| over the top eigenvectors x of every iterate,
     each attained at a unit vector, so up to rounding it never exceeds w(A).
     At a stationary theta, e^{i theta} <Ax, x> is real, so for normal
     operators the value is the spectral radius to machine precision.
@@ -433,11 +433,7 @@ def numerical_radius(a: np.ndarray) -> float:
     g = np.linalg.eigvalsh(stack)[:, -1]
 
     best = float(np.max(g))
-    prev = np.roll(g, 1)
-    nxt = np.roll(g, -1)
-    local_max = np.where((g >= prev) & (g >= nxt))[0]
-    top = np.argsort(-g, kind="stable")[:8]
-    starts = sorted(set(map(int, local_max)) | set(map(int, top)))
+    starts = np.flatnonzero((g >= np.roll(g, 1)) & (g >= np.roll(g, -1)))
 
     h = 2.0 * np.pi / RADIUS_GRID
     re, im = re_part(a), im_part(a)

@@ -50,8 +50,9 @@ def _log(msg: str) -> None:
 def _numbers_csv(text, cast=float) -> tuple:
     """A comma list (or a config file's list) of numbers, each `cast`."""
     if isinstance(text, (list, tuple)):
-        return tuple(cast(v) for v in text)
-    items = [t for t in str(text).split(",") if t.strip() != ""]
+        items = text
+    else:
+        items = [t for t in str(text).split(",") if t.strip() != ""]
     if not items:
         raise ValueError("empty number list")
     return tuple(cast(t) for t in items)
@@ -76,20 +77,52 @@ def _emit(text: str, out_path) -> int:
     return 0
 
 
+def _config_value(action: argparse.Action, value):
+    """A --config value held to its flag's type and choices checks.
+
+    A string goes through the flag's type, as on the command line.  Other
+    JSON values pass as they are only where they fit: an int for an int
+    flag, a number for a float flag, a number or a list of numbers for a
+    comma list (alpha, r, s, and n in fuzz), an object for a model.
+    """
+    key = action.dest
+    if isinstance(value, str):
+        try:
+            value = action.type(value) if action.type is not None else value
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config {key}: {exc}") from exc
+    else:
+        if action.type is int:
+            ok = isinstance(value, int)
+        elif action.type is float:
+            ok = isinstance(value, (int, float))
+        elif key in ("alpha", "r", "s", "n"):
+            items = value if isinstance(value, list) else [value]
+            ok = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items)
+        else:
+            ok = key == "model" and isinstance(value, dict)
+        if isinstance(value, bool) or not ok:
+            raise ValueError(f"config {key}: bad value {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config {key}: {value!r} is not one of {list(action.choices)}")
+    return value
+
+
 def _merged(args: argparse.Namespace) -> dict:
     """The subcommand's own options: explicit flags, else --config values."""
-    keys = set(vars(args)) - {"command", "func", "config"}
+    actions = {a.dest: a for a in args.actions if a.dest not in ("help", "config")}
     cfg = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError("config must be a JSON object")
-        unknown = set(cfg) - keys
+        unknown = set(cfg) - set(actions)
         if unknown:
             raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+        cfg = {k: _config_value(actions[k], v) for k, v in cfg.items() if v is not None}
     out = {}
-    for key in keys:
+    for key in actions:
         cli_val = getattr(args, key)
         out[key] = cli_val if cli_val is not None else cfg.get(key)
     return out
@@ -166,18 +199,14 @@ def cmd_eval(args) -> int:
             for ev in samples
         ],
     }
-    fmt = (opts["format"] or "json").lower()
-    if fmt == "csv":
+    if opts["format"] == "csv":
         lines = ["quantity,value"]
         lines.append(f"berezin_number,{bn.value:.17g}")
         lines.append(f"berezin_norm,{nb.value:.17g}")
         lines.append(f"numerical_radius,{w:.17g}")
         lines.append(f"operator_norm,{opn:.17g}")
         return _emit("\n".join(lines) + "\n", opts["out"])
-    if fmt == "json":
-        return _emit(json.dumps(payload, indent=2), opts["out"])  # plain types already
-    _log(f"error: unknown format {fmt!r}")
-    return 2
+    return _emit(json.dumps(payload, indent=2), opts["out"])  # plain types already
 
 
 def _entry_ids(text) -> list[str]:
@@ -196,7 +225,7 @@ def _campaign_options(opts, default_format: str, default_trials: int):
     run = argparse.Namespace(
         tol=float(opts["tol"]) if opts["tol"] is not None else DEFAULT_TOL,
         level=int(opts["level"]) if opts["level"] is not None else 1,
-        fmt=(opts["format"] or default_format).lower(),
+        fmt=opts["format"] or default_format,
         model=_resolve_model(opts["model"]) if opts["model"] is not None else None,
         trials=int(opts["trials"]) if opts["trials"] is not None else default_trials,
         seed=int(opts["seed"]) if opts["seed"] is not None else 0,
@@ -204,8 +233,6 @@ def _campaign_options(opts, default_format: str, default_trials: int):
         kind=opts["gen"] or "general",
         sweep=sweep or None,
     )
-    if run.fmt not in ("json", "csv"):
-        raise ValueError(f"unknown format {run.fmt!r}")
     return run
 
 
@@ -360,8 +387,7 @@ def cmd_report(args) -> int:
             "bin_edges": [float(e) for e in edges],
             "counts": [int(c) for c in counts],
         }
-    fmt = (opts["format"] or "json").lower()
-    if fmt == "csv":
+    if opts["format"] == "csv":
         lines = ["ineq_id,bin_lo,bin_hi,count"]
         for ineq_id, h in payload.items():
             for i, c in enumerate(h["counts"]):
@@ -369,10 +395,7 @@ def cmd_report(args) -> int:
                     f"{ineq_id},{h['bin_edges'][i]:.17g},{h['bin_edges'][i + 1]:.17g},{c}"
                 )
         return _emit("\n".join(lines) + "\n", opts["out"])
-    if fmt == "json":
-        return _emit(json.dumps(payload, indent=2), opts["out"])
-    _log(f"error: unknown format {fmt!r}")
-    return 2
+    return _emit(json.dumps(payload, indent=2), opts["out"])
 
 
 # --- argument parsing --------------------------------------------------------
@@ -420,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "(fuzz --format csv: the campaign CSV)")
         p.add_argument("--format", choices=("json", "csv"), help="output format")
         p.add_argument("--config", help="JSON file with default options")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, actions=p._actions)
     return top
 
 

@@ -12,6 +12,15 @@ with a family of normalized kernel vectors indexed by a domain Omega:
 - fock(degree, radius): entire-function truncation on |lambda| <= R,
   coordinates conj(lambda)^j / sqrt(j!).
 
+The continuous kinds' coordinates are c_j conj(lambda)^j with c_j from one
+cached table (_coefficients): 1, sqrt(j+1) or 1/sqrt(j!).  kernel_matrix,
+normalized_kernel and the ascent's jet in calc all read it.  Kernels are
+built in one array expression with each point as a row, normalized by the
+square root of its own row's sum of squares, so a kernel's bits do not
+depend on the other points evaluated with it.  A factory rejects a radius
+whose square float64 cannot hold, or at whose edge the kernel jet would
+overflow in the ascent.
+
 Continuous domains are sampled through nested polar grids; estimates built
 on them are honest lower bounds for the suprema, never certificates.
 """
@@ -20,8 +29,8 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +45,10 @@ DEFAULT_FOCK_RADIUS = 3.0
 # both counts doubling per level so grids are nested as point sets.
 BASE_ANGLES = 16
 BASE_RADII = 8
+
+# Bound on the squared norms of p, p' and p'' at the domain's edge: a product
+# of two stays 1e16 below the float64 maximum.
+_EDGE_LIMIT = math.sqrt(sys.float_info.max) * 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,14 +86,31 @@ def finite(n: int) -> KernelModel:
 
 
 def _disk_model(kind: str, degree: int, radius: float) -> KernelModel:
+    """A continuous model whose radius float64 can represent: R^2 must be a
+    normal float (the ascent squares |w| and divides by it on the edge), and
+    the squared norms of the jet p, p', p'' at |w| = R must stay below
+    _EDGE_LIMIT (the pair ascent multiplies two of them).  Else ValueError.
+    """
     if int(degree) < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if not (0.0 < float(radius)):
+    r = float(radius)
+    if not 0.0 < r:
         raise ValueError(f"domain radius must be positive, got {radius}")
-    return KernelModel(
-        kind=kind, dimension=int(degree) + 1, degree=int(degree),
-        radius=float(radius),
-    )
+    if not sys.float_info.min <= r * r <= sys.float_info.max:  # inf, nan fail too
+        raise ValueError(f"domain radius {r:g} is out of range: its square "
+                         "over- or underflows")
+    j = np.arange(int(degree) + 1.0)
+    try:
+        c = _coefficients(kind, len(j))
+    except OverflowError as exc:  # j! beyond float64 (fock, j > 170)
+        raise ValueError(f"degree {degree} is too large for {kind}") from exc
+    with np.errstate(over="ignore"):
+        jet = np.stack([r**j, j * r ** (j - 1.0), j * (j - 1.0) * r ** (j - 2.0)], axis=1)
+        jet *= c[:, None]
+        if not (jet * jet).sum(axis=0).max() <= _EDGE_LIMIT:
+            raise ValueError(f"domain radius {r:g} is too large for degree {degree}: "
+                             "the kernel jet overflows at the edge")
+    return KernelModel(kind=kind, dimension=len(j), degree=int(degree), radius=r)
 
 
 def hardy(degree: int = DEFAULT_DEGREE, rho: float = DEFAULT_RHO) -> KernelModel:
@@ -102,58 +132,39 @@ def fock(degree: int = DEFAULT_DEGREE, radius: float = DEFAULT_FOCK_RADIUS) -> K
     return _disk_model("fock", degree, radius)
 
 
-class _Weights(NamedTuple):
-    """Per-model kernel coordinates: exponents 0..N and their weights."""
-
-    exponents: np.ndarray
-    scale: np.ndarray | None  # sqrt(j+1) (bergman), sqrt(j!) (fock), None (hardy)
-    divide: bool  # fock divides by its scale, bergman multiplies
-
-
 @functools.lru_cache(maxsize=64)
-def _weights(model: KernelModel) -> _Weights:
-    """Kernel weights of a continuous model, built on first use.
-
-    The cache hands the same arrays to every caller, so they are read-only.
-    """
-    j = np.arange(model.dimension)
-    if model.kind == "hardy":
-        w = _Weights(j, None, False)
-    elif model.kind == "bergman":
-        w = _Weights(j, np.sqrt(j + 1.0), False)
-    elif model.kind == "fock":
-        fact = np.array([math.sqrt(math.factorial(int(k))) for k in j])
-        w = _Weights(j, fact, True)
+def _coefficients(kind: str, dimension: int) -> np.ndarray:
+    """The c_j, j = 0..N, of the kernel coordinates c_j conj(lambda)^j, read
+    (read-only) by every continuous-kind kernel here and by calc's jet."""
+    if kind == "hardy":
+        c = np.ones(dimension)
+    elif kind == "bergman":
+        c = np.sqrt(np.arange(dimension) + 1.0)
+    elif kind == "fock":
+        c = 1.0 / np.array([math.sqrt(math.factorial(j)) for j in range(dimension)])
     else:
-        raise ValueError(f"unknown model kind {model.kind!r}")
-    for arr in (w.exponents, w.scale):
-        if arr is not None:
-            arr.flags.writeable = False
-    return w
+        raise ValueError(f"unknown model kind {kind!r}")
+    c.flags.writeable = False
+    return c
 
 
-def _unit_kernel(model: KernelModel, w: _Weights, point) -> np.ndarray:
-    """Normalized kernel at a point of a continuous model, with weights `w`.
-
-    Coordinates are conj(lambda)^j, times or divided by the weights, over
-    sqrt(re.re + im.im): the formula np.linalg.norm uses, so the result is
-    bit-identical to raw / np.linalg.norm(raw).
-    """
+def _kernel_columns(model: KernelModel, points) -> np.ndarray:
+    """Normalized kernels of a continuous model at `points`, as the columns
+    of an n x m view.  Each point's row c_j conj(lambda)^j is divided by the
+    square root of its own contiguous sum of squares, so a column's bits do
+    not depend on the other points.  A point that is not a number in the
+    closed disk raises PointOutOfDomain."""
     try:
-        lam = complex(point)
+        lam = np.array(points, dtype=np.complex128).reshape(len(points))
     except (TypeError, ValueError) as exc:
-        raise PointOutOfDomain(f"bad point {point!r}") from exc
-    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-        raise PointOutOfDomain(f"non-finite point {point!r}")
-    if abs(lam) > model.radius * (1.0 + 1e-12):
-        raise PointOutOfDomain(
-            f"|{lam}| = {abs(lam):.6g} exceeds domain radius {model.radius:g}"
-        )
-    raw = lam.conjugate() ** w.exponents
-    if w.scale is not None:
-        raw = raw / w.scale if w.divide else w.scale * raw
-    re, im = raw.real, raw.imag
-    return raw / math.sqrt(re.dot(re) + im.dot(im))
+        raise PointOutOfDomain(f"bad point among {points!r}") from exc
+    with np.errstate(over="ignore"):
+        out = np.flatnonzero(~(np.abs(lam) <= model.radius * (1.0 + 1e-12)))  # NaN too
+    if out.size:
+        raise PointOutOfDomain(f"point {complex(lam[out[0]])} outside |z| <= {model.radius:g}")
+    n = model.dimension
+    raw = lam.conj()[:, None] ** np.arange(n) * _coefficients(model.kind, n)
+    return (raw / np.sqrt((raw.real**2 + raw.imag**2).sum(axis=1))[:, None]).T
 
 
 def normalized_kernel(model: KernelModel, point) -> np.ndarray:
@@ -175,18 +186,14 @@ def normalized_kernel(model: KernelModel, point) -> np.ndarray:
         e = np.zeros(model.dimension, dtype=np.complex128)
         e[i - 1] = 1.0
         return e
-    return _unit_kernel(model, _weights(model), point)
+    return _kernel_columns(model, (point,))[:, 0]
 
 
 @scoped
 def kernel_matrix(model: KernelModel, points) -> np.ndarray:
     """Normalized kernel vectors stacked as columns, one per point (read-only)."""
-    if model.is_finite_kind:
-        cols = [normalized_kernel(model, p) for p in points]
-    else:
-        w = _weights(model)
-        cols = [_unit_kernel(model, w, p) for p in points]
-    out = np.column_stack(cols)
+    out = (np.column_stack([normalized_kernel(model, p) for p in points]) if model.is_finite_kind
+           else np.ascontiguousarray(_kernel_columns(model, points)))
     out.flags.writeable = False
     return out
 

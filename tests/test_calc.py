@@ -25,7 +25,7 @@ from berezin import (
     operator_norm,
     verify_positive_equality,
 )
-from berezin import calc
+from berezin import calc, models
 from berezin._cache import computation_scope
 from berezin.calc import TOP_K, _top_k
 from berezin.linalg import precise_eigensolver
@@ -229,11 +229,10 @@ class TestNumericalRadius:
 
     def test_eigensolve_budget(self, monkeypatch):
         # one batched grid solve, then a few Newton steps (one eigh each) from
-        # each start: the grid's local maxima and its top 8 points
+        # each start: the grid's discrete local maxima
         a = gen_matrix(GeneratorSpec("general", 16, 1.0, seed=0xB0D6E7))
         g = self._grid(a)
-        local = np.flatnonzero((g >= np.roll(g, 1)) & (g >= np.roll(g, -1)))
-        starts = len(set(local.tolist()) | set(np.argsort(-g, kind="stable")[:8].tolist()))
+        starts = np.count_nonzero((g >= np.roll(g, 1)) & (g >= np.roll(g, -1)))
         counts = {"eigh": 0, "eigvalsh": 0}
         for name in counts:
             solve = getattr(np.linalg, name)
@@ -362,9 +361,19 @@ class TestJetCache:
     def test_shared_arrays_are_read_only(self):
         jet = calc._jet(bergman(4, 0.9))
         assert jet is calc._jet(bergman(4, 0.9))
-        for cell in jet.__closure__:
-            if isinstance(cell.cell_contents, np.ndarray):
-                assert not cell.cell_contents.flags.writeable
+        arrays = dict(zip(jet.__code__.co_freevars, (c.cell_contents for c in jet.__closure__)))
+        assert sorted(arrays) == ["coef", "expo", "j"]
+        for arr in arrays.values():
+            assert not arr.flags.writeable
+
+    def test_coefficients_from_the_kernel_table(self):
+        # the jet's p = P[:, 0] is the kernel's unnormalized column
+        for m in (hardy(5, 0.9), bergman(5, 0.9), fock(5, 2.0)):
+            c = models._coefficients(m.kind, m.dimension)
+            assert not c.flags.writeable
+            lam = 0.3 - 0.4j
+            p = calc._jet(m)(lam.conjugate())[:, 0]
+            assert np.array_equal(p, c * lam.conjugate() ** np.arange(m.dimension))
 
 
 class TestRefineDomainCheck:

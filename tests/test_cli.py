@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 from berezin import models, run_suite
 from berezin.cli import main
 from berezin.io import save_matrix
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -48,15 +54,16 @@ class TestEval:
         assert payload["berezin_norm"]["value"] == 1.0
 
     def test_kernel_matrix_built_once_per_grid_level(self, capsys, tmp_path, monkeypatch):
-        calls = []
-        unit_kernel = models._unit_kernel
-        monkeypatch.setattr(models, "_unit_kernel", lambda *a: calls.append(1) or unit_kernel(*a))
+        columns = []
+        kernel_columns = models._kernel_columns
+        monkeypatch.setattr(models, "_kernel_columns",
+                            lambda m, pts: columns.append(len(pts)) or kernel_columns(m, pts))
         p = tmp_path / "m.json"
         save_matrix(p, np.arange(16.0).reshape(4, 4) + 1j)
         code, _, _ = run(capsys, "eval", "--model", "hardy:3:0.9", "--matrix", str(p), "--level", "1")
         assert code == 0
         m = models.hardy(3, 0.9)
-        assert len(calls) == sum(len(models.default_grid(m, lev).points) for lev in (0, 1))
+        assert columns == [len(models.default_grid(m, lev).points) for lev in (0, 1)]
 
     def test_hardy_shift_level_echo(self, capsys, tmp_path):
         shift = np.zeros((16, 16), dtype=complex)
@@ -346,6 +353,33 @@ def test_unwritable_out_path(capsys, tmp_path, identity_path, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("spec, code", [
+    ("fock:0:1e154", 0), ("fock:0:1e155", 2), ("fock:0:inf", 2),  # R^2 overflows
+    ("hardy:3:2e-154", 0), ("hardy:3:1e-154", 2), ("hardy:3:1e-300", 2),  # R^2 underflows
+    ("fock:3:1e24", 0), ("fock:3:1e25", 2), ("fock:3:1e70", 2), ("fock:3:1e200", 2),  # edge jet
+])
+def test_disk_radius_bounds_without_warnings(tmp_path, spec, code):
+    # both sides of each bound on a disk model's radius, under -W error: an
+    # accepted radius evaluates without a floating-point warning, a rejected
+    # one exits 2 with an error line
+    n = int(spec.split(":")[1]) + 1
+    path = tmp_path / "m.json"
+    save_matrix(path, np.arange(n * n).reshape(n, n) - 1j)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "berezin.cli", "eval", "--model", spec,
+         "--matrix", str(path), "--format", "csv"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    if code == 2:
+        assert proc.stderr.startswith("error:") and "domain radius" in proc.stderr
+    else:
+        assert proc.stdout.splitlines()[0] == "quantity,value"
+
+
 class TestConfig:
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -396,3 +430,36 @@ class TestConfig:
         cfg.write_text(json.dumps({"format": "xml"}))
         code, _, _ = run(capsys, "eval", "--matrix", identity_path, "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize("argv, cfg", [
+        (["eval", "--matrix", "ID"], {"format": 5}),
+        (["fuzz", "--ineq", "prop1", "--trials", "1"], {"format": 5}),
+        (["eval", "--matrix", "ID"], {"level": [1]}),
+        (["eval", "--matrix", "ID"], {"level": True}),
+        (["eval", "--matrix", "ID"], {"level": "x"}),
+        (["fuzz", "--ineq", "prop1", "--trials", "1"], {"gen": "bogus"}),
+        (["check", "--ineq", "prop1"], {"trials": 2.5}),
+        (["check", "--ineq", "prop1"], {"alpha": [0.5, "x"]}),
+        (["eval"], {"matrix": 7}),
+        (["eval", "--matrix", "ID"], {"matrix": 7}),  # checked even where a flag wins
+        (["fuzz", "--ineq", "prop1", "--trials", "1"], {"n": []}),  # as --n ""
+    ])
+    def test_config_values_pass_the_flag_checks(self, capsys, tmp_path, identity_path, argv, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = [identity_path if a == "ID" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--config", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and out == ""
+
+    def test_config_values_of_flag_types(self, capsys, tmp_path):
+        # strings go through the flag's type; numbers, lists of numbers for
+        # comma lists and a descriptor object for the model pass as they are
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "ineq": "lem3", "trials": "2", "scale": 1, "alpha": 0.5, "r": [1], "s": "2",
+            "model": {"kind": "hardy", "degree": 2, "rho": 0.5}, "gen": "hermitian",
+        }))
+        code, out, _ = run(capsys, "check", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["trials"] == 2

@@ -420,7 +420,7 @@ class TestCsvFormat:
         path = tmp_path / "golden.csv"
         run_suite(trials=2, dims=(2, 3, 4, 6), csv_path=str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "14b6f9974b78383e127fc2ee9b0cf9c24d62c68e2bc5210c1728f51c154e5985"
+            "75763affc9b8781f4865d6c4f018df8d10b2ef095a8ce3790cfade7c7de8a16c"
         )
 
     def test_unix_newlines(self, tmp_path):

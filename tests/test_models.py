@@ -36,6 +36,25 @@ class TestFactories:
         with pytest.raises(ValueError):
             fock(15, 0.0)
 
+    @pytest.mark.parametrize("factory, degree, good, bad", [
+        (fock, 0, 1e154, 1e155),  # R^2 overflows
+        (fock, 0, 1e154, math.inf),
+        (hardy, 3, 2e-154, 1e-154),  # R^2 underflows
+        (bergman, 15, 2e-154, 1e-300),
+        (fock, 1, 1e73, 1e74),  # the edge jet's squared norms pass _EDGE_LIMIT
+        (fock, 3, 1e24, 1e25),
+        (fock, 15, 1e5, 3e5),
+    ])
+    def test_radius_bounds(self, factory, degree, good, bad):
+        assert factory(degree, good).radius == good
+        with pytest.raises(ValueError, match="domain radius"):
+            factory(degree, bad)
+
+    def test_fock_degree_beyond_float_factorials(self):
+        assert fock(170, 1.0).dimension == 171
+        with pytest.raises(ValueError, match="too large for fock"):
+            fock(171, 1.0)
+
 
 class TestFiniteKernels:
     def test_standard_basis(self):
@@ -167,22 +186,38 @@ class TestKernelMatrix:
 
     @pytest.mark.parametrize("m", [hardy(6, 0.9), bergman(6, 0.9), fock(6, 2.0)])
     def test_bit_equal_to_documented_formula(self, m, rng):
-        # coordinates conj(lam)^j, times sqrt(j+1) (bergman) or over sqrt(j!)
-        # (fock), divided by their numpy 2-norm
+        # coordinates c_j conj(lam)^j with c_j = 1, sqrt(j+1) (bergman) or
+        # 1/sqrt(j!) (fock), over the square root of their summed |.|^2
         j = np.arange(m.dimension)
+        c = {"hardy": np.ones(m.dimension), "bergman": np.sqrt(j + 1.0),
+             "fock": 1.0 / np.array([math.sqrt(math.factorial(int(k))) for k in j])}[m.kind]
         pts = [0.0, m.radius, -0.3j * m.radius] + [
             complex(*rng.uniform(-0.7, 0.7, 2)) * m.radius for _ in range(20)
         ]
         km = kernel_matrix(m, pts)
         for col, p in enumerate(pts):
-            raw = np.conj(np.complex128(p)) ** j
-            if m.kind == "bergman":
-                raw = np.sqrt(j + 1.0) * raw
-            elif m.kind == "fock":
-                raw = raw / np.array([math.sqrt(math.factorial(int(k))) for k in j])
-            want = raw / np.linalg.norm(raw)
+            raw = np.conj(np.complex128(p)) ** j * c
+            want = raw / np.sqrt(np.sum(raw.real**2 + raw.imag**2))
             assert np.array_equal(km[:, col], want)
             assert np.array_equal(normalized_kernel(m, p), want)
+            # the older raw / np.linalg.norm(raw), with raw divided by
+            # sqrt(j!) for fock, agrees to a few ulp in every coordinate
+            old = np.conj(np.complex128(p)) ** j
+            old = old / np.array([math.sqrt(math.factorial(int(k))) for k in j]) \
+                if m.kind == "fock" else c * old
+            old = (old / np.linalg.norm(old)).view(float)
+            assert np.all(np.abs(want.view(float) - old) <= 4 * np.spacing(np.abs(old)))
+
+    @pytest.mark.parametrize("m", [hardy(15, 0.95), bergman(15, 0.95), fock(15, 3.0)], ids=str)
+    def test_columns_do_not_depend_on_the_batch(self, m):
+        # each column of a full level-1 grid equals the one-point kernel bit
+        # for bit, and so does every column of a smaller batch
+        pts = default_grid(m, 1).points
+        km = kernel_matrix(m, pts)
+        for col, p in enumerate(pts):
+            assert np.array_equal(km[:, col], normalized_kernel(m, p))
+        for start, stop in ((0, 1), (5, 13), (100, 357)):
+            assert np.array_equal(kernel_matrix(m, pts[start:stop]), km[:, start:stop])
 
     def test_finite_kernel_matrix_is_identity(self):
         km = kernel_matrix(finite(3), [1, 2, 3])
