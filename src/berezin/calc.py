@@ -5,14 +5,17 @@ Finite-kind models admit exact evaluation: the Berezin number is the largest
 diagonal modulus and the Berezin norm the largest entry modulus, both maxima
 over finitely many kernel pairs.  Continuous models are sampled on nested
 polar grids and refined locally, producing lower bounds attained at domain
-points (exact=False).  From each of the best grid points (or pairs) a
-safeguarded Newton ascent climbs log|symbol|^2, or log|<A k_lam, k_mu>|^2
-in the four real coordinates of the pair, on exact derivatives: with w =
-conj(lam) and p_j = c_j w^j, the jet P = [p, p', p''] gives every first and
-second derivative through the 3x3 matrices P*AP and P*P (_jet, _log_terms).
-One driver (_ascent) steps for both, holding a point on the disk's edge to
-the circle; the value is the best over its iterates.  Estimates at level L
-take the best value over levels 0..L, so refinement never loses ground.
+points (exact=False).  Both quantities are sups of |<A k_lam, k_mu>|, the
+number on the diagonal mu = lam, so one search (_grid_sup) serves both: at
+each level it takes the best grid points (or pairs) and from each one a
+safeguarded Newton ascent (_ascend) climbs log|symbol|^2, or log|<A k_lam,
+k_mu>|^2 in the four real coordinates of the pair, on exact derivatives:
+with w = conj(lam) and p_j = c_j w^j, the jet P = [p, p', p''] of
+models._jet gives every first and second derivative through the 3x3
+matrices P*AP and P*P (_log_terms).  One driver (_ascent) steps for both,
+holding a point on the disk's edge to the circle; the value is the best
+over its iterates.  Estimates at level L take the best value over levels
+0..L, so refinement never loses ground.
 
 The numerical radius is w(A) = max over theta of g(theta) = lambda_max(
 Re(e^{i theta} A)).  One batched eigvalsh samples g on a 256-point grid;
@@ -35,7 +38,7 @@ from ._cache import scoped
 from .errors import DimensionMismatch, PointOutOfDomain
 from .linalg import as_complex_matrix, im_part, is_hermitian, operator_norm, re_part
 from .models import (
-    BASE_RADII, KernelModel, OmegaGrid, _coefficients, default_grid, finite, kernel_matrix,
+    BASE_RADII, KernelModel, OmegaGrid, _jet, default_grid, finite, kernel_matrix,
     normalized_kernel,
 )
 from .results import InequalityResult
@@ -88,12 +91,16 @@ def berezin_set_sample(model: KernelModel, a: np.ndarray, grid: OmegaGrid | None
     _check_operand(model, a)
     if grid is None:
         grid = default_grid(model, 0)
-    kmat = kernel_matrix(model, grid.points)
-    vals = np.einsum("ij,ij->j", kmat.conj(), a @ kmat)
+    vals = _symbols(a, kernel_matrix(model, grid.points))
     return [
         BerezinEvaluation(point=p, value=complex(v))
         for p, v in zip(grid.points, vals)
     ]
+
+
+def _symbols(a: np.ndarray, kmat: np.ndarray) -> np.ndarray:
+    """<A k, k> for each kernel column k of kmat."""
+    return np.einsum("ij,ij->j", kmat.conj(), a @ kmat)
 
 
 def _top_k(v: np.ndarray) -> np.ndarray:
@@ -119,23 +126,6 @@ def _check_start(model: KernelModel, point) -> None:
     normalized_kernel check once the start does."""
     if not abs(point) <= model.radius * (1.0 + 1e-12):  # NaN fails too
         raise PointOutOfDomain(f"refinement start {point!r} outside the domain")
-
-
-@functools.lru_cache(maxsize=64)
-def _jet(model: KernelModel):
-    """w -> P(w) = [p, p', p''], the kernel jet as an n x 3 array.
-
-    p_j(w) = c_j w^j with c_j from the kernel table models._coefficients,
-    so P[j, k] = coef[j, k] * w^expo[j, k] with coef = c_j [1, j, j(j-1)]
-    and expo = max(j - k, 0).  Built once per model; its arrays are
-    read-only.
-    """
-    c = _coefficients(model.kind, model.dimension)
-    j = np.arange(model.dimension)
-    coef = c[:, None] * np.stack([np.ones(len(j)), j, j * (j - 1.0)], axis=1)
-    expo = np.maximum(j[:, None] - np.arange(3), 0)
-    j.flags.writeable = coef.flags.writeable = expo.flags.writeable = False
-    return lambda w: coef * (w**j)[expo]
 
 
 def _log_terms(q):
@@ -284,26 +274,48 @@ def _ascent(derivatives, x: list, radius: float, h: float):
     return best, arg
 
 
-def _ascend_number(model: KernelModel, a: np.ndarray, point, level: int):
-    """Newton polish of |symbol| from a grid point; returns (value, argmax)."""
-    _check_start(model, point)
-    derivs = functools.partial(_number_derivatives, _jet(model), a)
-    x0 = [point.real, -point.imag]
+def _ascend(model: KernelModel, a: np.ndarray, start: tuple, level: int):
+    """Newton polish from a grid point (lam,) of |symbol|, or from a grid pair
+    (lam, mu) of |<A k_lam, k_mu>|, in w = conj(lam) and mu, with steps
+    clipped to the level's radial spacing; returns (value, argmax), the
+    argmax a point or a pair like the start."""
+    for point in start:
+        _check_start(model, point)
+    derivs = _number_derivatives if len(start) == 1 else _norm_derivatives
+    x0 = [start[0].real, -start[0].imag] + [t for mu in start[1:] for t in (mu.real, mu.imag)]
     h = model.radius / (BASE_RADII * 2**level)  # the grid's radial spacing
-    val, x = _ascent(derivs, x0, model.radius, h)
-    return val, complex(x[0], -x[1])
+    val, x = _ascent(functools.partial(derivs, _jet(model), a), x0, model.radius, h)
+    lam = complex(x[0], -x[1])
+    return val, (lam if len(start) == 1 else (lam, complex(x[2], x[3])))
 
 
-def _ascend_norm(model: KernelModel, a: np.ndarray, lam, mu, level: int):
-    """Newton polish of |<A k_lam, k_mu>| from a grid pair; returns
-    (value, (lam, mu))."""
-    _check_start(model, lam)
-    _check_start(model, mu)
-    derivs = functools.partial(_norm_derivatives, _jet(model), a)
-    x0 = [lam.real, -lam.imag, mu.real, mu.imag]
-    h = model.radius / (BASE_RADII * 2**level)  # the grid's radial spacing
-    val, x = _ascent(derivs, x0, model.radius, h)
-    return val, (complex(x[0], -x[1]), complex(x[2], x[3]))
+def _grid_sup(model: KernelModel, a: np.ndarray, level: int, grid_values) -> SupEstimate:
+    """The disk search behind berezin_number and berezin_norm.
+
+    At each level 0..`level`, grid_values(kernel_matrix) gives one value
+    per grid point (|symbol|) or one per lam-major pair (the m x m matrix
+    of |<A k_lam, k_mu>|, indexed [lam, mu]); each of its TOP_K largest
+    entries, mapped back to points through its shape, is a candidate and
+    the start of an ascent.  The estimate is the best value over all of
+    them.  A negative level or a non-finite entry of `a` raises ValueError.
+    """
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    if not np.isfinite(a).all():
+        raise ValueError("operator has non-finite entries")
+    best_val, best_arg = -1.0, None
+    for lev in range(level + 1):
+        pts = default_grid(model, lev).points
+        vals = grid_values(kernel_matrix(model, pts))
+        for ij in zip(*np.unravel_index(_top_k(vals), vals.shape)):
+            start = tuple(pts[i] for i in ij)
+            if vals[ij] > best_val:
+                best_val = float(vals[ij])
+                best_arg = start[0] if len(start) == 1 else start
+            ref_val, ref_arg = _ascend(model, a, start, lev)
+            if ref_val > best_val:
+                best_val, best_arg = ref_val, ref_arg
+    return SupEstimate(value=best_val, argmax=best_arg, exact=False)
 
 
 @scoped
@@ -312,28 +324,15 @@ def berezin_number(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEsti
 
     Finite kind: exact, the largest diagonal modulus (first index wins ties).
     Continuous kinds: best of grid sampling plus local refinement over all
-    levels up to `level`; a lower bound for the true supremum.  A negative
-    level raises ValueError there.
+    levels up to `level` (_grid_sup); a lower bound for the true supremum.
+    A negative level or a non-finite operator raises ValueError there.
     """
     _check_operand(model, a)
     if model.is_finite_kind:
         d = np.abs(np.diagonal(a))
         i = int(np.argmax(d))
         return SupEstimate(value=float(d[i]), argmax=i + 1, exact=True)
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    best_val, best_arg = -1.0, None
-    for lev in range(level + 1):
-        pts = default_grid(model, lev).points
-        kmat = kernel_matrix(model, pts)
-        vals = np.abs(np.einsum("ij,ij->j", kmat.conj(), a @ kmat))
-        for idx in _top_k(vals):
-            if vals[idx] > best_val:
-                best_val, best_arg = float(vals[idx]), pts[idx]
-            ref_val, ref_arg = _ascend_number(model, a, pts[idx], lev)
-            if ref_val > best_val:
-                best_val, best_arg = ref_val, ref_arg
-    return SupEstimate(value=best_val, argmax=best_arg, exact=False)
+    return _grid_sup(model, a, level, lambda kmat: np.abs(_symbols(a, kmat)))
 
 
 @scoped
@@ -342,34 +341,18 @@ def berezin_norm(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEstima
 
     Finite kind: exact, the largest entry modulus; the argmax pair is the
     first (lam, mu) in lam-major order attaining it.  Continuous kinds:
-    grid pairs plus refinement, a lower bound; a negative level raises
-    ValueError.
+    grid pairs plus refinement (_grid_sup), a lower bound; a negative level
+    or a non-finite operator raises ValueError.
     """
     _check_operand(model, a)
-    n = model.dimension
     if model.is_finite_kind:
+        n = model.dimension
         flat = np.abs(a).T.reshape(-1)  # lam-major: (lam, mu) lexicographic
         k = int(np.argmax(flat))
         lam, mu = k // n + 1, k % n + 1
         return SupEstimate(value=float(flat[k]), argmax=(lam, mu), exact=True)
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    best_val, best_arg = -1.0, None
-    for lev in range(level + 1):
-        pts = default_grid(model, lev).points
-        m = len(pts)
-        kmat = kernel_matrix(model, pts)
-        pair_vals = np.abs(kmat.conj().T @ (a @ kmat))  # [mu_i, lam_j]
-        by_lam = pair_vals.T  # lam-major view: flat index jl * m + im
-        for idx in _top_k(by_lam):
-            jl, im = int(idx) // m, int(idx) % m
-            lam, mu = pts[jl], pts[im]
-            if by_lam[jl, im] > best_val:
-                best_val, best_arg = float(by_lam[jl, im]), (lam, mu)
-            ref_val, ref_arg = _ascend_norm(model, a, lam, mu, lev)
-            if ref_val > best_val:
-                best_val, best_arg = ref_val, ref_arg
-    return SupEstimate(value=best_val, argmax=best_arg, exact=False)
+    return _grid_sup(model, a, level,  # [mu, lam], then a lam-major view [lam, mu]
+                     lambda kmat: np.abs(kmat.conj().T @ (a @ kmat)).T)
 
 
 def _radius_ascent(a: np.ndarray, re: np.ndarray, im: np.ndarray, th: float,

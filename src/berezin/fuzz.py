@@ -307,8 +307,13 @@ class TrialReport:
 
 
 def _fmt(x) -> str:
+    """One campaign CSV cell.  Floats, most of a row, are tested first."""
+    if isinstance(x, float):
+        return f"{float(x):.17g}"
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -333,18 +338,7 @@ def _row_record(ineq_id, trial, n, params, lhs: float, rhs: float,
 
 
 def _csv_row(rec: dict) -> list[str]:
-    return [
-        rec["ineq_id"],
-        str(rec["trial"]),
-        "" if rec["n"] is None else str(rec["n"]),
-        _fmt(rec["alpha"]),
-        _fmt(rec["r"]),
-        _fmt(rec["s"]),
-        _fmt(rec["lhs"]),
-        _fmt(rec["rhs"]),
-        _fmt(rec["gap"]),
-        "true" if rec["satisfied"] else "false",
-    ]
+    return [_fmt(rec[c]) for c in CSV_COLUMNS]
 
 
 class _CsvText:

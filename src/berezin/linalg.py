@@ -18,8 +18,6 @@ from .errors import NoConvergence, NotHermitian, NotPositive, ParamOutOfRange
 
 # Relative tolerance accepted when an input must be Hermitian.
 HERMITIAN_TOL = 1e-8
-# Reconstruction / orthonormality budget for eigendecompositions.
-EIG_TOL = 1e-10
 # Eigenvalues of a nominally PSD matrix may round below zero by this much
 # (relative); anything lower is treated as genuinely negative.
 NEG_EIG_CLAMP = 1e-10

@@ -14,12 +14,13 @@ with a family of normalized kernel vectors indexed by a domain Omega:
 
 The continuous kinds' coordinates are c_j conj(lambda)^j with c_j from one
 cached table (_coefficients): 1, sqrt(j+1) or 1/sqrt(j!).  kernel_matrix,
-normalized_kernel and the ascent's jet in calc all read it.  Kernels are
-built in one array expression with each point as a row, normalized by the
-square root of its own row's sum of squares, so a kernel's bits do not
-depend on the other points evaluated with it.  A factory rejects a radius
-whose square float64 cannot hold, or at whose edge the kernel jet would
-overflow in the ascent.
+normalized_kernel and the kernel jet all read it.  Kernels are built in one
+array expression with each point as a row, normalized by the square root of
+its own row's sum of squares, so a kernel's bits do not depend on the other
+points evaluated with it.  The jet (_jet) is p = (c_j w^j), w = conj(lambda),
+with its first two derivatives, read by calc's ascent.  A factory rejects a
+radius whose square float64 cannot hold, or at whose edge (w = R) the jet
+would overflow in the ascent.
 
 Continuous domains are sampled through nested polar grids; estimates built
 on them are honest lower bounds for the suprema, never certificates.
@@ -88,7 +89,7 @@ def finite(n: int) -> KernelModel:
 def _disk_model(kind: str, degree: int, radius: float) -> KernelModel:
     """A continuous model whose radius float64 can represent: R^2 must be a
     normal float (the ascent squares |w| and divides by it on the edge), and
-    the squared norms of the jet p, p', p'' at |w| = R must stay below
+    the squared norms of the jet p, p', p'' at w = R must stay below
     _EDGE_LIMIT (the pair ascent multiplies two of them).  Else ValueError.
     """
     if int(degree) < 0:
@@ -99,18 +100,17 @@ def _disk_model(kind: str, degree: int, radius: float) -> KernelModel:
     if not sys.float_info.min <= r * r <= sys.float_info.max:  # inf, nan fail too
         raise ValueError(f"domain radius {r:g} is out of range: its square "
                          "over- or underflows")
-    j = np.arange(int(degree) + 1.0)
+    model = KernelModel(kind=kind, dimension=int(degree) + 1, degree=int(degree), radius=r)
     try:
-        c = _coefficients(kind, len(j))
+        jet = _jet(model)
     except OverflowError as exc:  # j! beyond float64 (fock, j > 170)
         raise ValueError(f"degree {degree} is too large for {kind}") from exc
     with np.errstate(over="ignore"):
-        jet = np.stack([r**j, j * r ** (j - 1.0), j * (j - 1.0) * r ** (j - 2.0)], axis=1)
-        jet *= c[:, None]
-        if not (jet * jet).sum(axis=0).max() <= _EDGE_LIMIT:
+        p = jet(r)
+        if not (p * p).sum(axis=0).max() <= _EDGE_LIMIT:
             raise ValueError(f"domain radius {r:g} is too large for degree {degree}: "
                              "the kernel jet overflows at the edge")
-    return KernelModel(kind=kind, dimension=len(j), degree=int(degree), radius=r)
+    return model
 
 
 def hardy(degree: int = DEFAULT_DEGREE, rho: float = DEFAULT_RHO) -> KernelModel:
@@ -135,7 +135,7 @@ def fock(degree: int = DEFAULT_DEGREE, radius: float = DEFAULT_FOCK_RADIUS) -> K
 @functools.lru_cache(maxsize=64)
 def _coefficients(kind: str, dimension: int) -> np.ndarray:
     """The c_j, j = 0..N, of the kernel coordinates c_j conj(lambda)^j, read
-    (read-only) by every continuous-kind kernel here and by calc's jet."""
+    (read-only) by every continuous-kind kernel and by the jet."""
     if kind == "hardy":
         c = np.ones(dimension)
     elif kind == "bergman":
@@ -146,6 +146,22 @@ def _coefficients(kind: str, dimension: int) -> np.ndarray:
         raise ValueError(f"unknown model kind {kind!r}")
     c.flags.writeable = False
     return c
+
+
+@functools.lru_cache(maxsize=64)
+def _jet(model: KernelModel):
+    """w -> P(w) = [p, p', p''], the kernel jet as an n x 3 array.
+
+    p_j(w) = c_j w^j with c_j from _coefficients, so P[j, k] = coef[j, k] *
+    w^expo[j, k] with coef = c_j [1, j, j(j-1)] and expo = max(j - k, 0).
+    Built once per model; its arrays are read-only.
+    """
+    c = _coefficients(model.kind, model.dimension)
+    j = np.arange(model.dimension)
+    coef = c[:, None] * np.stack([np.ones(len(j)), j, j * (j - 1.0)], axis=1)
+    expo = np.maximum(j[:, None] - np.arange(3), 0)
+    j.flags.writeable = coef.flags.writeable = expo.flags.writeable = False
+    return lambda w: coef * (w**j)[expo]
 
 
 def _kernel_columns(model: KernelModel, points) -> np.ndarray:

@@ -383,11 +383,11 @@ class TestRefineDomainCheck:
     def test_start_outside_domain_raises(self, start):
         m, a = hardy(4, 0.9), np.eye(5, dtype=complex)
         with pytest.raises(PointOutOfDomain):
-            calc._ascend_number(m, a, start, 0)
+            calc._ascend(m, a, (start,), 0)
         with pytest.raises(PointOutOfDomain):
-            calc._ascend_norm(m, a, 0.1j, start, 0)
+            calc._ascend(m, a, (0.1j, start), 0)
         with pytest.raises(PointOutOfDomain):
-            calc._ascend_norm(m, a, start, 0.1j, 0)
+            calc._ascend(m, a, (start, 0.1j), 0)
 
 
 def _disk_sample(model, center, radius):
@@ -578,3 +578,12 @@ class TestPositiveEquality:
 def test_negative_level_rejected_on_disk_models(quantity):
     with pytest.raises(ValueError, match="level must be >= 0"):
         quantity(hardy(3, 0.9), np.eye(4, dtype=complex), level=-1)
+
+
+@pytest.mark.parametrize("quantity", [berezin_number, berezin_norm])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_operator_rejected_on_disk_models(quantity, bad):
+    a = np.eye(4, dtype=complex)
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        quantity(hardy(3, 0.9), a, level=0)

@@ -423,6 +423,17 @@ class TestCsvFormat:
             "75763affc9b8781f4865d6c4f018df8d10b2ef095a8ce3790cfade7c7de8a16c"
         )
 
+    def test_disk_campaign_golden_bytes(self, tmp_path):
+        # Pins the CSV bytes of one campaign-disk-shaped call, so drift in the
+        # disk search (grid, ascent, best-value order) shows.  Platform-specific
+        # like the finite hash above.
+        path = tmp_path / "golden-disk.csv"
+        run_suite(model=hardy(3, 0.9), level=0, trials=1, dims=(4,),
+                  gen=GeneratorSpec(n=4, seed=0xD15C0000), csv_path=str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "7f6a24f97fc1748dc859413b634ccf9ca0414e9ce25e4d649a4ed94e8c903af5"
+        )
+
     def test_unix_newlines(self, tmp_path):
         path = tmp_path / "out.csv"
         run_suite(["lem3"], trials=1, csv_path=str(path))
