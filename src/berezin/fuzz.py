@@ -108,7 +108,6 @@ MATRIX_KINDS = (
     "positive",
     "unitary",
     "rank-deficient",
-    "commuting-positive-pair",
     "identity",
 )
 
@@ -142,8 +141,6 @@ def _draw(kind: str, n: int, scale: float, vs: ValueStream) -> np.ndarray:
 
 def gen_matrix(spec: GeneratorSpec) -> np.ndarray:
     """One matrix drawn per `spec`; equal specs give byte-identical output."""
-    if spec.kind == "commuting-positive-pair":
-        raise ValueError("use gen_commuting_pair for the pair kind")
     if spec.kind not in MATRIX_KINDS:
         raise ValueError(f"unknown generator kind {spec.kind!r}")
     if int(spec.n) < 1:
@@ -152,7 +149,7 @@ def gen_matrix(spec: GeneratorSpec) -> np.ndarray:
 
 
 def gen_commuting_pair(spec: GeneratorSpec):
-    """Two positive matrices sharing an eigenbasis (hence commuting)."""
+    """Two positive matrices sharing an eigenbasis (hence commuting); spec.kind is unused."""
     vs = ValueStream(spec.seed)
     n = int(spec.n)
     u = _draw("unitary", n, 1.0, vs)
@@ -167,9 +164,7 @@ def _unit_vector(n: int, vs: ValueStream) -> np.ndarray:
     x = vs.complex_gaussians(n)
     nrm = float(np.linalg.norm(x))
     if nrm == 0.0:  # essentially impossible; keep the path deterministic
-        x = np.zeros(n, dtype=np.complex128)
-        x[0] = 1.0
-        return x
+        return np.eye(1, n, dtype=np.complex128)[0]
     return x / nrm
 
 
@@ -184,27 +179,16 @@ def sample_operands(entry: CatalogEntry, n: int, scale: float, seed: int,
     scalars 1, unit vectors e_1.
     """
     vs = ValueStream(seed)
-    if matrix_kind == "identity":
-        ops = {}
-        for name, kind in entry.operand_spec:
-            if kind == "scalar":
-                ops[name] = 1.0
-            elif kind == "unit-vector":
-                e1 = np.zeros(n, dtype=np.complex128)
-                e1[0] = 1.0
-                ops[name] = e1
-            else:
-                ops[name] = np.eye(n, dtype=np.complex128)
-        return ops
-    if entry.commuting is not None:
-        a, b = gen_commuting_pair(GeneratorSpec("commuting-positive-pair", n, scale, seed))
+    identity = matrix_kind == "identity"
+    if entry.commuting is not None and not identity:
+        a, b = gen_commuting_pair(GeneratorSpec(n=n, scale=scale, seed=seed))
         return {"A": a, "B": b}
     ops = {}
     for name, kind in entry.operand_spec:
         if kind == "scalar":
-            ops[name] = float(abs(vs.gaussians(1)[0]) * scale)
+            ops[name] = 1.0 if identity else float(abs(vs.gaussians(1)[0]) * scale)
         elif kind == "unit-vector":
-            ops[name] = _unit_vector(n, vs)
+            ops[name] = np.eye(1, n, dtype=np.complex128)[0] if identity else _unit_vector(n, vs)
         elif kind == "positive":
             use = matrix_kind if matrix_kind in ("positive", "rank-deficient", "identity") else "positive"
             ops[name] = _draw(use, n, scale, vs)
@@ -444,6 +428,8 @@ def run_suite(
         entries.append(CATALOG[ineq_id])
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if gen.kind not in MATRIX_KINDS:
+        raise ValueError(f"unknown generator kind {gen.kind!r}")
     dims = tuple(int(d) for d in (dims or (gen.n,)))
     if any(d < 1 for d in dims):
         raise ValueError(f"dimensions must be >= 1, got {dims}")

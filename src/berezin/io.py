@@ -7,12 +7,15 @@ exact same bits.
 
 A model descriptor is `{"kind": "finite", "n": 4}` or
 `{"kind": "hardy"|"bergman", "degree": N, "rho": r}` or
-`{"kind": "fock", "degree": N, "R": r}`.  The compact string forms
-"finite:4", "hardy:15:0.95", "fock:15:3" are accepted on the command line.
+`{"kind": "fock", "degree": N, "R": r}`.  Its fields are JSON numbers, `n`
+and `degree` integers (a bool is neither), and an absent field takes the
+factory's default.  The compact string forms "finite:4", "hardy:15:0.95",
+"fock:15:3" list the same fields in that order on the command line.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 
@@ -20,6 +23,21 @@ import numpy as np
 
 from . import models
 from .models import KernelModel
+
+# kind -> (factory, fields in compact-spec order); a field is (descriptor key,
+# factory argument, JSON type, KernelModel attribute).
+_DEGREE = ("degree", "degree", int, "degree")
+_MODELS = {
+    "finite": (models.finite, (("n", "n", int, "dimension"),)),
+    "hardy": (models.hardy, (_DEGREE, ("rho", "rho", float, "radius"))),
+    "bergman": (models.bergman, (_DEGREE, ("rho", "rho", float, "radius"))),
+    "fock": (models.fock, (_DEGREE, ("R", "radius", float, "radius"))),
+}
+
+
+def _is_number(x, typ=float) -> bool:
+    """A JSON number of type `typ` (an int counts as a float, a bool as neither)."""
+    return isinstance(x, (int, typ)) and not isinstance(x, bool)
 
 
 def dump_matrix(a: np.ndarray) -> dict:
@@ -42,7 +60,7 @@ def load_matrix_obj(obj) -> np.ndarray:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except KeyError as exc:
         raise ValueError(f"matrix JSON missing key {exc}") from exc
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+    if not (_is_number(rows, int) and _is_number(cols, int)) or rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ValueError(
@@ -54,7 +72,7 @@ def load_matrix_obj(obj) -> np.ndarray:
         if (not isinstance(item, list)) or len(item) != 2:
             raise ValueError(f"data[{i}] must be an [re, im] pair")
         re, im = item
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
+        if not (_is_number(re) and _is_number(im)):
             raise ValueError(f"data[{i}] entries must be numbers")
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError(f"data[{i}] entries must be finite")
@@ -74,66 +92,44 @@ def load_matrix(path) -> np.ndarray:
 
 
 def model_to_descriptor(model: KernelModel) -> dict:
-    if model.kind == "finite":
-        return {"kind": "finite", "n": model.dimension}
-    if model.kind == "fock":
-        return {"kind": "fock", "degree": model.degree, "R": model.radius}
-    return {"kind": model.kind, "degree": model.degree, "rho": model.radius}
+    """The descriptor that model_from_descriptor turns back into `model`."""
+    fields = _MODELS[model.kind][1]
+    return {"kind": model.kind, **{key: getattr(model, attr) for key, _, _, attr in fields}}
 
 
 def model_from_descriptor(obj) -> KernelModel:
+    """A model from its descriptor; an absent field takes the factory default."""
     if not isinstance(obj, dict):
         raise ValueError("model descriptor must be an object")
     kind = obj.get("kind")
-    if kind == "finite":
-        extra = set(obj) - {"kind", "n"}
-        if extra:
-            raise ValueError(f"unknown model keys: {sorted(extra)}")
-        if "n" not in obj:
-            raise ValueError("finite model needs n")
-        return models.finite(obj["n"])
-    if kind in ("hardy", "bergman"):
-        extra = set(obj) - {"kind", "degree", "rho"}
-        if extra:
-            raise ValueError(f"unknown model keys: {sorted(extra)}")
-        ctor = models.hardy if kind == "hardy" else models.bergman
-        return ctor(
-            degree=obj.get("degree", models.DEFAULT_DEGREE),
-            rho=obj.get("rho", models.DEFAULT_RHO),
-        )
-    if kind == "fock":
-        extra = set(obj) - {"kind", "degree", "R"}
-        if extra:
-            raise ValueError(f"unknown model keys: {sorted(extra)}")
-        return models.fock(
-            degree=obj.get("degree", models.DEFAULT_DEGREE),
-            radius=obj.get("R", models.DEFAULT_FOCK_RADIUS),
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _MODELS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    factory, fields = _MODELS[kind]
+    extra = set(obj) - {"kind", *(key for key, *_ in fields)}
+    if extra:
+        raise ValueError(f"unknown model keys: {sorted(extra)}")
+    args = {}
+    for key, arg, typ, _ in fields:
+        if key in obj:
+            if not _is_number(obj[key], typ):
+                raise ValueError(f"{kind} model field {key} must be a JSON "
+                                 f"{'integer' if typ is int else 'number'}, got {obj[key]!r}")
+            args[arg] = obj[key]
+        elif inspect.signature(factory).parameters[arg].default is inspect.Parameter.empty:
+            raise ValueError(f"{kind} model needs {key}")
+    return factory(**args)
 
 
 def parse_model_spec(spec: str) -> KernelModel:
     """Parse compact model strings like finite:4 or hardy:15:0.95."""
-    parts = str(spec).strip().split(":")
-    kind = parts[0]
+    kind, *values = str(spec).strip().split(":")
+    if kind not in _MODELS:
+        raise ValueError(f"unknown model kind {kind!r} in spec {spec!r}")
+    fields = _MODELS[kind][1]
     try:
-        if kind == "finite":
-            if len(parts) != 2:
-                raise ValueError("finite model spec is finite:<n>")
-            return models.finite(int(parts[1]))
-        if kind in ("hardy", "bergman"):
-            if len(parts) > 3:
-                raise ValueError(f"{kind} model spec is {kind}[:<degree>[:<rho>]]")
-            degree = int(parts[1]) if len(parts) > 1 else models.DEFAULT_DEGREE
-            rho = float(parts[2]) if len(parts) > 2 else models.DEFAULT_RHO
-            ctor = models.hardy if kind == "hardy" else models.bergman
-            return ctor(degree=degree, rho=rho)
-        if kind == "fock":
-            if len(parts) > 3:
-                raise ValueError("fock model spec is fock[:<degree>[:<R>]]")
-            degree = int(parts[1]) if len(parts) > 1 else models.DEFAULT_DEGREE
-            radius = float(parts[2]) if len(parts) > 2 else models.DEFAULT_FOCK_RADIUS
-            return models.fock(degree=degree, radius=radius)
+        if len(values) > len(fields):
+            raise ValueError(f"too many fields for {kind}")
+        return model_from_descriptor(
+            {"kind": kind, **{key: typ(v) for (key, _, typ, _), v in zip(fields, values)}})
     except ValueError as exc:
         raise ValueError(f"bad model spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown model kind {kind!r} in spec {spec!r}")

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from berezin import models, run_suite
+from berezin import GeneratorSpec, models, run_suite
 from berezin.cli import main
+from berezin.fuzz import MATRIX_KINDS
 from berezin.io import save_matrix
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -131,6 +132,22 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "level" in err
 
+    def test_bool_matrix_shape(self, capsys, tmp_path):
+        p = tmp_path / "bool.json"
+        p.write_text(json.dumps({"rows": True, "cols": True, "data": [[1, 0]]}))
+        code, out, err = run(capsys, "eval", "--matrix", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "rows and cols" in err
+
+    def test_eigensolver_failure_exits_4(self, capsys, identity_path, monkeypatch):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+        code, out, err = run(capsys, "eval", "--matrix", identity_path)
+        assert code == 4 and out == ""
+        assert err == "numerical failure: Eigenvalues did not converge\n"
+
 
 class TestCheck:
     def test_scalar_power_mean_case(self, capsys):
@@ -211,6 +228,16 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "level" in err
 
+    def test_random_campaign_csv_is_the_run_suite_csv(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "check", "--ineq", "cor1,prop1,lem2", "--n", "3",
+                           "--seed", "5", "--trials", "3", "--format", "csv")
+        assert code == 0
+        path = tmp_path / "suite.csv"
+        run_suite(["cor1", "prop1", "lem2"], gen=GeneratorSpec(n=3, seed=5), trials=3,
+                  dims=(3,), csv_path=str(path))
+        assert out.encode("utf-8") == path.read_bytes()
+        assert len(out.splitlines()) == 1 + 3 * (80 + 1 + 5)  # header, cor1, prop1, lem2
+
 
 class TestFuzz:
     def test_suite_all_one_trial(self, capsys, tmp_path):
@@ -269,6 +296,21 @@ class TestFuzz:
     def test_bad_dimension_list(self, capsys):
         code, _, _ = run(capsys, "fuzz", "--ineq", "prop1", "--n", "2,x", "--trials", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_every_generator_kind_runs_the_whole_catalog(self, capsys, tmp_path, kind):
+        dest = tmp_path / "rows.csv"
+        code, out, _ = run(capsys, "fuzz", "--gen", kind, "--n", "2", "--trials", "1",
+                           "--out", str(dest))
+        assert code == 0
+        assert len(dest.read_text().splitlines()) - 1 == 703
+        assert json.loads(out)["rows_evaluated"] == 703
+
+    def test_pair_kind_is_not_a_generator_choice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--gen", "commuting-positive-pair", "--trials", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'commuting-positive-pair'" in capsys.readouterr().err
 
 
 class TestReport:
@@ -451,6 +493,22 @@ class TestConfig:
         code, out, err = run(capsys, *argv, "--config", str(path))
         assert code == 2
         assert err.startswith("error: ") and out == ""
+
+    @pytest.mark.parametrize("argv", [["eval", "--matrix", "ID"], ["check", "--ineq", "prop1"]])
+    @pytest.mark.parametrize("model", [
+        {"kind": "hardy", "degree": None},
+        {"kind": "finite", "n": [2]},
+        {"kind": "fock", "R": True},
+        {"kind": "hardy", "degree": 15.0},
+    ])
+    def test_bad_model_descriptor(self, capsys, tmp_path, identity_path, argv, model):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": model}))
+        argv = [identity_path if a == "ID" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_config_values_of_flag_types(self, capsys, tmp_path):
         # strings go through the flag's type; numbers, lists of numbers for

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from berezin.fuzz import (
     sample_operands,
 )
 from berezin import _cache, calc, finite, fuzz, inequalities
+from berezin.cli import main
 from berezin.inequalities import CATALOG, InequalityCase, Part, check
 from berezin.linalg import precise_eigensolver
 
@@ -143,6 +145,17 @@ class TestSampleOperands:
         for name in "ABCDXY":
             assert np.array_equal(ops[name], np.eye(3, dtype=complex))
 
+    def test_identity_override_of_scalars_vectors_and_pairs(self):
+        # scalars 1, unit vectors e_1, and I for both halves of a commuting pair
+        ops = sample_operands(CATALOG["lem3"], 3, 2.0, 5, matrix_kind="identity")
+        assert ops == {"a": 1.0, "b": 1.0}
+        ops = sample_operands(CATALOG["lem2"], 3, 2.0, 5, matrix_kind="identity")
+        assert np.array_equal(ops["A"], np.eye(3)) and ops["x"].dtype == np.complex128
+        assert np.array_equal(ops["x"], [1, 0, 0]) and np.array_equal(ops["y"], [1, 0, 0])
+        ops = sample_operands(CATALOG["eqn13"], 3, 2.0, 5, matrix_kind="identity")
+        assert set(ops) == {"A", "B"}
+        assert np.array_equal(ops["A"], np.eye(3)) and np.array_equal(ops["B"], np.eye(3))
+
 
 class TestParamGrid:
     def test_defaults(self):
@@ -203,6 +216,16 @@ class TestRunSuite:
     def test_bad_trials(self):
         with pytest.raises(ValueError):
             run_suite(["prop1"], trials=0)
+
+    @pytest.mark.parametrize("kind", ["bogus", "commuting-positive-pair"])
+    def test_unknown_generator_kind_raises_before_the_csv(self, tmp_path, monkeypatch, kind):
+        sampled = []
+        monkeypatch.setattr(fuzz, "sample_operands", lambda *a, **k: sampled.append(a))
+        path = tmp_path / "never.csv"
+        for suite in (None, ["lem3"]):  # a scalar-only suite draws no matrix
+            with pytest.raises(ValueError, match=f"^unknown generator kind '{kind}'$"):
+                run_suite(suite, gen=GeneratorSpec(kind=kind), trials=1, csv_path=str(path))
+        assert sampled == [] and not path.exists()
 
     def test_report_shape(self):
         rep = run_suite(["lem3", "prop1"], trials=3, collect_rows=True)
@@ -268,6 +291,61 @@ class TestMarginalRetry:
             rows = {row["r"]: row for row in csv.DictReader(fh)}
         assert rows["2"]["lhs"] == fuzz._fmt(want.lhs) and rows["2"]["rhs"] == fuzz._fmt(want.rhs)
         assert rows["2"]["satisfied"] == "true"
+
+
+class TestViolations:
+    """A failing combination is reported with everything needed to replay it."""
+
+    @pytest.fixture
+    def failing_cor4(self, monkeypatch):
+        # cor4 fails at r = 2 by 100x the tolerance, and at r = 3 by 5x the
+        # tolerance both in float64 and in the precise re-run
+        entry = CATALOG["cor4"]
+
+        def failing(ops, env):
+            parts = entry.evaluate(ops, env)
+
+            def failing_parts(r):
+                if r == 2.0:
+                    return [Part("main", 1.0 + 1e-7, 1.0)]
+                if r == 3.0:
+                    return [Part("main", 1.0 + 5e-9, 1.0)]
+                return parts(r=r)
+            return failing_parts
+
+        monkeypatch.setitem(CATALOG, "cor4", dataclasses.replace(entry, evaluate=failing))
+
+    def test_violation_fields_and_rows(self, tmp_path, failing_cor4):
+        path = tmp_path / "violations.csv"
+        gen = GeneratorSpec(kind="hermitian", n=3, scale=2.0, seed=40)
+        rep = run_suite(["cor4"], gen=gen, trials=2, dims=(3, 4), csv_path=str(path))
+        assert rep.marginal_retries == 0
+        assert [(v.trial, v.params, v.retried) for v in rep.violations] == [
+            (0, {"r": 2.0}, False), (0, {"r": 3.0}, True),
+            (1, {"r": 2.0}, False), (1, {"r": 3.0}, True),
+        ]
+        for v in rep.violations:
+            n = (3, 4)[v.trial]
+            lhs = 1.0 + (1e-7 if v.params["r"] == 2.0 else 5e-9)
+            assert (v.ineq_id, v.seed, v.n) == ("cor4", 40 ^ v.trial, n)
+            assert (v.kind, v.scale) == ("hermitian", 2.0)
+            assert (v.lhs, v.rhs, v.gap) == (lhs, 1.0, 1.0 - lhs)
+            assert v.witness == {
+                "part": "main",
+                "parts": [{"part": "main", "lhs": lhs, "rhs": 1.0, "gap": 1.0 - lhs}],
+                "params": v.params,
+                "n": n,
+            }
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["r"], row["satisfied"]) for row in rows] == [
+            ("1", "true"), ("1.5", "true"), ("2", "false"), ("3", "false")] * 2
+
+    def test_fuzz_exits_1(self, capsys, failing_cor4):
+        code = main(["fuzz", "--ineq", "cor4", "--trials", "1", "--n", "3", "--format", "json"])
+        assert code == 1
+        summary = json.loads(capsys.readouterr().out)
+        assert len(summary["violations"]) == 2 and summary["marginal_retries"] == 0
 
 
 class TestEarlyParamValidation:

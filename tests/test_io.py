@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import _oracles as orc
-from berezin import finite, hardy
+from berezin import bergman, finite, fock, hardy
 from berezin.io import (
     dump_matrix,
     load_matrix,
@@ -93,6 +93,13 @@ class TestMatrixValidation:
         with pytest.raises(ValueError):
             load_matrix_obj({"rows": 0, "cols": 1, "data": []})
 
+    @pytest.mark.parametrize("shape", [(True, True), (1, True), (True, 1)])
+    def test_rejects_bool_shape(self, shape):
+        # a bool is an int in Python, but not a JSON integer
+        rows, cols = shape
+        with pytest.raises(ValueError, match="rows and cols must be positive integers"):
+            load_matrix_obj({"rows": rows, "cols": cols, "data": [[1, 0]]})
+
 
 class TestModelDescriptors:
     def test_round_trip_finite(self):
@@ -103,9 +110,46 @@ class TestModelDescriptors:
         m = hardy(12, 0.5)
         assert model_from_descriptor(model_to_descriptor(m)) == m
 
+    def test_round_trip_bergman(self):
+        m = bergman(7, 0.8)
+        assert model_from_descriptor(model_to_descriptor(m)) == m
+
+    def test_round_trip_fock(self):
+        m = fock(9, 2.5)
+        desc = model_to_descriptor(m)
+        assert desc == {"kind": "fock", "degree": 9, "R": 2.5}
+        assert model_from_descriptor(desc) == m
+
+    def test_absent_fields_take_the_factory_defaults(self):
+        assert model_from_descriptor({"kind": "fock"}) == fock()
+        assert model_from_descriptor({"kind": "hardy", "rho": 0.5}) == hardy(rho=0.5)
+        assert model_from_descriptor({"kind": "bergman", "degree": 4}) == bergman(4)
+
+    def test_finite_needs_n(self):
+        with pytest.raises(ValueError, match="finite model needs n"):
+            model_from_descriptor({"kind": "finite"})
+
+    @pytest.mark.parametrize("desc", [
+        {"kind": "hardy", "degree": None},
+        {"kind": "finite", "n": [2]},
+        {"kind": "finite", "n": True},
+        {"kind": "fock", "R": True},
+        {"kind": "fock", "R": "3"},
+        {"kind": "hardy", "degree": 15.0},
+        {"kind": "bergman", "rho": {"value": 0.5}},
+    ])
+    def test_rejects_fields_that_are_not_json_numbers_of_their_type(self, desc):
+        with pytest.raises(ValueError, match="must be a JSON (integer|number)"):
+            model_from_descriptor(desc)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             model_from_descriptor({"kind": "sobolev", "n": 3})
+
+    @pytest.mark.parametrize("kind", [None, ["hardy"], 3])
+    def test_rejects_a_kind_that_is_not_a_string(self, kind):
+        with pytest.raises(ValueError, match="unknown model kind"):
+            model_from_descriptor({"kind": kind, "n": 3})
 
     def test_rejects_extra_field(self):
         with pytest.raises(ValueError):
@@ -126,3 +170,18 @@ class TestModelSpecs:
         for bad in ("", "finite", "finite:x", "hardy:15:2", "nope:3"):
             with pytest.raises(ValueError):
                 parse_model_spec(bad)
+
+    @pytest.mark.parametrize("bad", ["finite:4:1", "hardy:15:0.5:1", "fock:15:3:0", "hardy:15.0"])
+    def test_rejects_extra_fields_and_fractional_degrees(self, bad):
+        with pytest.raises(ValueError, match="bad model spec"):
+            parse_model_spec(bad)
+
+    @pytest.mark.parametrize("spec, desc", [
+        ("finite:4", {"kind": "finite", "n": 4}),
+        ("hardy:12", {"kind": "hardy", "degree": 12}),
+        ("bergman:7:0.8", {"kind": "bergman", "degree": 7, "rho": 0.8}),
+        ("fock:9:2.5", {"kind": "fock", "degree": 9, "R": 2.5}),
+        ("fock", {"kind": "fock"}),
+    ])
+    def test_spec_is_the_descriptor_in_field_order(self, spec, desc):
+        assert parse_model_spec(spec) == model_from_descriptor(desc)
