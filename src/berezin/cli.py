@@ -9,14 +9,23 @@ Four subcommands:
 - fuzz: the randomized campaign over many entries;  streams per-case CSV.
 - report: per-entry relative-gap histograms from a results CSV.
 
-Machine-readable output goes to stdout (or --out); logs go to stderr.
-Exit codes: check/fuzz return 0 with no violations, 1 with violations, 2 on
-bad configuration; eval returns 2 for bad input, 3 for dimension mismatches,
-4 for numerical failures; report returns 2 when the input is unusable.  An
---out path that cannot be written gives 2, and so does a negative --level
-(in eval always, in check and fuzz on a disk model).  A --config JSON file
-supplies any long option of its subcommand; explicit flags win and other
-keys are rejected.
+Machine-readable output goes to stdout (or --out); logs go to stderr.  A
+--config JSON file supplies any long option of its subcommand; explicit
+flags win and other keys are rejected.
+
+A subcommand returns 0, or 1 when check or fuzz finds a violation.  It
+raises on failure, and `main` alone turns the exception into one stderr
+line and an exit code:
+
+    exception                            eval                      others
+    DimensionMismatch                    3  error:                 2  error:
+    NoConvergence, LinAlgError           4  numerical failure:     2  error:
+    other BerezinError, ValueError,      2  error:                 2  error:
+    OSError
+
+So bad input, an unreadable or unusable file, an --out path that cannot be
+written, a negative --level (in eval always, in check and fuzz on a disk
+model) and a JSON number that a float64 cannot hold all exit 2.
 """
 
 from __future__ import annotations
@@ -35,7 +44,6 @@ from .errors import (
     BerezinError,
     DimensionMismatch,
     NoConvergence,
-    PointOutOfDomain,
     UnknownIneqId,
 )
 from .inequalities import CATALOG, DEFAULT_TOL, InequalityCase, check as check_case
@@ -58,23 +66,15 @@ def _numbers_csv(text, cast=float) -> tuple:
     return tuple(cast(t) for t in items)
 
 
-def _emit(text: str, out_path) -> int:
-    """Write text, newline-terminated, to out_path or stdout.
-
-    Returns 0, or 2 after logging the error when out_path cannot be written.
-    """
+def _emit(text: str, out_path) -> None:
+    """Write text, newline-terminated, to out_path or stdout."""
     if not text.endswith("\n"):
         text += "\n"
     if not out_path:
         sys.stdout.write(text)
-        return 0
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        _log(f"error: {exc}")
-        return 2
-    return 0
+        return
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _config_value(action: argparse.Action, value):
@@ -83,7 +83,8 @@ def _config_value(action: argparse.Action, value):
     A string goes through the flag's type, as on the command line.  Other
     JSON values pass as they are only where they fit: an int for an int
     flag, a number for a float flag, a number or a list of numbers for a
-    comma list (alpha, r, s, and n in fuzz), an object for a model.
+    comma list (alpha, r, s, and n in fuzz), an object for a model.  A
+    number there must be one that a float64 can hold.
     """
     key = action.dest
     if isinstance(value, str):
@@ -95,10 +96,10 @@ def _config_value(action: argparse.Action, value):
         if action.type is int:
             ok = isinstance(value, int)
         elif action.type is float:
-            ok = isinstance(value, (int, float))
+            ok = bio._is_number(value)
         elif key in ("alpha", "r", "s", "n"):
             items = value if isinstance(value, list) else [value]
-            ok = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items)
+            ok = all(map(bio._is_number, items))
         else:
             ok = key == "model" and isinstance(value, dict)
         if isinstance(value, bool) or not ok:
@@ -149,40 +150,20 @@ def _point_json(pt):
 # --- subcommands -----------------------------------------------------------
 
 
-def cmd_eval(args) -> int:
-    try:
-        opts = _merged(args)
-    except (OSError, ValueError) as exc:
-        _log(f"error: {exc}")
-        return 2
+def cmd_eval(opts) -> int:
     if not opts["matrix"]:
-        _log("error: --matrix is required")
-        return 2
-    try:
-        mat = bio.load_matrix(opts["matrix"])
-        spec = opts["model"] if opts["model"] is not None else f"finite:{mat.shape[0]}"
-        model = _resolve_model(spec)
-        level = int(opts["level"]) if opts["level"] is not None else 1
-        grid = default_grid(model, level=level)  # rejects a negative level
-    except (OSError, ValueError) as exc:
-        _log(f"error: {exc}")
-        return 2
-    try:
-        with computation_scope():  # one kernel matrix per grid level
-            bn = calc.berezin_number(model, mat, level=level)
-            nb = calc.berezin_norm(model, mat, level=level)
-            w = calc.numerical_radius(mat)
-            opn = operator_norm(mat)
-            samples = calc.berezin_set_sample(model, mat, grid)
-    except DimensionMismatch as exc:
-        _log(f"error: {exc}")
-        return 3
-    except PointOutOfDomain as exc:
-        _log(f"error: {exc}")
-        return 2
-    except (NoConvergence, np.linalg.LinAlgError) as exc:
-        _log(f"numerical failure: {exc}")
-        return 4
+        raise ValueError("--matrix is required")
+    mat = bio.load_matrix(opts["matrix"])
+    spec = opts["model"] if opts["model"] is not None else f"finite:{mat.shape[0]}"
+    model = _resolve_model(spec)
+    level = int(opts["level"]) if opts["level"] is not None else 1
+    grid = default_grid(model, level=level)  # rejects a negative level
+    with computation_scope():  # one kernel matrix per grid level
+        bn = calc.berezin_number(model, mat, level=level)
+        nb = calc.berezin_norm(model, mat, level=level)
+        w = calc.numerical_radius(mat)
+        opn = operator_norm(mat)
+        samples = calc.berezin_set_sample(model, mat, grid)
     payload = {
         "model": bio.model_to_descriptor(model),
         "level": level,
@@ -205,8 +186,11 @@ def cmd_eval(args) -> int:
         lines.append(f"berezin_norm,{nb.value:.17g}")
         lines.append(f"numerical_radius,{w:.17g}")
         lines.append(f"operator_norm,{opn:.17g}")
-        return _emit("\n".join(lines) + "\n", opts["out"])
-    return _emit(json.dumps(payload, indent=2), opts["out"])  # plain types already
+        text = "\n".join(lines) + "\n"
+    else:
+        text = json.dumps(payload, indent=2)  # plain types already
+    _emit(text, opts["out"])
+    return 0
 
 
 def _entry_ids(text) -> list[str]:
@@ -244,49 +228,37 @@ def _report_payload(report: fuzz.TrialReport, include_rows: bool) -> dict:
     return payload
 
 
-def cmd_check(args) -> int:
-    try:
-        opts = _merged(args)
-        if not opts["ineq"]:
-            raise ValueError("--ineq is required")
-        ids = _entry_ids(opts["ineq"])
-        run = _campaign_options(opts, "json", 10)
-    except (BerezinError, ValueError, OSError) as exc:
-        _log(f"error: {exc}")
-        return 2
+def cmd_check(opts) -> int:
+    if not opts["ineq"]:
+        raise ValueError("--ineq is required")
+    ids = _entry_ids(opts["ineq"])
+    run = _campaign_options(opts, "json", 10)
 
     # explicit scalar case for the power-mean entry
     if opts["a"] is not None or opts["b"] is not None:
-        try:
-            if ids != ["lem3"]:
-                raise ValueError("--a/--b apply only to --ineq lem3")
-            if opts["a"] is None or opts["b"] is None:
-                raise ValueError("provide both --a and --b")
-            params = {}
-            for key in ("alpha", "r", "s"):
-                if opts[key] is None:
-                    raise ValueError(f"--{key} is required with --a/--b")
-                vals = _numbers_csv(opts[key])
-                if len(vals) != 1:
-                    raise ValueError(f"--{key} must be a single value here")
-                params[key] = vals[0]
-            case = InequalityCase(
-                ineq_id="lem3",
-                operands={"a": float(opts["a"]), "b": float(opts["b"])},
-                params=params, model=None, tolerance=run.tol,
-            )
-            res = check_case(case)
-        except (BerezinError, ValueError) as exc:
-            _log(f"error: {exc}")
-            return 2
-        rec = fuzz._row_record("lem3", 0, None, params, res.lhs, res.rhs, res.satisfied)
-        if run.fmt == "csv":
-            text = fuzz._CsvText().take([rec])
-        else:
-            text = json.dumps({"cases": [rec], "violations": 0 if res.satisfied else 1}, indent=2)
-        return _emit(text, opts["out"]) or (0 if res.satisfied else 1)
-
-    try:
+        if ids != ["lem3"]:
+            raise ValueError("--a/--b apply only to --ineq lem3")
+        if opts["a"] is None or opts["b"] is None:
+            raise ValueError("provide both --a and --b")
+        params = {}
+        for key in ("alpha", "r", "s"):
+            if opts[key] is None:
+                raise ValueError(f"--{key} is required with --a/--b")
+            vals = _numbers_csv(opts[key])
+            if len(vals) != 1:
+                raise ValueError(f"--{key} must be a single value here")
+            params[key] = vals[0]
+        case = InequalityCase(
+            ineq_id="lem3",
+            operands={"a": float(opts["a"]), "b": float(opts["b"])},
+            params=params, model=None, tolerance=run.tol,
+        )
+        res = check_case(case)
+        cases = [dict(zip(fuzz.CSV_COLUMNS, ("lem3", 0, None, *params.values(), res.lhs,
+                                             res.rhs, res.rhs - res.lhs, res.satisfied)))]
+        violations = 0 if res.satisfied else 1
+        payload = {"cases": cases, "violations": violations}
+    else:
         n = int(opts["n"]) if opts["n"] is not None else (run.model.dimension if run.model else 3)
         report = fuzz.run_suite(
             ids,
@@ -299,81 +271,65 @@ def cmd_check(args) -> int:
             level=run.level,
             collect_rows=True,
         )
-    except (BerezinError, ValueError) as exc:
-        _log(f"error: {exc}")
-        return 2
-    _log(
-        f"[check] {len(ids)} entries x {report.trials} trials -> "
-        f"{report.rows_evaluated} cases, {len(report.violations)} violations "
-        f"in {report.runtime_seconds:.2f}s"
-    )
-    if run.fmt == "csv":
-        text = fuzz._CsvText().take(report.rows)
-    else:
-        text = json.dumps(_report_payload(report, include_rows=True), indent=2)
-    return _emit(text, opts["out"]) or (1 if report.violations else 0)
-
-
-def cmd_fuzz(args) -> int:
-    try:
-        opts = _merged(args)
-        chosen = opts["suite"] if opts["suite"] is not None else opts["ineq"]
-        ids = None
-        if chosen and str(chosen).strip().lower() != "all":
-            ids = _entry_ids(chosen)
-        run = _campaign_options(opts, "csv", 100)
-        dims = _numbers_csv(opts["n"], int) if opts["n"] is not None else fuzz.DEFAULT_DIMS
-        report = fuzz.run_suite(
-            ids,
-            model=run.model,
-            gen=fuzz.GeneratorSpec(kind=run.kind, n=dims[0], scale=run.scale, seed=run.seed),
-            trials=run.trials,
-            sweep=run.sweep,
-            dims=dims,
-            tolerance=run.tol,
-            level=run.level,
-            csv_path=opts["out"] if (opts["out"] and run.fmt == "csv") else None,
+        _log(
+            f"[check] {len(ids)} entries x {report.trials} trials -> "
+            f"{report.rows_evaluated} cases, {len(report.violations)} violations "
+            f"in {report.runtime_seconds:.2f}s"
         )
-    except (BerezinError, ValueError, OSError) as exc:
-        _log(f"error: {exc}")
-        return 2
+        cases, violations = report.rows, len(report.violations)
+        payload = _report_payload(report, include_rows=True)
+    if run.fmt == "csv":  # the case dicts' keys are in CSV_COLUMNS order
+        text = fuzz._CSV_HEADER + "".join(fuzz._csv_row(tuple(c.values())) for c in cases)
+    else:
+        text = json.dumps(payload, indent=2)
+    _emit(text, opts["out"])
+    return 1 if violations else 0
+
+
+def cmd_fuzz(opts) -> int:
+    chosen = opts["suite"] if opts["suite"] is not None else opts["ineq"]
+    ids = None
+    if chosen and str(chosen).strip().lower() != "all":
+        ids = _entry_ids(chosen)
+    run = _campaign_options(opts, "csv", 100)
+    dims = _numbers_csv(opts["n"], int) if opts["n"] is not None else fuzz.DEFAULT_DIMS
+    report = fuzz.run_suite(
+        ids,
+        model=run.model,
+        gen=fuzz.GeneratorSpec(kind=run.kind, n=dims[0], scale=run.scale, seed=run.seed),
+        trials=run.trials,
+        sweep=run.sweep,
+        dims=dims,
+        tolerance=run.tol,
+        level=run.level,
+        csv_path=opts["out"] if (opts["out"] and run.fmt == "csv") else None,
+    )
     _log(
         f"[fuzz] {len(report.suite)} entries x {report.trials} trials -> "
         f"{report.rows_evaluated} cases, {len(report.violations)} violations, "
         f"{report.marginal_retries} marginal retries in {report.runtime_seconds:.2f}s"
     )
     summary = json.dumps(_report_payload(report, include_rows=False), indent=2)
-    out = opts["out"] if run.fmt == "json" else None
-    return _emit(summary, out) or (1 if report.violations else 0)
+    _emit(summary, opts["out"] if run.fmt == "json" else None)
+    return 1 if report.violations else 0
 
 
-def cmd_report(args) -> int:
-    try:
-        opts = _merged(args)
-    except (OSError, ValueError) as exc:
-        _log(f"error: {exc}")
-        return 2
-    path = opts["input"]
-    if not path:
-        _log("error: an input CSV is required")
-        return 2
+def cmd_report(opts) -> int:
+    if not opts["input"]:
+        raise ValueError("an input CSV is required")
     groups: dict[str, list[float]] = {}
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            # a zero-byte file counts as "no results" rather than a corrupt one
-            if reader.fieldnames is not None and tuple(reader.fieldnames) != fuzz.CSV_COLUMNS:
-                raise ValueError(
-                    f"unexpected CSV columns {reader.fieldnames}; "
-                    f"expected {list(fuzz.CSV_COLUMNS)}"
-                )
-            for rec in reader:
-                rhs = float(rec["rhs"])
-                gap = float(rec["gap"])
-                groups.setdefault(rec["ineq_id"], []).append(gap / max(1.0, rhs))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        _log(f"error: {exc}")
-        return 2
+    with open(opts["input"], "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh, restval="")  # a short row fails in float("")
+        # a zero-byte file counts as "no results" rather than a corrupt one
+        if reader.fieldnames is not None and tuple(reader.fieldnames) != fuzz.CSV_COLUMNS:
+            raise ValueError(
+                f"unexpected CSV columns {reader.fieldnames}; "
+                f"expected {list(fuzz.CSV_COLUMNS)}"
+            )
+        for rec in reader:
+            rhs = float(rec["rhs"])
+            gap = float(rec["gap"])
+            groups.setdefault(rec["ineq_id"], []).append(gap / max(1.0, rhs))
     payload = {}
     for ineq_id in sorted(groups):
         stats = fuzz.GapStats.of(groups[ineq_id])
@@ -394,8 +350,11 @@ def cmd_report(args) -> int:
                 lines.append(
                     f"{ineq_id},{h['bin_edges'][i]:.17g},{h['bin_edges'][i + 1]:.17g},{c}"
                 )
-        return _emit("\n".join(lines) + "\n", opts["out"])
-    return _emit(json.dumps(payload, indent=2), opts["out"])
+        text = "\n".join(lines) + "\n"
+    else:
+        text = json.dumps(payload, indent=2)
+    _emit(text, opts["out"])
+    return 0
 
 
 # --- argument parsing --------------------------------------------------------
@@ -448,8 +407,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one place a failure becomes an exit code."""
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(_merged(args))
+    except (BerezinError, ValueError, OSError) as exc:  # LinAlgError is a ValueError
+        code = 2
+        if args.command == "eval" and isinstance(exc, DimensionMismatch):
+            code = 3
+        elif args.command == "eval" and isinstance(exc, (NoConvergence, np.linalg.LinAlgError)):
+            code = 4
+        _log(f"{'numerical failure' if code == 4 else 'error'}: {exc}")
+        return code
 
 
 if __name__ == "__main__":

@@ -21,11 +21,16 @@ on (see `CatalogEntry`).  A violation within 10x tolerance is re-evaluated
 alone at high precision, by an evaluator rebuilt so that every factor and
 cached quantity is recomputed, before being reported; if that run satisfies
 the bound, the case counts as a numerical-marginal retry.
+
+A row is one tuple in `CSV_COLUMNS` order, and `_csv_row` alone turns it
+into a CSV line, for the campaign file and for `berezin check --format csv`
+alike: floats as %.17g, None as an empty cell, the verdict as true/false.
+No cell is ever quoted, since none can hold a comma, a quote or a newline
+(ids are catalog keys).
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import shutil
@@ -62,6 +67,7 @@ LEM3_ORDERS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
 DEFAULT_DIMS = (2, 3, 4, 6)
 
 CSV_COLUMNS = ("ineq_id", "trial", "n", "alpha", "r", "s", "lhs", "rhs", "gap", "satisfied")
+_CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 
 @dataclass(frozen=True)
@@ -291,63 +297,21 @@ class TrialReport:
 
 
 def _fmt(x) -> str:
-    """One campaign CSV cell.  Floats, most of a row, are tested first."""
-    if isinstance(x, float):
-        return f"{float(x):.17g}"
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+    """One campaign CSV number cell: empty for None, else %.17g."""
+    return "" if x is None else f"{x:.17g}"
 
 
-def _row_record(ineq_id, trial, n, params, lhs: float, rhs: float,
-                satisfied: bool) -> dict:
-    return {
-        "ineq_id": ineq_id,
-        "trial": int(trial),
-        "n": n,
-        "alpha": params.get("alpha"),
-        "r": params.get("r"),
-        "s": params.get("s"),
-        "lhs": lhs,
-        "rhs": rhs,
-        "gap": rhs - lhs,
-        "satisfied": bool(satisfied),
-    }
-
-
-def _csv_row(rec: dict) -> list[str]:
-    return [_fmt(rec[c]) for c in CSV_COLUMNS]
-
-
-class _CsvText:
-    """The campaign CSV, header first, as text taken in pieces.  run_suite and
-    the CLI both format through it, one per campaign, since each csv writer
-    holds a 128 KiB record buffer."""
-
-    def __init__(self):
-        self._buf = io.StringIO(newline="")
-        self._writer = csv.writer(self._buf, lineterminator="\n")
-        self._writer.writerow(CSV_COLUMNS)
-
-    def take(self, recs=()) -> str:
-        """The text so far, after formatting `recs`; empties the buffer."""
-        for rec in recs:
-            self._writer.writerow(_csv_row(rec))
-        text = self._buf.getvalue()
-        self._buf.seek(0)
-        self._buf.truncate()
-        return text
+def _csv_row(row: tuple) -> str:
+    """One campaign CSV line, newline included, from a row in CSV_COLUMNS order."""
+    ineq_id, trial, n, alpha, r, s, lhs, rhs, gap, ok = row
+    return (f"{ineq_id},{trial},{'' if n is None else n},{_fmt(alpha)},{_fmt(r)},{_fmt(s)},"
+            f"{lhs:.17g},{rhs:.17g},{gap:.17g},{'true' if ok else 'false'}\n")
 
 
 def _run_entry_trial(entry, combos, trial, master_seed, dims, scale, matrix_kind,
                      model, tolerance, level):
-    """All sweep evaluations of one entry for one trial; returns row data.
+    """All sweep evaluations of one entry for one trial: rows in CSV_COLUMNS
+    order, violations and the count of marginal retries.
 
     `combos` is the entry's `param_grid`, evaluated by one evaluator bound
     to the trial's operands, in the caller's memo scope.  A marginal row is
@@ -385,8 +349,8 @@ def _run_entry_trial(entry, combos, trial, master_seed, dims, scale, matrix_kind
                 kind=matrix_kind, scale=scale, retried=retried,
                 witness=res.witness,
             ))
-        rec = _row_record(entry.ineq_id, trial, dim_echo, combo, worst.lhs, worst.rhs, ok)
-        rows.append((rec, rec["gap"] / max(1.0, worst.rhs)))
+        rows.append((entry.ineq_id, trial, dim_echo, combo.get("alpha"), combo.get("r"),
+                     combo.get("s"), worst.lhs, worst.rhs, worst.rhs - worst.lhs, ok))
     return rows, violations, retries
 
 
@@ -438,12 +402,11 @@ def run_suite(
     # Rows are evaluated trial-major but written entry-major: each (entry,
     # trial) block of rows goes to its entry's spill file, and the spills are
     # copied to csv_path in entry order after the last trial.
-    text = _CsvText()
     fh = None
     spills = []
     if csv_path is not None:
         fh = open(csv_path, "wb")
-        fh.write(text.take().encode("utf-8"))
+        fh.write(_CSV_HEADER.encode("utf-8"))
 
     # per entry, in trial order; joined in entry order after the last trial
     violations = [[] for _ in entries]
@@ -465,12 +428,11 @@ def run_suite(
                     violations[i].extend(viols)
                     retries_total += retries
                     rows_evaluated += len(rows)
-                    for rec, rel_gap in rows:
-                        gaps[i].append(rel_gap)
-                        if kept is not None:
-                            kept[i].append(rec)
+                    gaps[i].extend(row[8] / max(1.0, row[7]) for row in rows)  # gap, rhs
+                    if kept is not None:
+                        kept[i].extend(dict(zip(CSV_COLUMNS, row)) for row in rows)
                     if spills:
-                        spills[i].write(text.take(rec for rec, _ in rows).encode("utf-8"))
+                        spills[i].write("".join(map(_csv_row, rows)).encode("utf-8"))
         for spill in spills:
             spill.seek(0)
             # in small chunks: shutil's 64 KiB default would make the copy the

@@ -9,8 +9,10 @@ A model descriptor is `{"kind": "finite", "n": 4}` or
 `{"kind": "hardy"|"bergman", "degree": N, "rho": r}` or
 `{"kind": "fock", "degree": N, "R": r}`.  Its fields are JSON numbers, `n`
 and `degree` integers (a bool is neither), and an absent field takes the
-factory's default.  The compact string forms "finite:4", "hardy:15:0.95",
-"fock:15:3" list the same fields in that order on the command line.
+factory's default.  A number read as a float, here or in a matrix, must be
+one that a float64 can hold: an integer of 400 digits is rejected.  The
+compact string forms "finite:4", "hardy:15:0.95", "fock:15:3" list the
+same fields in that order on the command line.
 """
 
 from __future__ import annotations
@@ -36,8 +38,16 @@ _MODELS = {
 
 
 def _is_number(x, typ=float) -> bool:
-    """A JSON number of type `typ` (an int counts as a float, a bool as neither)."""
-    return isinstance(x, (int, typ)) and not isinstance(x, bool)
+    """A JSON number of type `typ` (an int counts as a float, a bool as neither);
+    as a float, an int must be one that a float64 can hold."""
+    if isinstance(x, bool) or not isinstance(x, (int, typ)):
+        return False
+    if typ is float and isinstance(x, int):
+        try:
+            float(x)
+        except OverflowError:
+            return False
+    return True
 
 
 def dump_matrix(a: np.ndarray) -> dict:
@@ -73,7 +83,7 @@ def load_matrix_obj(obj) -> np.ndarray:
             raise ValueError(f"data[{i}] must be an [re, im] pair")
         re, im = item
         if not (_is_number(re) and _is_number(im)):
-            raise ValueError(f"data[{i}] entries must be numbers")
+            raise ValueError(f"data[{i}] entries must be numbers within float64 range")
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError(f"data[{i}] entries must be finite")
         flat[i] = complex(re, im)
@@ -112,8 +122,8 @@ def model_from_descriptor(obj) -> KernelModel:
     for key, arg, typ, _ in fields:
         if key in obj:
             if not _is_number(obj[key], typ):
-                raise ValueError(f"{kind} model field {key} must be a JSON "
-                                 f"{'integer' if typ is int else 'number'}, got {obj[key]!r}")
+                what = "integer" if typ is int else "number within float64 range"
+                raise ValueError(f"{kind} model field {key} must be a JSON {what}, got {obj[key]!r}")
             args[arg] = obj[key]
         elif inspect.signature(factory).parameters[arg].default is inspect.Parameter.empty:
             raise ValueError(f"{kind} model needs {key}")

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from berezin import GeneratorSpec, models, run_suite
+from berezin import GeneratorSpec, cli, models, run_suite
 from berezin.cli import main
+from berezin.errors import DimensionMismatch, NoConvergence, PointOutOfDomain
 from berezin.fuzz import MATRIX_KINDS
 from berezin.io import save_matrix
 
@@ -377,6 +378,17 @@ class TestReport:
         code, _, _ = run(capsys, "report")
         assert code == 2
 
+    @pytest.mark.parametrize("row", [
+        "cor1,0,2,0.5,1",  # truncated: rhs and gap missing
+        "cor1,0,2,0.5,1,,1.0,abc,0.5,true",  # rhs not a number
+    ])
+    def test_malformed_row(self, capsys, tmp_path, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("ineq_id,trial,n,alpha,r,s,lhs,rhs,gap,satisfied\n" + row + "\n")
+        code, out, err = run(capsys, "report", "--in", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 @pytest.mark.parametrize("argv", [
     ["eval", "--matrix", "ID"],
@@ -420,6 +432,80 @@ def test_disk_radius_bounds_without_warnings(tmp_path, spec, code):
         assert proc.stderr.startswith("error:") and "domain radius" in proc.stderr
     else:
         assert proc.stdout.splitlines()[0] == "quantity,value"
+
+
+class TestExitCodes:
+    """`main` alone maps a raised failure to an exit code and one stderr line."""
+
+    @pytest.mark.parametrize("command", ["check", "fuzz"])
+    def test_eigensolver_failure_exits_2_outside_eval(self, capsys, monkeypatch, command):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        code, out, err = run(capsys, command, "--ineq", "thm1", "--trials", "1")
+        assert code == 2 and out == ""
+        assert err == "error: Eigenvalues did not converge\n"
+
+    @pytest.mark.parametrize("exc, in_eval, elsewhere", [
+        (DimensionMismatch("m"), (3, "error: m\n"), (2, "error: m\n")),
+        (NoConvergence("m"), (4, "numerical failure: m\n"), (2, "error: m\n")),
+        (np.linalg.LinAlgError("m"), (4, "numerical failure: m\n"), (2, "error: m\n")),
+        (PointOutOfDomain("m"), (2, "error: m\n"), (2, "error: m\n")),
+        (ValueError("m"), (2, "error: m\n"), (2, "error: m\n")),
+        (OSError("m"), (2, "error: m\n"), (2, "error: m\n")),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "check", "fuzz", "report"])
+    def test_table(self, capsys, monkeypatch, command, exc, in_eval, elsewhere):
+        def fails(opts):
+            raise exc
+
+        monkeypatch.setattr(cli, f"cmd_{command}", fails)
+        code, out, err = run(capsys, command)
+        assert (code, err) == (in_eval if command == "eval" else elsewhere)
+        assert out == ""
+
+    def test_other_exceptions_are_not_exit_codes(self, monkeypatch):
+        def fails(opts):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli, "cmd_eval", fails)
+        with pytest.raises(KeyError):
+            main(["eval"])
+
+
+class TestOverflow:
+    """A JSON number that a float64 cannot hold is bad input: exit 2, one error line."""
+
+    BIG = "1" + "0" * 401
+
+    @pytest.mark.parametrize("argv, cfg", [
+        (["eval", "--matrix", "ID"], '{"model": {"kind": "fock", "R": BIG}}'),
+        (["eval", "--matrix", "ID"], '{"model": {"kind": "hardy", "rho": BIG}}'),
+        (["check", "--ineq", "thm1"], '{"tol": BIG}'),
+        (["check", "--ineq", "thm1"], '{"scale": BIG}'),
+        (["check", "--ineq", "thm1"], '{"alpha": [0.5, BIG]}'),
+        (["check", "--ineq", "thm1"], '{"r": BIG}'),
+        (["fuzz", "--ineq", "thm1", "--trials", "1"], '{"n": [BIG]}'),
+        (["check", "--ineq", "lem3", "--alpha", "0.5", "--r", "1", "--s", "2"],
+         '{"a": BIG, "b": 1}'),
+    ])
+    def test_config_number(self, capsys, tmp_path, identity_path, argv, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.replace("BIG", self.BIG))
+        argv = [identity_path if a == "ID" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry", ["[BIG, 0]", "[0, -BIG]"])
+    def test_matrix_entry(self, capsys, tmp_path, entry):
+        path = tmp_path / "m.json"
+        path.write_text('{"rows": 1, "cols": 1, "data": [ENTRY]}'.replace("ENTRY", entry)
+                        .replace("BIG", self.BIG))
+        code, out, err = run(capsys, "eval", "--matrix", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: data[0] entries must be numbers within float64 range\n"
 
 
 class TestConfig:

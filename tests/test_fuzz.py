@@ -518,6 +518,43 @@ class TestCsvFormat:
         raw = path.read_bytes()
         assert b"\r" not in raw
 
+    EDGE_ROWS = [
+        ("thm1", 0, 3, 0.5, 1.0, None, 1.0, 2.0, 1.0, True),
+        ("lem3", 7, None, 0.25, 0.0, 3.0, float("nan"), float("inf"), float("-inf"), False),
+        ("cor1", 12, 2, None, None, None, -0.0, 5e-324, 1e308, True),
+        ("eqn21", 1, 6, 0.0, 1.5, 2.0, -1e308, -5e-324, float("nan"), False),
+        ("rmk_iv", 99, 4, 1.0, None, None, 0.1, 1.0 / 3.0, -0.0, True),
+    ]
+
+    @staticmethod
+    def _writer_cells(row):
+        # the cells a csv.writer was handed for a row: %.17g floats, empty
+        # None, plain ints and ids, true/false verdicts
+        def cell(x):
+            if isinstance(x, bool):
+                return "true" if x else "false"
+            if x is None:
+                return ""
+            return str(x) if isinstance(x, (str, int)) else f"{x:.17g}"
+        return [cell(x) for x in row]
+
+    @pytest.mark.parametrize("row", EDGE_ROWS)
+    def test_csv_row_is_what_csv_writer_wrote(self, row):
+        cells = self._writer_cells(row)
+        buf = io.StringIO(newline="")
+        csv.writer(buf, lineterminator="\n").writerow(cells)
+        line = fuzz._csv_row(row)
+        assert line == buf.getvalue()
+        assert next(csv.reader([line.rstrip("\n")])) == cells
+        for x, cell in zip(row[3:9], cells[3:9]):  # alpha, r, s, lhs, rhs, gap
+            if x is not None:
+                assert np.float64(float(cell)).tobytes() == np.float64(x).tobytes()
+
+    def test_csv_header_is_what_csv_writer_wrote(self):
+        buf = io.StringIO(newline="")
+        csv.writer(buf, lineterminator="\n").writerow(CSV_COLUMNS)
+        assert fuzz._CSV_HEADER == buf.getvalue()
+
 
 class TestCounterexample:
     @pytest.mark.parametrize("n", [1, 2, 5])

@@ -93,6 +93,18 @@ class TestMatrixValidation:
         with pytest.raises(ValueError):
             load_matrix_obj({"rows": 0, "cols": 1, "data": []})
 
+    @pytest.mark.parametrize("pair", [[10**401, 0], [0, -(10**401)], [2**1024, 0]])
+    def test_rejects_entries_a_float64_cannot_hold(self, pair):
+        obj = self._ok()
+        obj["data"] = [pair]
+        with pytest.raises(ValueError, match="within float64 range"):
+            load_matrix_obj(obj)
+
+    def test_accepts_a_large_integer_a_float64_holds(self):
+        obj = self._ok()
+        obj["data"] = [[10**308, -(10**308)]]
+        assert load_matrix_obj(obj)[0, 0] == complex(1e308, -1e308)
+
     @pytest.mark.parametrize("shape", [(True, True), (1, True), (True, 1)])
     def test_rejects_bool_shape(self, shape):
         # a bool is an int in Python, but not a JSON integer
@@ -140,6 +152,15 @@ class TestModelDescriptors:
     ])
     def test_rejects_fields_that_are_not_json_numbers_of_their_type(self, desc):
         with pytest.raises(ValueError, match="must be a JSON (integer|number)"):
+            model_from_descriptor(desc)
+
+    @pytest.mark.parametrize("desc", [
+        {"kind": "fock", "R": 10**401},
+        {"kind": "hardy", "rho": -(10**401)},
+        {"kind": "bergman", "rho": 2**1024},
+    ])
+    def test_rejects_float_fields_a_float64_cannot_hold(self, desc):
+        with pytest.raises(ValueError, match="must be a JSON number within float64 range"):
             model_from_descriptor(desc)
 
     def test_rejects_unknown_kind(self):
