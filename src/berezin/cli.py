@@ -21,9 +21,10 @@ line and an exit code:
     DimensionMismatch                    3  error:                 2  error:
     NoConvergence, LinAlgError           4  numerical failure:     2  error:
     other BerezinError, ValueError,      2  error:                 2  error:
-    OSError
+    OSError, csv.Error
 
-So bad input, an unreadable or unusable file, an --out path that cannot be
+So bad input, an unreadable or unusable file (a report CSV cell longer
+than the csv module's field limit included), an --out path that cannot be
 written, a negative --level (in eval always, in check and fuzz on a disk
 model) and a JSON number that a float64 cannot hold all exit 2.
 """
@@ -411,7 +412,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(_merged(args))
-    except (BerezinError, ValueError, OSError) as exc:  # LinAlgError is a ValueError
+    except (BerezinError, ValueError, OSError, csv.Error) as exc:  # LinAlgError is a ValueError
         code = 2
         if args.command == "eval" and isinstance(exc, DimensionMismatch):
             code = 3

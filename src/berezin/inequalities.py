@@ -11,6 +11,14 @@ relative slack, and declares the case satisfied only when every part holds:
 Parameter conventions: alpha weights in [0, 1] (a few entries need the open
 interval), power parameters r, s >= 1, except the scalar power-mean entry
 lem3 where any finite real orders with r <= s are allowed.
+
+The evaluators see the quantities they bound only through one environment
+record of three callables: `ber`, `nber` and `cross`.  On a kernel model
+these are the model's Berezin number, its Berezin norm and the number again;
+the operator-norm remarks (rmk_i to rmk_iv) run the same evaluators with the
+operator norm as both `ber` and `nber` and the numerical radius as `cross`.
+Variants of one inequality differ only in that record: ceb is eq1 run with
+`nber` replaced by `ber`.
 """
 
 from __future__ import annotations
@@ -90,40 +98,19 @@ class CatalogEntry:
     commuting: tuple | None = None
 
 
-class _Env:
-    """Model-bound shorthands used by the evaluators.
+class _Env(NamedTuple):
+    """What the evaluators run with: three callables, matrix -> float.
 
-    `cross` is the quantity of Theorem 3's B*A term: the Berezin number here,
-    the numerical radius in the operator-norm version.
+    `ber` stands for the Berezin number, `nber` for the Berezin norm and
+    `cross` for the quantity of Theorem 3's B*A term.  `model` and `level`
+    are read only by prop1's argmax lift.  Built by `_evaluate_grid`.
     """
 
-    def __init__(self, model: KernelModel | None, level: int):
-        self.model = model
-        self.level = level
-
-    def ber(self, m) -> float:
-        return calc.berezin_number(self.model, m, level=self.level).value
-
-    def nber(self, m) -> float:
-        return calc.berezin_norm(self.model, m, level=self.level).value
-
-    cross = ber
-
-
-class _OperatorEnv:
-    """The operator-norm remarks: the operator norm stands in for both Berezin
-    quantities and the numerical radius for the cross term."""
-
-    def ber(self, m) -> float:
-        return operator_norm(m)
-
-    nber = ber
-
-    def cross(self, m) -> float:
-        return calc.numerical_radius(m)
-
-
-_OPERATOR_ENV = _OperatorEnv()
+    ber: Callable
+    nber: Callable
+    cross: Callable
+    model: KernelModel | None
+    level: int | None
 
 
 def power_mean(a: float, b: float, alpha: float, t: float) -> float:
@@ -186,10 +173,12 @@ def _vec_quad(m: np.ndarray, x: np.ndarray) -> float:
 
 # --- evaluators ------------------------------------------------------------
 #
-# Each evaluator binds one trial's operands and returns parts(**params) (see
-# `CatalogEntry`).  A factor that depends on no parameter is computed in the
-# evaluator body; one that depends on some of them sits in a `cache`d closure
-# keyed by those parameters or by the exponent.
+# Each evaluator binds one trial's operands and an `_Env`, and returns
+# parts(**params) (see `CatalogEntry`).  It calls only env.ber, env.nber and
+# env.cross, so the Berezin-norm, Berezin-number and operator-norm variants
+# of an inequality share it.  A factor that depends on no parameter is computed in
+# the evaluator body; one that depends on some of them sits in a `cache`d
+# closure keyed by those parameters or by the exponent.
 
 
 def _abs_powers(m):
@@ -200,6 +189,15 @@ def _abs_powers(m):
 def _ber_mean(env, f, g):
     """e -> ber((f(e) + g(e))/2), each exponent computed once."""
     return cache(lambda e: env.ber(_hm(f(e), g(e))))
+
+
+def _modulus_factors(a, b, env):
+    """The factors of cor1, cor6 and cor8: e -> the Berezin number of the
+    mean of |A|^e, |B|^e, and e -> that of the mean of |A*|^e, |B*|^e."""
+    return (
+        _ber_mean(env, _abs_powers(a), _abs_powers(b)),
+        _ber_mean(env, _abs_powers(adjoint(a)), _abs_powers(adjoint(b))),
+    )
 
 
 def _ev_thm1(o, env):
@@ -233,8 +231,7 @@ def _ev_thm1(o, env):
 def _ev_cor1(o, env):
     a, b = o["A"], o["B"]
     lhs = env.nber(_hm(a, b)) ** 2
-    f = _ber_mean(env, _abs_powers(a), _abs_powers(b))
-    g = _ber_mean(env, _abs_powers(adjoint(a)), _abs_powers(adjoint(b)))
+    f, g = _modulus_factors(a, b, env)
     return lambda alpha, r, s: [
         Part("main", lhs, f(2 * alpha * r) ** (1.0 / r) * g(2 * (1 - alpha) * s) ** (1.0 / s))
     ]
@@ -270,11 +267,9 @@ def _ev_eqn2cmp(o, env):
     return parts
 
 
-def _ev_eq1(o, env, number=False):
-    """eq1; with number=True the Berezin number on the left instead (ceb)."""
+def _ev_eq1(o, env):
     a, b, c, d = o["A"], o["B"], o["C"], o["D"]
-    left = env.ber if number else env.nber
-    lhs = left(_hm(adjoint(a) @ b, adjoint(c) @ d)) ** 2
+    lhs = env.nber(_hm(adjoint(a) @ b, adjoint(c) @ d)) ** 2
     f = _ber_mean(env, _abs_powers(a), _abs_powers(c))
     g = _ber_mean(env, _abs_powers(b), _abs_powers(d))
     return lambda r, s: [Part("main", lhs, f(2 * r) ** (1.0 / r) * g(2 * s) ** (1.0 / s))]
@@ -363,15 +358,6 @@ def _ev_reim(o, env):
             Part("im", nm_im ** (2.0 * r), mixed(2 * r)),
         ]
     return parts
-
-
-def _modulus_factors(a, b, env):
-    """The factors of cor6 and cor8: e -> the Berezin number of the mean of
-    |A|^e, |B|^e, and e -> that of the mean of |A*|^e, |B*|^e."""
-    return (
-        _ber_mean(env, _abs_powers(a), _abs_powers(b)),
-        _ber_mean(env, _abs_powers(adjoint(a)), _abs_powers(adjoint(b))),
-    )
 
 
 def _ev_cor6(o, env):
@@ -583,196 +569,96 @@ def _pos(*names):
     return tuple((nm, "positive") for nm in names)
 
 
-CATALOG: dict[str, CatalogEntry] = {}
-
-
-def _register(entry: CatalogEntry) -> None:
-    CATALOG[entry.ineq_id] = entry
-
-
-_register(CatalogEntry(
-    "thm1",
-    "squared Berezin norm of (A*XB + C*YD)/2 against a Hoelder product of "
-    "Berezin numbers of weighted power means",
-    _gen("A", "B", "C", "D", "X", "Y"), ("alpha", "r", "s"), _ev_thm1,
-))
-_register(CatalogEntry(
-    "cor1",
-    "squared Berezin norm of the average of two operators against powers "
-    "of |A|, |B| and their adjoints",
-    _gen("A", "B"), ("alpha", "r", "s"), _ev_cor1,
-))
-_register(CatalogEntry(
-    "eqn1",
-    "r-th power of the Berezin norm of a sum against 2^(r-1) times a "
-    "geometric mean of Berezin numbers",
-    _gen("A", "B"), ("alpha", "r"), _ev_eqn1,
-))
-_register(CatalogEntry(
-    "eqn2cmp",
-    "sharpness comparison: the geometric-mean bound never exceeds the "
-    "arithmetic-mean bound (interior alpha)",
-    _gen("A", "B"), ("alpha", "r"), _ev_eqn2cmp, interior_alpha=True,
-))
-_register(CatalogEntry(
-    "eq1",
-    "squared Berezin norm of (A*B + C*D)/2 against Hoelder factors in "
-    "|A|, |C| and |B|, |D|",
-    _gen("A", "B", "C", "D"), ("r", "s"), _ev_eq1,
-))
-_register(CatalogEntry(
-    "ceb",
-    "squared Berezin number of (A*B + C*D)/2 against the same Hoelder "
-    "factors (number version of eq1)",
-    _gen("A", "B", "C", "D"), ("r", "s"),
-    lambda o, env: _ev_eq1(o, env, number=True),
-))
-_register(CatalogEntry(
-    "cor4",
-    "2r-th power of the Berezin norm of (A*B + C*D)/2 against a product "
-    "of two Berezin numbers",
-    _gen("A", "B", "C", "D"), ("r",), _ev_cor4,
-))
-_register(CatalogEntry(
-    "prop1",
-    "Berezin norm equals Berezin number for positive operators",
-    _pos("A"), (), _ev_prop1,
-))
-_register(CatalogEntry(
-    "cor5",
-    "Berezin norm of the symmetrized product (A*B + B*A)/2",
-    _gen("A", "B"), ("r", "s"), _ev_cor5,
-))
-_register(CatalogEntry(
-    "eqn21",
-    "2r-th power of the Berezin norm of an average against the mean of "
-    "|A|^2r and |B|^2r",
-    _gen("A", "B"), ("r",), _ev_eqn21,
-))
-_register(CatalogEntry(
-    "reim",
-    "bounds through the Hermitian and skew parts of A",
-    _gen("A"), ("r",), _ev_reim,
-))
-_register(CatalogEntry(
-    "cor6",
-    "Berezin norm of (A^2 + B^2)/2 against mixed powers of moduli",
-    _gen("A", "B"), ("r", "s"), _ev_cor6,
-))
-_register(CatalogEntry(
-    "eqn3",
-    "averaged-sum bound with identity-padded power means (two operators)",
-    _gen("A", "B"), ("r", "s"), _ev_eqn3,
-))
-_register(CatalogEntry(
-    "eqn4",
-    "identity-padded bound for a single operator (squared norm)",
-    _gen("A",), ("r", "s"),
-    lambda o, env: _ev_eqn3({"A": o["A"], "B": o["A"]}, env),
-))
-_register(CatalogEntry(
-    "eqn5",
-    "identity-padded bound for a single operator (2r-th power)",
-    _gen("A",), ("r",), _ev_eqn5,
-))
-_register(CatalogEntry(
-    "abprod",
-    "Berezin norm of a product AB against powers of |A*| and |B|",
-    _gen("A", "B"), ("r", "s"), _ev_abprod,
-))
-_register(CatalogEntry(
-    "cor8",
-    "Berezin norm of (AB +/- BA)/2 against mixed powers of moduli",
-    _gen("A", "B"), ("r", "s"), _ev_cor8,
-))
-_register(CatalogEntry(
-    "eqn6",
-    "r-th power of the Berezin norm of AA* +/- A*A against Berezin "
-    "numbers of (A*A)^r + (AA*)^r",
-    _gen("A",), ("r",), _ev_eqn6,
-))
-_register(CatalogEntry(
-    "eql1",
-    "Berezin norm of the self-commutator against the Berezin number of "
-    "A*A + AA*",
-    _gen("A",), (), _ev_eql1,
-))
-_register(CatalogEntry(
-    "thm2",
-    "interpolation bound for positive operators: cross terms A^a B^(1-a)",
-    _pos("A", "B"), ("alpha", "r", "s"), _ev_thm2,
-))
-_register(CatalogEntry(
-    "eqn11",
-    "2r-th power of the un-averaged cross-term sum for positive operators",
-    _pos("A", "B"), ("alpha", "r"), _ev_eqn11,
-))
-_register(CatalogEntry(
-    "eqn12",
-    "Berezin norm of A^(1/2) B^(1/2) against the geometric mean of "
-    "Berezin numbers (positive operators)",
-    _pos("A", "B"), (), _ev_eqn12,
-))
-_register(CatalogEntry(
-    "eqn13",
-    "Berezin norm of (AB)^(1/2) for commuting positive operators",
-    _pos("A", "B"), (), _ev_eqn13, commuting=("A", "B"),
-))
-_register(CatalogEntry(
-    "thm3",
-    "squared Berezin norm of a convex combination against a quadratic "
-    "mean plus a cross Berezin number",
-    _gen("A", "B"), ("alpha",), _ev_thm3,
-))
-_register(CatalogEntry(
-    "thm3half",
-    "the alpha = 1/2 convex-combination bound, scaled to a plain sum",
-    _gen("A", "B"), (), _ev_thm3half,
-))
-_register(CatalogEntry(
-    "rmk_i",
-    "operator-norm analogue of thm1",
-    _gen("A", "B", "C", "D", "X", "Y"), ("alpha", "r", "s"), _ev_thm1,
-    needs_model=False,
-))
-_register(CatalogEntry(
-    "rmk_ii",
-    "operator-norm analogue of the (A*B + C*D)/2 bound",
+CATALOG: dict[str, CatalogEntry] = {entry.ineq_id: entry for entry in (
+    CatalogEntry("thm1", "squared Berezin norm of (A*XB + C*YD)/2 against a Hoelder product of "
+                 "Berezin numbers of weighted power means",
+                 _gen("A", "B", "C", "D", "X", "Y"), ("alpha", "r", "s"), _ev_thm1),
+    CatalogEntry("cor1", "squared Berezin norm of the average of two operators against powers "
+                 "of |A|, |B| and their adjoints",
+                 _gen("A", "B"), ("alpha", "r", "s"), _ev_cor1),
+    CatalogEntry("eqn1", "r-th power of the Berezin norm of a sum against 2^(r-1) times a "
+                 "geometric mean of Berezin numbers",
+                 _gen("A", "B"), ("alpha", "r"), _ev_eqn1),
+    CatalogEntry("eqn2cmp", "sharpness comparison: the geometric-mean bound never exceeds the "
+                 "arithmetic-mean bound (interior alpha)",
+                 _gen("A", "B"), ("alpha", "r"), _ev_eqn2cmp, interior_alpha=True),
+    CatalogEntry("eq1", "squared Berezin norm of (A*B + C*D)/2 against Hoelder factors in "
+                 "|A|, |C| and |B|, |D|",
+                 _gen("A", "B", "C", "D"), ("r", "s"), _ev_eq1),
+    CatalogEntry("ceb", "squared Berezin number of (A*B + C*D)/2 against the same Hoelder "
+                 "factors (number version of eq1)",
+                 _gen("A", "B", "C", "D"), ("r", "s"),
+                 lambda o, env: _ev_eq1(o, env._replace(nber=env.ber))),
+    CatalogEntry("cor4", "2r-th power of the Berezin norm of (A*B + C*D)/2 against a product "
+                 "of two Berezin numbers",
+                 _gen("A", "B", "C", "D"), ("r",), _ev_cor4),
+    CatalogEntry("prop1", "Berezin norm equals Berezin number for positive operators",
+                 _pos("A"), (), _ev_prop1),
+    CatalogEntry("cor5", "Berezin norm of the symmetrized product (A*B + B*A)/2",
+                 _gen("A", "B"), ("r", "s"), _ev_cor5),
+    CatalogEntry("eqn21", "2r-th power of the Berezin norm of an average against the mean of "
+                 "|A|^2r and |B|^2r",
+                 _gen("A", "B"), ("r",), _ev_eqn21),
+    CatalogEntry("reim", "bounds through the Hermitian and skew parts of A",
+                 _gen("A"), ("r",), _ev_reim),
+    CatalogEntry("cor6", "Berezin norm of (A^2 + B^2)/2 against mixed powers of moduli",
+                 _gen("A", "B"), ("r", "s"), _ev_cor6),
+    CatalogEntry("eqn3", "averaged-sum bound with identity-padded power means (two operators)",
+                 _gen("A", "B"), ("r", "s"), _ev_eqn3),
+    CatalogEntry("eqn4", "identity-padded bound for a single operator (squared norm)",
+                 _gen("A"), ("r", "s"),
+                 lambda o, env: _ev_eqn3({"A": o["A"], "B": o["A"]}, env)),
+    CatalogEntry("eqn5", "identity-padded bound for a single operator (2r-th power)",
+                 _gen("A"), ("r",), _ev_eqn5),
+    CatalogEntry("abprod", "Berezin norm of a product AB against powers of |A*| and |B|",
+                 _gen("A", "B"), ("r", "s"), _ev_abprod),
+    CatalogEntry("cor8", "Berezin norm of (AB +/- BA)/2 against mixed powers of moduli",
+                 _gen("A", "B"), ("r", "s"), _ev_cor8),
+    CatalogEntry("eqn6", "r-th power of the Berezin norm of AA* +/- A*A against Berezin "
+                 "numbers of (A*A)^r + (AA*)^r",
+                 _gen("A"), ("r",), _ev_eqn6),
+    CatalogEntry("eql1", "Berezin norm of the self-commutator against the Berezin number of "
+                 "A*A + AA*",
+                 _gen("A"), (), _ev_eql1),
+    CatalogEntry("thm2", "interpolation bound for positive operators: cross terms A^a B^(1-a)",
+                 _pos("A", "B"), ("alpha", "r", "s"), _ev_thm2),
+    CatalogEntry("eqn11", "2r-th power of the un-averaged cross-term sum for positive operators",
+                 _pos("A", "B"), ("alpha", "r"), _ev_eqn11),
+    CatalogEntry("eqn12", "Berezin norm of A^(1/2) B^(1/2) against the geometric mean of "
+                 "Berezin numbers (positive operators)",
+                 _pos("A", "B"), (), _ev_eqn12),
+    CatalogEntry("eqn13", "Berezin norm of (AB)^(1/2) for commuting positive operators",
+                 _pos("A", "B"), (), _ev_eqn13, commuting=("A", "B")),
+    CatalogEntry("thm3", "squared Berezin norm of a convex combination against a quadratic "
+                 "mean plus a cross Berezin number",
+                 _gen("A", "B"), ("alpha",), _ev_thm3),
+    CatalogEntry("thm3half", "the alpha = 1/2 convex-combination bound, scaled to a plain sum",
+                 _gen("A", "B"), (), _ev_thm3half),
+    CatalogEntry("rmk_i", "operator-norm analogue of thm1",
+                 _gen("A", "B", "C", "D", "X", "Y"), ("alpha", "r", "s"), _ev_thm1,
+                 needs_model=False),
     # thm1 with X = Y = I: |I|^(2 alpha) = I, so B*|X|^(2 alpha)B = B*B
-    _gen("A", "B", "C", "D"), ("r", "s"),
-    lambda o, env: partial(_ev_thm1(dict(o, X=_eye(o["A"]), Y=_eye(o["A"])), env), 1.0),
-    needs_model=False,
-))
-_register(CatalogEntry(
-    "rmk_iii",
-    "operator-norm analogue of the positive-operator interpolation bound",
-    _pos("A", "B"), ("alpha", "r", "s"), _ev_thm2, needs_model=False,
-))
-_register(CatalogEntry(
-    "rmk_iv",
-    "operator-norm analogue of the convex-combination bound, with the "
-    "numerical radius in the cross term",
-    _gen("A", "B"), ("alpha",), _ev_thm3, needs_model=False,
-))
-_register(CatalogEntry(
-    "lem1",
-    "scalar power bound: <Px, x>^r <= <P^r x, x> for positive P, unit x",
-    (("P", "positive"), ("x", "unit-vector")), ("r",), _ev_lem1,
-    needs_model=False,
-))
-_register(CatalogEntry(
-    "lem2",
-    "mixed Schwarz bound through |A|^{2a} and |A*|^{2(1-a)}",
-    (("A", "general"), ("x", "unit-vector"), ("y", "unit-vector")),
-    ("alpha",), _ev_lem2, needs_model=False,
-))
-_register(CatalogEntry(
-    "lem3",
-    "weighted power means of two nonnegative scalars are monotone in the "
-    "order",
-    (("a", "scalar"), ("b", "scalar")), ("alpha", "r", "s"), _ev_lem3,
-    interior_alpha=True, needs_model=False,
-))
+    CatalogEntry("rmk_ii", "operator-norm analogue of the (A*B + C*D)/2 bound",
+                 _gen("A", "B", "C", "D"), ("r", "s"),
+                 lambda o, env: partial(
+                     _ev_thm1(dict(o, X=_eye(o["A"]), Y=_eye(o["A"])), env), 1.0),
+                 needs_model=False),
+    CatalogEntry("rmk_iii", "operator-norm analogue of the positive-operator interpolation bound",
+                 _pos("A", "B"), ("alpha", "r", "s"), _ev_thm2, needs_model=False),
+    CatalogEntry("rmk_iv", "operator-norm analogue of the convex-combination bound, with the "
+                 "numerical radius in the cross term",
+                 _gen("A", "B"), ("alpha",), _ev_thm3, needs_model=False),
+    CatalogEntry("lem1", "scalar power bound: <Px, x>^r <= <P^r x, x> for positive P, unit x",
+                 (("P", "positive"), ("x", "unit-vector")), ("r",), _ev_lem1,
+                 needs_model=False),
+    CatalogEntry("lem2", "mixed Schwarz bound through |A|^{2a} and |A*|^{2(1-a)}",
+                 (("A", "general"), ("x", "unit-vector"), ("y", "unit-vector")),
+                 ("alpha",), _ev_lem2, needs_model=False),
+    CatalogEntry("lem3", "weighted power means of two nonnegative scalars are monotone in the "
+                 "order",
+                 (("a", "scalar"), ("b", "scalar")), ("alpha", "r", "s"), _ev_lem3,
+                 interior_alpha=True, needs_model=False),
+)}
 
 CATALOG_ORDER = tuple(CATALOG)
 
@@ -883,7 +769,18 @@ def _evaluate_grid(entry: CatalogEntry, case: InequalityCase, ops: dict,
     combination has passed `_validated_params`, and `case.params` is not
     read.
     """
-    env = _Env(case.model, case.level) if entry.needs_model else _OPERATOR_ENV
+    if entry.needs_model:
+        model, level = case.model, case.level
+
+        def ber(m):
+            return calc.berezin_number(model, m, level=level).value
+
+        def nber(m):
+            return calc.berezin_norm(model, m, level=level).value
+
+        env = _Env(ber, nber, ber, model, level)
+    else:
+        env = _Env(operator_norm, operator_norm, calc.numerical_radius, None, None)
     parts = entry.evaluate(ops, env)
     return [parts(**params) for params in combos]
 

@@ -381,6 +381,9 @@ class TestReport:
     @pytest.mark.parametrize("row", [
         "cor1,0,2,0.5,1",  # truncated: rhs and gap missing
         "cor1,0,2,0.5,1,,1.0,abc,0.5,true",  # rhs not a number
+        # a cell beyond the csv module's field limit raises csv.Error
+        pytest.param("cor1,0,2," + "x" * 200_000 + ",1,,1.0,1.0,0.0,true",
+                     id="cell-over-field-limit"),
     ])
     def test_malformed_row(self, capsys, tmp_path, row):
         bad = tmp_path / "bad.csv"

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -69,8 +70,15 @@ class TestCatalogShape:
         assert set(CATALOG_ORDER) == want
         assert len(CATALOG_ORDER) == 32
 
-    def test_order_is_registration_order(self):
-        assert CATALOG_ORDER[0] == "thm1" and CATALOG_ORDER[-1] == "lem3"
+    def test_order_is_table_order(self):
+        # campaign CSVs are written entry-major in this order
+        assert CATALOG_ORDER == (
+            "thm1", "cor1", "eqn1", "eqn2cmp", "eq1", "ceb", "cor4", "prop1",
+            "cor5", "eqn21", "reim", "cor6", "eqn3", "eqn4", "eqn5", "abprod",
+            "cor8", "eqn6", "eql1", "thm2", "eqn11", "eqn12", "eqn13", "thm3",
+            "thm3half", "rmk_i", "rmk_ii", "rmk_iii", "rmk_iv", "lem1", "lem2",
+            "lem3",
+        )
 
     def test_entries_have_descriptions(self):
         for entry in CATALOG.values():
@@ -420,6 +428,40 @@ class TestGridEvaluation:
         model = hardy(3, 0.9)
         ops = sample_operands(entry, model.dimension, 1.0, 0xD15C)
         self._assert_grid_matches_checks(entry, ops, model if entry.needs_model else None, level=0)
+
+
+def _raised(evaluate, name, o, env):
+    """`evaluate` run with env's callable `name` raised by a factor 1 + 1e-6."""
+    f = getattr(env, name)
+    return evaluate(o, env._replace(**{name: lambda m: f(m) * (1.0 + 1e-6)}))
+
+
+class TestEnvironmentMonotone:
+    """No part side falls when one of ber, nber, cross rises.  So a run on
+    lower bounds of the three quantities gives a lower bound of every rhs,
+    and a run on upper bounds an upper bound of every lhs."""
+
+    @pytest.mark.parametrize("ineq_id", CATALOG_ORDER)
+    def test_no_side_falls(self, ineq_id):
+        entry = CATALOG[ineq_id]
+        combos = param_grid(entry, None)
+        for model in (finite(3), hardy(3, 0.9)):
+            for seed in (7, 0xB0B):
+                ops = sample_operands(entry, model.dimension, 1.0, seed)
+                case = InequalityCase(ineq_id, ops, model=model if entry.needs_model else None,
+                                      level=0)
+                with computation_scope():
+                    valid, _ = _validated_operands(entry, case)
+                    base = _evaluate_grid(entry, case, valid, combos)
+                    for name in ("ber", "nber", "cross"):
+                        up = replace(entry, evaluate=partial(_raised, entry.evaluate, name))
+                        for combo, want, got in zip(combos, base,
+                                                    _evaluate_grid(up, case, valid, combos)):
+                            assert [pt.label for pt in got] == [pt.label for pt in want]
+                            for g, w in zip(got, want):
+                                assert g.lhs >= w.lhs and g.rhs >= w.rhs, (
+                                    model, seed, name, combo, g, w
+                                )
 
 
 class TestValidation:
