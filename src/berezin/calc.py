@@ -7,7 +7,8 @@ over finitely many kernel pairs.  Continuous models are sampled on nested
 polar grids and refined locally, producing lower bounds attained at domain
 points (exact=False).  Both quantities are sups of |<A k_lam, k_mu>|, the
 number on the diagonal mu = lam, so one search (_grid_sup) serves both: at
-each level it takes the best grid points (or pairs) and from each one a
+each level it takes the best grid points by |symbol|, or by the row maximum
+max_mu |<A k_lam, k_mu>| (_row_max), and from each, or its pair (lam, mu), a
 safeguarded Newton ascent (_ascend) climbs log|symbol|^2, or log|<A k_lam,
 k_mu>|^2 in the four real coordinates of the pair, on exact derivatives:
 with w = conj(lam) and p_j = c_j w^j, the jet P = [p, p', p''] of
@@ -38,13 +39,15 @@ from ._cache import scoped
 from .errors import DimensionMismatch, PointOutOfDomain
 from .linalg import as_complex_matrix, im_part, is_hermitian, operator_norm, re_part
 from .models import (
-    BASE_RADII, KernelModel, OmegaGrid, _jet, default_grid, finite, kernel_matrix,
-    normalized_kernel,
+    BASE_RADII, KernelModel, OmegaGrid, _check_level, _jet, default_grid, finite,
+    kernel_matrix, normalized_kernel,
 )
 from .results import InequalityResult
 
 # Multistart width for local refinement of grid maxima.
 TOP_K = 5
+# Pair values per block of the norm's grid stage (4 MiB of complex128).
+PAIR_BLOCK = 2**18
 # theta sample count for the numerical radius.
 RADIUS_GRID = 256
 
@@ -103,21 +106,17 @@ def _symbols(a: np.ndarray, kmat: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", kmat.conj(), a @ kmat)
 
 
-def _top_k(v: np.ndarray) -> np.ndarray:
-    """Flat indices of the TOP_K largest entries of v, largest first.
-
-    Equal to np.argsort(-v.ravel(), kind="stable")[:TOP_K] (ties by C-order
-    index, NaN last), but only the entries at or above the K-th largest get
-    sorted, and a non-contiguous view (a transpose) is not copied.
-    """
-    if v.size <= TOP_K:
-        return np.argsort(-v.ravel(), kind="stable")
-    neg = np.negative(v).ravel(order="K")  # a fresh array, ours to partition
-    neg.partition(TOP_K - 1)
-    # -v[i] <= kth  <=>  not (v[i] < -kth); NaN entries (and all of v when
-    # kth is NaN) stay candidates, and the stable sort puts NaN last.
-    cand = np.flatnonzero(~(v < -neg[TOP_K - 1]))
-    return cand[np.argsort(-v.flat[cand], kind="stable")[:TOP_K]]
+def _row_max(a: np.ndarray, kmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per kernel column k_lam of kmat, max over the columns k_mu of
+    |<A k_lam, k_mu>| and the first mu attaining it, built PAIR_BLOCK pair
+    values at a time, so no m x m array exists."""
+    ak, kh, m = a @ kmat, kmat.conj().T, kmat.shape[1]
+    step = max(1, PAIR_BLOCK // m)
+    vals, mus = np.empty(m), np.empty(m, dtype=np.intp)
+    for s in range(0, m, step):
+        block = np.abs(kh @ ak[:, s:s + step])  # [mu, lam]
+        vals[s:s + step], mus[s:s + step] = block.max(axis=0), block.argmax(axis=0)
+    return vals, mus
 
 
 def _check_start(model: KernelModel, point) -> None:
@@ -292,25 +291,24 @@ def _ascend(model: KernelModel, a: np.ndarray, start: tuple, level: int):
 def _grid_sup(model: KernelModel, a: np.ndarray, level: int, grid_values) -> SupEstimate:
     """The disk search behind berezin_number and berezin_norm.
 
-    At each level 0..`level`, grid_values(kernel_matrix) gives one value
-    per grid point (|symbol|) or one per lam-major pair (the m x m matrix
-    of |<A k_lam, k_mu>|, indexed [lam, mu]); each of its TOP_K largest
-    entries, mapped back to points through its shape, is a candidate and
-    the start of an ascent.  The estimate is the best value over all of
-    them.  A negative level or a non-finite entry of `a` raises ValueError.
+    At each level 0..`level`, grid_values(kernel_matrix) gives one value per
+    grid point, |symbol| or the norm's row maximum (_row_max), and for the
+    norm each point's partner mu.  The TOP_K best points, ties to the lower
+    index, are candidates, (lam,) or (lam, mu), and the starts of ascents.
+    The estimate is the best value over all of them.  A level outside
+    models._check_level or a non-finite entry of `a` raises ValueError.
     """
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
+    _check_level(model, level)
     if not np.isfinite(a).all():
         raise ValueError("operator has non-finite entries")
     best_val, best_arg = -1.0, None
     for lev in range(level + 1):
         pts = default_grid(model, lev).points
-        vals = grid_values(kernel_matrix(model, pts))
-        for ij in zip(*np.unravel_index(_top_k(vals), vals.shape)):
-            start = tuple(pts[i] for i in ij)
-            if vals[ij] > best_val:
-                best_val = float(vals[ij])
+        vals, *partners = grid_values(kernel_matrix(model, pts))
+        for i in np.argsort(-vals, kind="stable")[:TOP_K]:
+            start = (pts[i], *(pts[p[i]] for p in partners))
+            if vals[i] > best_val:
+                best_val = float(vals[i])
                 best_arg = start[0] if len(start) == 1 else start
             ref_val, ref_arg = _ascend(model, a, start, lev)
             if ref_val > best_val:
@@ -325,14 +323,14 @@ def berezin_number(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEsti
     Finite kind: exact, the largest diagonal modulus (first index wins ties).
     Continuous kinds: best of grid sampling plus local refinement over all
     levels up to `level` (_grid_sup); a lower bound for the true supremum.
-    A negative level or a non-finite operator raises ValueError there.
+    A bad level or a non-finite operator raises ValueError there.
     """
     _check_operand(model, a)
     if model.is_finite_kind:
         d = np.abs(np.diagonal(a))
         i = int(np.argmax(d))
         return SupEstimate(value=float(d[i]), argmax=i + 1, exact=True)
-    return _grid_sup(model, a, level, lambda kmat: np.abs(_symbols(a, kmat)))
+    return _grid_sup(model, a, level, lambda kmat: (np.abs(_symbols(a, kmat)),))
 
 
 @scoped
@@ -340,9 +338,9 @@ def berezin_norm(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEstima
     """sup over domain pairs of |<A k_lam, k_mu>|.
 
     Finite kind: exact, the largest entry modulus; the argmax pair is the
-    first (lam, mu) in lam-major order attaining it.  Continuous kinds:
-    grid pairs plus refinement (_grid_sup), a lower bound; a negative level
-    or a non-finite operator raises ValueError.
+    first (lam, mu) in lam-major order attaining it.  Continuous kinds: grid
+    row maxima plus refinement (_grid_sup), a lower bound; a bad level or a
+    non-finite operator raises ValueError.
     """
     _check_operand(model, a)
     if model.is_finite_kind:
@@ -351,8 +349,7 @@ def berezin_norm(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEstima
         k = int(np.argmax(flat))
         lam, mu = k // n + 1, k % n + 1
         return SupEstimate(value=float(flat[k]), argmax=(lam, mu), exact=True)
-    return _grid_sup(model, a, level,  # [mu, lam], then a lam-major view [lam, mu]
-                     lambda kmat: np.abs(kmat.conj().T @ (a @ kmat)).T)
+    return _grid_sup(model, a, level, functools.partial(_row_max, a))
 
 
 def _radius_ascent(a: np.ndarray, re: np.ndarray, im: np.ndarray, th: float,

@@ -26,7 +26,8 @@ line and an exit code:
 So bad input, an unreadable or unusable file (a report CSV cell longer
 than the csv module's field limit included), an --out path that cannot be
 written, a negative --level (in eval always, in check and fuzz on a disk
-model) and a JSON number that a float64 cannot hold all exit 2.
+model), a --level above 4 on a disk model, a NaN, infinite or negative
+--tol and a JSON number that a float64 cannot hold all exit 2.
 """
 
 from __future__ import annotations

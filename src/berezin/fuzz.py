@@ -54,6 +54,7 @@ from .inequalities import (
     _result,
     _validated_operands,
     _validated_params,
+    _validated_tolerance,
     _verdict,
 )
 from .linalg import herm_eig, precise_eigensolver
@@ -381,6 +382,7 @@ def run_suite(
     point), as do `violations` and the collected rows.  csv_path is opened,
     and its header written, before the first trial; the rows are copied in
     after the last one, so a campaign that raises leaves only the header.
+    A NaN, infinite or negative tolerance raises ParamOutOfRange first.
     """
     t0 = time.monotonic()
     gen = gen or GeneratorSpec()
@@ -392,6 +394,7 @@ def run_suite(
         entries.append(CATALOG[ineq_id])
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    tolerance = _validated_tolerance(tolerance)
     if gen.kind not in MATRIX_KINDS:
         raise ValueError(f"unknown generator kind {gen.kind!r}")
     dims = tuple(int(d) for d in (dims or (gen.n,)))

@@ -666,6 +666,15 @@ CATALOG_ORDER = tuple(CATALOG)
 # --- validation and checking ------------------------------------------------
 
 
+def _validated_tolerance(tol) -> float:
+    """The tolerance as a float; a NaN, infinite or negative one raises
+    ParamOutOfRange, zero is valid."""
+    t = float(tol)
+    if not 0.0 <= t < math.inf:
+        raise ParamOutOfRange(f"tolerance must be finite and >= 0, got {tol!r}")
+    return t
+
+
 def _validated_params(entry: CatalogEntry, given: dict) -> dict:
     out = {}
     for name in entry.params:
@@ -755,10 +764,11 @@ def check(case: InequalityCase) -> InequalityResult:
     entry = CATALOG.get(case.ineq_id)
     if entry is None:
         raise UnknownIneqId(f"no catalog entry {case.ineq_id!r}")
+    tol = _validated_tolerance(case.tolerance)
     ops, n = _validated_operands(entry, case)
     params = _validated_params(entry, case.params)
     (parts,) = _evaluate_grid(entry, case, ops, [params])
-    return _result(case.ineq_id, parts, params, n, float(case.tolerance))
+    return _result(case.ineq_id, parts, params, n, tol)
 
 
 def _evaluate_grid(entry: CatalogEntry, case: InequalityCase, ops: dict,

@@ -46,6 +46,9 @@ DEFAULT_FOCK_RADIUS = 3.0
 # both counts doubling per level so grids are nested as point sets.
 BASE_ANGLES = 16
 BASE_RADII = 8
+# Finest grid level of a continuous model: 32,769 points.  Each level
+# quadruples the points and costs the norm search about 16x more time.
+MAX_LEVEL = 4
 
 # Bound on the squared norms of p, p' and p'' at the domain's edge: a product
 # of two stays 1e16 below the float64 maximum.
@@ -214,6 +217,16 @@ def kernel_matrix(model: KernelModel, points) -> np.ndarray:
     return out
 
 
+def _check_level(model: KernelModel, level: int) -> None:
+    """Reject a negative level, and on a continuous model one above MAX_LEVEL,
+    with ValueError; a finite kind ignores the level otherwise."""
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    if level > MAX_LEVEL and not model.is_finite_kind:
+        raise ValueError(f"level must be >= 0 and <= {MAX_LEVEL} on a continuous model, "
+                         f"got {level}")
+
+
 def default_grid(model: KernelModel, level: int = 0) -> OmegaGrid:
     """Domain sample at a refinement level.
 
@@ -222,8 +235,7 @@ def default_grid(model: KernelModel, level: int = 0) -> OmegaGrid:
     reaching the domain radius.  Grids are nested: every point of level L
     appears in level L+1.
     """
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
+    _check_level(model, level)
     if model.is_finite_kind:
         return OmegaGrid(points=tuple(range(1, model.dimension + 1)), level=level)
     n_ang = BASE_ANGLES * (2**level)

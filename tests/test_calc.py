@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from berezin import (
 )
 from berezin import calc, models
 from berezin._cache import computation_scope
-from berezin.calc import TOP_K, _top_k
 from berezin.linalg import precise_eigensolver
 
 A22 = np.array([[1, 2], [3, 4]], dtype=complex)
@@ -450,43 +450,17 @@ class TestRefinedBounds:
                     assert value_at(*nb.argmax) == pytest.approx(nb.value, abs=tol)
 
 
-class TestTopK:
-    """_top_k must pick exactly the indices of a full stable descending sort."""
-
-    @staticmethod
-    def _check(v):
-        v = np.asarray(v, dtype=np.float64)
-        want = np.argsort(-v.ravel(), kind="stable")[:TOP_K]
-        assert np.array_equal(_top_k(v), want)
-
-    def test_ties_straddling_kth_place(self):
-        # five copies of the K-th value, some before and some after the larger ones
-        v = [0.5, 2.0, 0.5, 0.1, 3.0, 0.5, 2.0, 0.5, 0.5, 0.2, 0.5]
-        assert sorted(v, reverse=True)[TOP_K - 1] == 0.5
-        self._check(v)
-        self._check(v[::-1])
-
-    def test_fewer_than_k_values(self):
-        for n in range(TOP_K + 1):
-            self._check(np.arange(n, dtype=float)[::-1] % 3)
-
-    def test_all_equal_values(self):
-        self._check(np.full(17, 0.25))
-        self._check(np.zeros(TOP_K + 1))
-
-    def test_nan_sorts_last(self):
-        self._check([np.nan, 1.0, np.nan, 2.0, 0.5, np.nan, 2.0])
-        self._check([1.0, np.nan, 3.0, 2.0, 0.5, 0.5, 4.0, np.nan])
-
-    def test_random_with_repeats(self, rng):
-        for _ in range(50):
-            self._check(rng.integers(0, 6, size=int(rng.integers(1, 40))) / 4.0)
-
-    def test_transposed_view_in_c_order(self, rng):
-        # berezin_norm selects on the lam-major transpose of its pair matrix
-        m = rng.integers(0, 4, size=(7, 9)) / 2.0
-        self._check(m.T)
-        self._check(m[:, ::2])
+class TestNormMemory:
+    def test_level_three_norm_builds_no_pair_matrix(self):
+        # 8,193 grid points: one m x m complex128 pair matrix would be 1 GiB
+        a = gen_matrix(GeneratorSpec("general", 4, 1.0, seed=0))
+        tracemalloc.start()
+        try:
+            berezin_norm(hardy(3, 0.9), a, level=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
 
 
 class TestScopedCache:
@@ -576,8 +550,9 @@ class TestPositiveEquality:
 
 @pytest.mark.parametrize("quantity", [berezin_number, berezin_norm])
 def test_negative_level_rejected_on_disk_models(quantity):
-    with pytest.raises(ValueError, match="level must be >= 0"):
-        quantity(hardy(3, 0.9), np.eye(4, dtype=complex), level=-1)
+    for level in (-1, 5):  # 5 is above models.MAX_LEVEL
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            quantity(hardy(3, 0.9), np.eye(4, dtype=complex), level=level)
 
 
 @pytest.mark.parametrize("quantity", [berezin_number, berezin_norm])

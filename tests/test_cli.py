@@ -133,6 +133,21 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "level" in err
 
+    def test_level_above_four_on_disk_model(self, capsys, identity_path):
+        code, out, err = run(capsys, "eval", "--model", "hardy:1:0.9", "--matrix", identity_path,
+                             "--level", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "level" in err and err.count("\n") == 1
+
+    def test_level_above_four_ignored_on_finite_model(self, capsys, tmp_path):
+        p = tmp_path / "id4.json"
+        save_matrix(p, np.eye(4, dtype=complex))
+        code, out, _ = run(capsys, "eval", "--model", "finite:4", "--matrix", str(p),
+                           "--level", "5")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["level"] == 5 and payload["berezin_norm"]["value"] == 1.0
+
     def test_bool_matrix_shape(self, capsys, tmp_path):
         p = tmp_path / "bool.json"
         p.write_text(json.dumps({"rows": True, "cols": True, "data": [[1, 0]]}))
@@ -224,10 +239,25 @@ class TestCheck:
 
 
     def test_negative_level_on_disk_model(self, capsys):
-        code, out, err = run(capsys, "check", "--ineq", "thm1", "--model", "hardy:3:0.9",
-                             "--level", "-1", "--trials", "1")
+        for level in ("-1", "5"):  # 5 is above models.MAX_LEVEL
+            code, out, err = run(capsys, "check", "--ineq", "thm1", "--model", "hardy:3:0.9",
+                                 "--level", level, "--trials", "1")
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "level" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("case", [["--ineq", "prop1", "--trials", "2"],
+                                      ["--ineq", "lem3", "--a", "1", "--b", "4",
+                                       "--alpha", "0.5", "--r", "0", "--s", "1"]])
+    def test_bad_tolerance(self, capsys, tol, case):
+        code, out, err = run(capsys, "check", *case, f"--tol={tol}")
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "level" in err
+        assert err.startswith("error: tolerance must be finite and >= 0") and err.count("\n") == 1
+
+    def test_zero_tolerance(self, capsys):
+        code, out, _ = run(capsys, "check", "--ineq", "lem3", "--a", "1", "--b", "4",
+                           "--alpha", "0.5", "--r", "0", "--s", "1", "--tol", "0")
+        assert code == 0 and json.loads(out)["violations"] == 0
 
     def test_random_campaign_csv_is_the_run_suite_csv(self, capsys, tmp_path):
         code, out, _ = run(capsys, "check", "--ineq", "cor1,prop1,lem2", "--n", "3",

@@ -359,6 +359,15 @@ class TestEarlyParamValidation:
             run_suite(["thm1"], sweep={"alpha": [1.5]}, trials=2)
         assert sampled == [] and not path.exists()
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance_raises_before_any_row(self, tmp_path, monkeypatch, tol):
+        sampled = []
+        monkeypatch.setattr(fuzz, "sample_operands", lambda *a, **k: sampled.append(a))
+        path = tmp_path / "never.csv"
+        with pytest.raises(ParamOutOfRange, match="tolerance must be finite and >= 0"):
+            run_suite(["prop1"], trials=2, tolerance=tol, csv_path=str(path))
+        assert sampled == [] and not path.exists()
+
     def test_filters_keep_their_behaviour(self):
         grid = param_grid(CATALOG["eqn2cmp"], {"alpha": [0.0, 0.5, 1.0]})
         assert {c["alpha"] for c in grid} == {0.5}
@@ -509,7 +518,7 @@ class TestCsvFormat:
         run_suite(model=hardy(3, 0.9), level=0, trials=1, dims=(4,),
                   gen=GeneratorSpec(n=4, seed=0xD15C0000), csv_path=str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "7f6a24f97fc1748dc859413b634ccf9ca0414e9ce25e4d649a4ed94e8c903af5"
+            "a336fe7131411a735234d4a41d53cefce2bd0bf41af3fb78fbcbb678553f9202"
         )
 
     def test_unix_newlines(self, tmp_path):

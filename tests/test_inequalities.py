@@ -521,6 +521,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             _run("lem1", {"P": I2, "x": np.zeros(2, dtype=complex)}, {"r": 2})
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_bad_tolerance_rejected(self, tol):
+        case = InequalityCase("prop1", {"A": I2}, model=finite(2), tolerance=tol)
+        with pytest.raises(ParamOutOfRange, match="tolerance must be finite and >= 0"):
+            check(case)
+
+    def test_zero_tolerance_allowed(self):
+        res = check(InequalityCase("prop1", {"A": I2}, model=finite(2), tolerance=0.0))
+        assert res.satisfied and res.lhs == res.rhs == 1.0
+
 
 class TestResultContract:
     def test_witness_structure(self, rng):
