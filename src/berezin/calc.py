@@ -7,12 +7,12 @@ over finitely many kernel pairs.  Continuous models are sampled on nested
 polar grids and refined locally, producing lower bounds attained at domain
 points (exact=False).  Both quantities are sups of |<A k_lam, k_mu>|, the
 number on the diagonal mu = lam, so one search (_grid_sup) serves both: at
-each level it takes the best grid points by |symbol|, or by the row maximum
-max_mu |<A k_lam, k_mu>| (_row_max), and from each, or its pair (lam, mu), a
-safeguarded Newton ascent (_ascend) climbs log|symbol|^2, or log|<A k_lam,
-k_mu>|^2 in the four real coordinates of the pair, on exact derivatives:
-with w = conj(lam) and p_j = c_j w^j, the jet P = [p, p', p''] of
-models._jet gives every first and second derivative through the 3x3
+each level it takes the best grid local maxima (_peaks) of |symbol|, or of
+the row maximum max_mu |<A k_lam, k_mu>| (_row_max), and from each, or its
+pair (lam, mu), a safeguarded Newton ascent (_ascend) climbs log|symbol|^2,
+or log|<A k_lam, k_mu>|^2 in the four real coordinates of the pair, on exact
+derivatives: with w = conj(lam) and p_j = c_j w^j, the jet P = [p, p', p'']
+of models._jet gives every first and second derivative through the 3x3
 matrices P*AP and P*P (_log_terms).  One driver (_ascent) steps for both,
 holding a point on the disk's edge to the circle; the value is the best
 over its iterates.  Estimates at level L take the best value over levels
@@ -39,12 +39,12 @@ from ._cache import scoped
 from .errors import DimensionMismatch, PointOutOfDomain
 from .linalg import as_complex_matrix, im_part, is_hermitian, operator_norm, re_part
 from .models import (
-    BASE_RADII, KernelModel, OmegaGrid, _check_level, _jet, default_grid, finite,
-    kernel_matrix, normalized_kernel,
+    BASE_ANGLES, BASE_RADII, KernelModel, OmegaGrid, _check_level, _jet, default_grid,
+    finite, kernel_matrix, normalized_kernel,
 )
 from .results import InequalityResult
 
-# Multistart width for local refinement of grid maxima.
+# Grid local maxima climbed per level by the disk sup search.
 TOP_K = 5
 # Pair values per block of the norm's grid stage (4 MiB of complex128).
 PAIR_BLOCK = 2**18
@@ -288,13 +288,28 @@ def _ascend(model: KernelModel, a: np.ndarray, start: tuple, level: int):
     return val, (lam if len(start) == 1 else (lam, complex(x[2], x[3])))
 
 
+def _peaks(vals: np.ndarray, level: int) -> np.ndarray:
+    """Indices of the TOP_K best local maxima of vals, one value per point of
+    default_grid(level), ties to the lower index: the ring points >= their
+    cyclic angle neighbours and the points directly inside (the origin, for
+    ring 0) and outside them, and the origin if >= ring 0.  Includes the argmax."""
+    n_ang = BASE_ANGLES * 2**level
+    ring = vals[1:].reshape(-1, n_ang)  # radius-major mesh
+    ang = np.concatenate((ring[:, -1:], ring, ring[:, :1]), axis=1)
+    rad = np.concatenate(([vals[0]] * n_ang, vals[1:], [-np.inf] * n_ang)).reshape(-1, n_ang)
+    peak = (ring >= ang[:, :-2]) & (ring >= ang[:, 2:]) & (ring >= rad[:-2]) & (ring >= rad[2:])
+    idx = np.flatnonzero(np.concatenate(([vals[0] >= ring[0].max()], peak.ravel())))
+    return idx[np.argsort(-vals[idx], kind="stable")[:TOP_K]]
+
+
 def _grid_sup(model: KernelModel, a: np.ndarray, level: int, grid_values) -> SupEstimate:
     """The disk search behind berezin_number and berezin_norm.
 
     At each level 0..`level`, grid_values(kernel_matrix) gives one value per
     grid point, |symbol| or the norm's row maximum (_row_max), and for the
-    norm each point's partner mu.  The TOP_K best points, ties to the lower
-    index, are candidates, (lam,) or (lam, mu), and the starts of ascents.
+    norm each point's partner mu.  The TOP_K best local maxima of those
+    values on the grid (_peaks), ties to the lower index, are candidates,
+    (lam,) or (lam, mu), and the starts of ascents.
     The estimate is the best value over all of them.  A level outside
     models._check_level or a non-finite entry of `a` raises ValueError.
     """
@@ -305,7 +320,7 @@ def _grid_sup(model: KernelModel, a: np.ndarray, level: int, grid_values) -> Sup
     for lev in range(level + 1):
         pts = default_grid(model, lev).points
         vals, *partners = grid_values(kernel_matrix(model, pts))
-        for i in np.argsort(-vals, kind="stable")[:TOP_K]:
+        for i in _peaks(vals, lev):
             start = (pts[i], *(pts[p[i]] for p in partners))
             if vals[i] > best_val:
                 best_val = float(vals[i])

@@ -463,6 +463,122 @@ class TestNormMemory:
         assert peak < 128 * 2**20
 
 
+def _mesh_values(level, ring_value, origin):
+    """A value array on default_grid(level) layout: the origin, then
+    ring_value(r, t) over the radius-major (radius r, angle t) mesh."""
+    n_rad, n_ang = models.BASE_RADII * 2**level, models.BASE_ANGLES * 2**level
+    r, t = np.meshgrid(np.arange(n_rad), np.arange(n_ang), indexing="ij")
+    return np.concatenate(([origin], ring_value(r, t).astype(float).ravel())), n_ang
+
+
+def _local_maxima_oracle(vals, level):
+    """Indices i with vals[i] >= every neighbour, by explicit neighbour lists."""
+    n_rad, n_ang = models.BASE_RADII * 2**level, models.BASE_ANGLES * 2**level
+
+    def index(r, t):
+        return 1 + r * n_ang + t % n_ang
+
+    out = [0] if all(vals[0] >= vals[index(0, t)] for t in range(n_ang)) else []
+    for r in range(n_rad):
+        for t in range(n_ang):
+            nbrs = [index(r, t - 1), index(r, t + 1), index(r - 1, t) if r else 0]
+            if r + 1 < n_rad:
+                nbrs.append(index(r + 1, t))
+            if all(vals[index(r, t)] >= vals[j] for j in nbrs):
+                out.append(index(r, t))
+    return out
+
+
+class TestPeaks:
+    """calc._peaks: the TOP_K best grid local maxima, ties to the lower index."""
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_origin_against_first_ring(self, level):
+        # values fall away from the origin, except one first-ring point
+        vals, _ = _mesh_values(level, lambda r, t: -10.0 * r, origin=1.0)
+        assert calc._peaks(vals, level).tolist() == [0]
+        vals[4] = 2.0  # ring 0, angle 3 beats the origin
+        assert calc._peaks(vals, level).tolist() == [4]
+        vals[4] = 1.0  # a tie with the origin: both kept, the origin first
+        assert calc._peaks(vals, level).tolist() == [0, 4]
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_angle_wraps(self, level):
+        # on ring 3, g(t) = t except g(0) = n_ang: only the wrap tells that
+        # angle n_ang - 1 sits below its neighbour angle 0
+        vals, n_ang = _mesh_values(
+            level, lambda r, t: np.where(t == 0, t.shape[1], t) - 100.0 * abs(r - 3),
+            origin=-1e3)
+        assert calc._peaks(vals, level).tolist() == [1 + 3 * n_ang]
+        assert _local_maxima_oracle(vals, level) == [1 + 3 * n_ang]
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_innermost_and_outermost_rings(self, level):
+        # one angle peak at t = 5 on every ring; the radial slope picks the ring
+        def bump(t):
+            return np.cos(2.0 * np.pi * (t - 5) / t.shape[1])
+
+        vals, n_ang = _mesh_values(level, lambda r, t: 10.0 * r + bump(t), origin=-1e3)
+        n_rad = (len(vals) - 1) // n_ang
+        assert calc._peaks(vals, level).tolist() == [1 + (n_rad - 1) * n_ang + 5]
+        vals, _ = _mesh_values(level, lambda r, t: -10.0 * r + bump(t), origin=-1e3)
+        assert calc._peaks(vals, level).tolist() == [1 + 5]
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_plateau_ties_to_lower_index(self, level):
+        # ring 2 peaks on a two-point plateau at angles 9 and 10; a lone point
+        # on ring 5 is raised to the same height
+        vals, n_ang = _mesh_values(
+            level, lambda r, t: -10.0 * abs(r - 2) - abs(t - 9.5), origin=-1e3)
+        vals[1 + 5 * n_ang + 1] = vals[1 + 2 * n_ang + 9]
+        assert calc._peaks(vals, level).tolist() == [
+            1 + 2 * n_ang + 9, 1 + 2 * n_ang + 10, 1 + 5 * n_ang + 1,
+        ]
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_constant_values(self, level):
+        vals, _ = _mesh_values(level, lambda r, t: np.zeros(r.shape), origin=0.0)
+        assert calc._peaks(vals, level).tolist() == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_at_most_top_k_and_global_argmax_included(self, rng, level):
+        # a checkerboard: every other mesh point is a peak
+        vals, _ = _mesh_values(level, lambda r, t: (r + t) % 2, origin=0.0)
+        assert len(calc._peaks(vals, level)) == calc.TOP_K
+        for _ in range(20):
+            vals = rng.standard_normal(len(vals)) ** 3
+            got = calc._peaks(vals, level).tolist()
+            assert len(got) <= calc.TOP_K and int(np.argmax(vals)) in got
+            maxima = _local_maxima_oracle(vals, level)
+            assert got == sorted(maxima, key=lambda i: (-vals[i], i))[:calc.TOP_K]
+
+
+class TestStartRule:
+    """The disk sup search climbs the grid's best local maxima."""
+
+    def test_level_zero_finds_the_peak_level_two_finds(self):
+        # eval-pool slot 15: starting from the five best grid values instead
+        # of the five best local maxima left level 0 19% (number) and 16%
+        # (norm) short of level 2
+        a = gen_matrix(GeneratorSpec("general", 16, 1.0, 0xE7A1000F))
+        for quantity, model in ((berezin_number, hardy(15, 0.95)),
+                                (berezin_norm, bergman(15, 0.95))):
+            v0 = quantity(model, a, level=0).value
+            assert v0 == pytest.approx(quantity(model, a, level=2).value, rel=1e-12)
+
+    def test_refinement_monotone_and_above_the_grid(self):
+        # acceptance gate 7 across the start rule, with no tolerance
+        m = hardy(3, 0.9)
+        kmat = kernel_matrix(m, default_grid(m, 0).points)
+        for seed in range(4):
+            a = gen_matrix(GeneratorSpec("general", 4, 1.0, seed=seed))
+            grid = (np.abs(np.einsum("ij,ij->j", kmat.conj(), a @ kmat)).max(),
+                    np.abs(kmat.conj().T @ (a @ kmat)).max())
+            for quantity, grid_max in zip((berezin_number, berezin_norm), grid):
+                v0 = quantity(m, a, level=0).value
+                assert quantity(m, a, level=1).value >= v0 >= grid_max
+
+
 class TestScopedCache:
     def test_same_answers_with_and_without_scope(self, rng):
         a = orc.rand_complex(rng, 5)

@@ -518,7 +518,7 @@ class TestCsvFormat:
         run_suite(model=hardy(3, 0.9), level=0, trials=1, dims=(4,),
                   gen=GeneratorSpec(n=4, seed=0xD15C0000), csv_path=str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "a336fe7131411a735234d4a41d53cefce2bd0bf41af3fb78fbcbb678553f9202"
+            "990fc8462d37e2cd93bcb1e2afda6a34f28f770fd07833e30e18ce8eeff96bde"
         )
 
     def test_unix_newlines(self, tmp_path):
