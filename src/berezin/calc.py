@@ -19,12 +19,14 @@ over its iterates.  Estimates at level L take the best value over levels
 0..L, so refinement never loses ground.
 
 The numerical radius is w(A) = max over theta of g(theta) = lambda_max(
-Re(e^{i theta} A)).  One batched eigvalsh samples g on a 256-point grid;
-from each grid peak a safeguarded Newton ascent (one eigh per step, with g'
-and g'' from first- and second-order eigenvalue perturbation) finds the
-stationary point.  The value is |<Ax, x>| at a top eigenvector x or a grid
-value, so it is a lower bound on w(A) attained at a unit vector; normal
-operators give their spectral radius to machine precision.
+Re(e^{i theta} A)).  One batched eigvalsh of the first half-turn's 128
+Hermitian parts samples g on a 256-point grid, the second half-turn from
+g(theta + pi) = -lambda_min(Re(e^{i theta} A)); from each grid peak a
+safeguarded Newton ascent (one eigh per step, with g' and g'' from first-
+and second-order eigenvalue perturbation) finds the stationary point.  The
+value is |<Ax, x>| at a top eigenvector x or a grid value, so it is a lower
+bound on w(A) attained at a unit vector; normal operators give their
+spectral radius to machine precision.
 """
 
 from __future__ import annotations
@@ -86,15 +88,22 @@ def berezin_symbol(model: KernelModel, a: np.ndarray, point) -> complex:
     return complex(k.conj() @ (a @ k))
 
 
+def symbol_values(model: KernelModel, a: np.ndarray, grid: OmegaGrid) -> np.ndarray:
+    """Symbol values at every point of `grid`, in grid order, as one complex
+    array."""
+    _check_operand(model, a)
+    return _symbols(a, kernel_matrix(model, grid.points))
+
+
 def berezin_set_sample(model: KernelModel, a: np.ndarray, grid: OmegaGrid | None = None):
-    """Symbol values at every grid point, in grid order.
+    """Symbol values at every grid point, in grid order, one
+    BerezinEvaluation each (symbol_values).
 
     Without an explicit grid the model's level-0 default grid is used.
     """
-    _check_operand(model, a)
     if grid is None:
         grid = default_grid(model, 0)
-    vals = _symbols(a, kernel_matrix(model, grid.points))
+    vals = symbol_values(model, a, grid)
     return [
         BerezinEvaluation(point=p, value=complex(v))
         for p, v in zip(grid.points, vals)
@@ -115,7 +124,8 @@ def _row_max(a: np.ndarray, kmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, mus = np.empty(m), np.empty(m, dtype=np.intp)
     for s in range(0, m, step):
         block = np.abs(kh @ ak[:, s:s + step])  # [mu, lam]
-        vals[s:s + step], mus[s:s + step] = block.max(axis=0), block.argmax(axis=0)
+        arg = block.argmax(axis=0)  # a NaN is its column's first maximum, as in max
+        vals[s:s + step], mus[s:s + step] = block[arg, np.arange(arg.size)], arg
     return vals, mus
 
 
@@ -311,23 +321,32 @@ def _grid_sup(model: KernelModel, a: np.ndarray, level: int, grid_values) -> Sup
     values on the grid (_peaks), ties to the lower index, are candidates,
     (lam,) or (lam, mu), and the starts of ascents.
     The estimate is the best value over all of them.  A level outside
-    models._check_level or a non-finite entry of `a` raises ValueError.
+    models._check_level, a non-finite entry of `a`, or an operator near the
+    float64 limit, whose grid or ascent overflows (a best value that is not
+    finite, or an OverflowError; the overflow warnings are silenced), raises
+    ValueError.
     """
     _check_level(model, level)
     if not np.isfinite(a).all():
         raise ValueError("operator has non-finite entries")
     best_val, best_arg = -1.0, None
-    for lev in range(level + 1):
-        pts = default_grid(model, lev).points
-        vals, *partners = grid_values(kernel_matrix(model, pts))
-        for i in _peaks(vals, lev):
-            start = (pts[i], *(pts[p[i]] for p in partners))
-            if vals[i] > best_val:
-                best_val = float(vals[i])
-                best_arg = start[0] if len(start) == 1 else start
-            ref_val, ref_arg = _ascend(model, a, start, lev)
-            if ref_val > best_val:
-                best_val, best_arg = ref_val, ref_arg
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lev in range(level + 1):
+                pts = default_grid(model, lev).points
+                vals, *partners = grid_values(kernel_matrix(model, pts))
+                for i in _peaks(vals, lev):
+                    start = (pts[i], *(pts[p[i]] for p in partners))
+                    if vals[i] > best_val:
+                        best_val = float(vals[i])
+                        best_arg = start[0] if len(start) == 1 else start
+                    ref_val, ref_arg = _ascend(model, a, start, lev)
+                    if ref_val > best_val:
+                        best_val, best_arg = ref_val, ref_arg
+    except OverflowError as exc:  # abs() of a complex whose modulus overflows
+        raise ValueError(f"disk estimate overflows float64 ({exc})") from exc
+    if best_arg is None or not math.isfinite(best_val):
+        raise ValueError(f"disk estimate overflows float64 (best value {best_val!r})")
     return SupEstimate(value=best_val, argmax=best_arg, exact=False)
 
 
@@ -407,11 +426,13 @@ def numerical_radius(a: np.ndarray) -> float:
     """max over unit vectors of |<Ax, x>|, as a lower bound attained at one.
 
     Evaluates g(theta) = lambda_max(Re(e^{i theta} A)) on a 256-point grid
-    over [0, 2 pi) in one batched eigvalsh, then runs a safeguarded Newton
-    ascent of g (one eigh per step, see _radius_ascent) from every discrete
-    local maximum of the grid.  The value is the larger of the grid
-    maximum and |<Ax, x>| over the top eigenvectors x of every iterate,
-    each attained at a unit vector, so up to rounding it never exceeds w(A).
+    over [0, 2 pi) in one batched eigvalsh of the 128 Hermitian parts on
+    [0, pi), each giving g(theta) and g(theta + pi) = -lambda_min, then
+    runs a safeguarded Newton ascent of g (one eigh per step, see
+    _radius_ascent) from every discrete local maximum of the grid.  The
+    value is the larger of the grid maximum and |<Ax, x>| over the top
+    eigenvectors x of every iterate, each attained at a unit vector, so up
+    to rounding it never exceeds w(A).
     At a stationary theta, e^{i theta} <Ax, x> is real, so for normal
     operators the value is the spectral radius to machine precision.
     Non-square input raises DimensionMismatch, empty or non-finite input
@@ -422,10 +443,10 @@ def numerical_radius(a: np.ndarray) -> float:
     a = as_complex_matrix(a)
 
     thetas = 2.0 * np.pi * np.arange(RADIUS_GRID) / RADIUS_GRID
-    phases = np.exp(1j * thetas)
-    stack = phases[:, None, None] * a[None, :, :]
-    stack = (stack + stack.conj().transpose(0, 2, 1)) * 0.5
-    g = np.linalg.eigvalsh(stack)[:, -1]
+    half = RADIUS_GRID // 2  # Re(e^{i(theta + pi)} A) = -Re(e^{i theta} A)
+    stack = np.exp(1j * thetas[:half])[:, None, None] * a[None, :, :]
+    ev = np.linalg.eigvalsh((stack + stack.conj().transpose(0, 2, 1)) * 0.5)
+    g = np.concatenate((ev[:, -1], -ev[:, 0]))
 
     best = float(np.max(g))
     starts = np.flatnonzero((g >= np.roll(g, 1)) & (g >= np.roll(g, -1)))

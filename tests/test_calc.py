@@ -28,7 +28,8 @@ from berezin import (
 )
 from berezin import calc, models
 from berezin._cache import computation_scope
-from berezin.linalg import precise_eigensolver
+from berezin.fuzz import MATRIX_KINDS
+from berezin.linalg import as_complex_matrix, im_part, precise_eigensolver, re_part
 
 A22 = np.array([[1, 2], [3, 4]], dtype=complex)
 SHIFT = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -83,6 +84,18 @@ class TestSetSample:
         g = default_grid(m, level=0)
         evs = berezin_set_sample(m, np.eye(4, dtype=complex), g)
         assert [ev.point for ev in evs] == list(g.points)
+
+    def test_sample_wraps_symbol_values(self):
+        m = hardy(3, 0.9)
+        a = gen_matrix(GeneratorSpec("general", 4, 1.0, seed=1))
+        g = default_grid(m, level=1)
+        vals = calc.symbol_values(m, a, g)
+        assert vals.dtype == np.complex128 and vals.shape == (len(g.points),)
+        assert [ev.value for ev in berezin_set_sample(m, a, g)] == vals.tolist()
+        for i in (0, 7, len(g.points) - 1):
+            assert vals[i] == pytest.approx(berezin_symbol(m, a, g.points[i]), abs=1e-14)
+        with pytest.raises(DimensionMismatch):
+            calc.symbol_values(m, np.eye(3, dtype=complex), g)
 
 
 class TestBerezinNumberFinite:
@@ -226,6 +239,29 @@ class TestNumericalRadius:
     ])
     def test_special_cases(self, a, want):
         assert numerical_radius(a) == pytest.approx(want, abs=1e-14 * max(1.0, want))
+
+    @staticmethod
+    def _full_turn_reference(a):
+        """numerical_radius with all 256 Hermitian parts solved for the grid."""
+        a = as_complex_matrix(a)
+        th = 2.0 * np.pi * np.arange(calc.RADIUS_GRID) / calc.RADIUS_GRID
+        stack = np.exp(1j * th)[:, None, None] * a[None, :, :]
+        g = np.linalg.eigvalsh((stack + stack.conj().transpose(0, 2, 1)) * 0.5)[:, -1]
+        best, h = float(np.max(g)), 2.0 * np.pi / calc.RADIUS_GRID
+        gtol = 64.0 * np.finfo(float).eps * float(np.linalg.norm(a))
+        for i in np.flatnonzero((g >= np.roll(g, 1)) & (g >= np.roll(g, -1))):
+            best = max(best, calc._radius_ascent(a, re_part(a), im_part(a), float(th[i]), h,
+                                                 gtol)[0])
+        return best
+
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_half_turn_grid_is_bit_equal_to_full_turn(self, kind, n):
+        # g(theta + pi) = -lambda_min(Re(e^{i theta} A)) stands in for the
+        # second half-turn's 128 eigensolves
+        for seed in range(6):
+            a = gen_matrix(GeneratorSpec(kind, n, 1.0, seed=seed))
+            assert numerical_radius(a) == self._full_turn_reference(a)
 
     def test_eigensolve_budget(self, monkeypatch):
         # one batched grid solve, then a few Newton steps (one eigh each) from
@@ -448,6 +484,21 @@ class TestRefinedBounds:
                         assert abs(p) <= model.radius * (1 + 1e-12)
                     assert value_at(bn.argmax, bn.argmax) == pytest.approx(bn.value, abs=tol)
                     assert value_at(*nb.argmax) == pytest.approx(nb.value, abs=tol)
+
+
+class TestRowMax:
+    def test_argmax_values_equal_the_column_maxima(self, rng):
+        # level 0 has 129 points: the pair values fit in one PAIR_BLOCK block
+        m = hardy(3, 0.9)
+        kmat = kernel_matrix(m, default_grid(m, 0).points)
+        a = orc.rand_complex(rng, 4)
+        bad = kmat.copy()
+        bad[:, 5] = np.nan  # every column's pair values hold a NaN, first at mu = 5
+        for k in (kmat, bad):
+            full = np.abs(k.conj().T @ (a @ k))
+            vals, mus = calc._row_max(a, k)
+            np.testing.assert_array_equal(vals, full.max(axis=0))
+            np.testing.assert_array_equal(mus, full.argmax(axis=0))
 
 
 class TestNormMemory:
@@ -677,4 +728,17 @@ def test_non_finite_operator_rejected_on_disk_models(quantity, bad):
     a = np.eye(4, dtype=complex)
     a[1, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
+        quantity(hardy(3, 0.9), a, level=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("quantity", [berezin_number, berezin_norm])
+@pytest.mark.parametrize("top", [1e308, 1.7e308])
+def test_overflowing_operator_raises_instead_of_inf(quantity, top):
+    # finite entries up to `top`: the grid or the ascent overflows to inf (an
+    # inf is no lower bound), or abs() of a complex raises OverflowError
+    a = gen_matrix(GeneratorSpec("general", 4, 1.0, seed=3))
+    a = a * (top / np.abs(a).max())
+    assert np.isfinite(a).all()
+    with pytest.raises(ValueError, match="overflows float64"):
         quantity(hardy(3, 0.9), a, level=0)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -7,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from berezin import GeneratorSpec, cli, models, run_suite
+from berezin import GeneratorSpec, cli, gen_matrix, models, run_suite
 from berezin.cli import main
 from berezin.errors import DimensionMismatch, NoConvergence, PointOutOfDomain
 from berezin.fuzz import MATRIX_KINDS
@@ -163,6 +165,45 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--matrix", identity_path)
         assert code == 4 and out == ""
         assert err == "numerical failure: Eigenvalues did not converge\n"
+
+
+class TestEvalOutput:
+    @pytest.mark.parametrize("gen, argv, digest", [
+        (GeneratorSpec("general", 16, 1.0, 0xE7A10003),
+         ("--model", "hardy:15:0.95", "--level", "1"),
+         "d17ab5e5e13e97f42bdfab8c38beb67ce80763dd2b71b0e4ae569dab9ca966aa"),
+        (GeneratorSpec("general", 4, 1.0, 0), ("--model", "finite:4"),
+         "b0f34c831d78e9df81d3288bdf4f86b1f49789f4894e25d7fb89ce995615719b"),
+    ])
+    def test_golden_bytes(self, capsys, tmp_path, gen, argv, digest):
+        # an eval-pool operator on a disk model (2,049 symbol samples) and a
+        # finite one: every estimate and every byte of the JSON layout
+        path = tmp_path / "m.json"
+        save_matrix(path, gen_matrix(gen))
+        code, out, _ = run(capsys, "eval", "--matrix", str(path), *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("points, values", [
+        ((1, 2, 3), (1.0 + 0j, complex(5e-324, -0.0), complex(math.nan, math.inf))),
+        ((0j, complex(-0.0, 0.0), complex(0.5, -0.0), complex(-1e300, 5e-324)),
+         (complex(-math.inf, 1e300), 0j, complex(-0.0, -5e-324), complex(math.nan, -math.inf))),
+        ((1,), (complex(-0.0, math.nan),)),
+        ((0j,), (complex(math.inf, -1e-310),)),
+    ])
+    def test_spliced_samples_equal_json_dumps(self, points, values):
+        payload = {
+            "model": {"kind": "finite", "dimension": 3},
+            "level": 0,
+            "berezin_number": {"value": math.nan, "argmax": [0.0, -0.0], "exact": False},
+            "numerical_radius": math.inf,
+            "symbol_samples": [],
+        }
+        want = json.dumps({**payload, "symbol_samples": [
+            {"point": cli._point_json(p), "value": [v.real, v.imag]}
+            for p, v in zip(points, values)
+        ]}, indent=2)
+        assert cli._eval_json(payload, points, np.array(values)) == want
 
 
 class TestCheck:
@@ -465,6 +506,26 @@ def test_disk_radius_bounds_without_warnings(tmp_path, spec, code):
         assert proc.stderr.startswith("error:") and "domain radius" in proc.stderr
     else:
         assert proc.stdout.splitlines()[0] == "quantity,value"
+
+
+@pytest.mark.parametrize("top", [1e308, 1.7e308])
+def test_overflowing_operator_exits_2_with_one_error_line(tmp_path, top):
+    # finite entries up to `top` overflow the disk search: an error, not an
+    # inf estimate or a traceback, and no floating-point warning under -W error
+    a = gen_matrix(GeneratorSpec("general", 4, 1.0, 3))
+    path = tmp_path / "m.json"
+    save_matrix(path, a * (top / np.abs(a).max()))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "berezin.cli", "eval", "--model", "hardy:3:0.9",
+         "--matrix", str(path), "--level", "0"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "overflows" in lines[0]
+    assert proc.stdout == ""
 
 
 class TestExitCodes:
