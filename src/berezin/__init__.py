@@ -7,14 +7,13 @@ together with a randomized certification harness.
 """
 
 from .calc import (
-    BerezinEvaluation,
     SupEstimate,
     berezin_number,
     berezin_norm,
-    berezin_set_sample,
+    berezin_pair,
     berezin_symbol,
-    counterexample_check,
     numerical_radius,
+    symbol_values,
 )
 from .errors import (
     BerezinError,
@@ -41,7 +40,9 @@ from .inequalities import (
     DEFAULT_TOL,
     CatalogEntry,
     InequalityCase,
+    InequalityResult,
     check,
+    counterexample_check,
     power_mean,
     verify_positive_equality,
 )
@@ -61,13 +62,11 @@ from .linalg import (
     spectral_radius,
 )
 from .models import KernelModel, OmegaGrid, bergman, default_grid, finite, fock, hardy, kernel_matrix, normalized_kernel
-from .results import InequalityResult
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BerezinError",
-    "BerezinEvaluation",
     "CATALOG",
     "CATALOG_ORDER",
     "CatalogEntry",
@@ -93,7 +92,7 @@ __all__ = [
     "as_complex_matrix",
     "berezin_number",
     "berezin_norm",
-    "berezin_set_sample",
+    "berezin_pair",
     "berezin_symbol",
     "bergman",
     "check",
@@ -119,5 +118,6 @@ __all__ = [
     "re_part",
     "run_suite",
     "spectral_radius",
+    "symbol_values",
     "verify_positive_equality",
 ]

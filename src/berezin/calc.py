@@ -1,5 +1,4 @@
-"""Berezin symbols, sup-type quantities, the numerical radius, and the
-antidiagonal witness that separates the Berezin number from the norm.
+"""Berezin symbols, sup-type quantities and the numerical radius.
 
 Finite-kind models admit exact evaluation: the Berezin number is the largest
 diagonal modulus and the Berezin norm the largest entry modulus, both maxima
@@ -39,12 +38,11 @@ import numpy as np
 
 from ._cache import scoped
 from .errors import DimensionMismatch, PointOutOfDomain
-from .linalg import as_complex_matrix, im_part, is_hermitian, operator_norm, re_part
+from .linalg import _pow2_exponent, as_complex_matrix, im_part, re_part
 from .models import (
     BASE_ANGLES, BASE_RADII, KernelModel, OmegaGrid, _check_level, _jet, default_grid,
-    finite, kernel_matrix, normalized_kernel,
+    kernel_matrix, normalized_kernel,
 )
-from .results import InequalityResult
 
 # Grid local maxima climbed per level by the disk sup search.
 TOP_K = 5
@@ -52,14 +50,6 @@ TOP_K = 5
 PAIR_BLOCK = 2**18
 # theta sample count for the numerical radius.
 RADIUS_GRID = 256
-
-
-@dataclass(frozen=True)
-class BerezinEvaluation:
-    """Symbol value at one domain point."""
-
-    point: object
-    value: complex
 
 
 @dataclass(frozen=True)
@@ -93,21 +83,6 @@ def symbol_values(model: KernelModel, a: np.ndarray, grid: OmegaGrid) -> np.ndar
     array."""
     _check_operand(model, a)
     return _symbols(a, kernel_matrix(model, grid.points))
-
-
-def berezin_set_sample(model: KernelModel, a: np.ndarray, grid: OmegaGrid | None = None):
-    """Symbol values at every grid point, in grid order, one
-    BerezinEvaluation each (symbol_values).
-
-    Without an explicit grid the model's level-0 default grid is used.
-    """
-    if grid is None:
-        grid = default_grid(model, 0)
-    vals = symbol_values(model, a, grid)
-    return [
-        BerezinEvaluation(point=p, value=complex(v))
-        for p, v in zip(grid.points, vals)
-    ]
 
 
 def _symbols(a: np.ndarray, kmat: np.ndarray) -> np.ndarray:
@@ -386,6 +361,25 @@ def berezin_norm(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEstima
     return _grid_sup(model, a, level, functools.partial(_row_max, a))
 
 
+def berezin_pair(model: KernelModel, a: np.ndarray, level: int = 1) -> tuple[float, float]:
+    """(number, norm): berezin_number and berezin_norm, on continuous kinds
+    each lifted toward the other, so both stay lower bounds attained at
+    domain points, for any operator.
+
+    The number is raised to |symbol| at both points of the norm's argmax
+    pair; for PSD A, |<A k_lam, k_mu>|^2 <= <A k_lam, k_lam> <A k_mu, k_mu>,
+    so one of them reaches the norm estimate.  Then the norm is raised to
+    the number, since diagonal pairs are pairs.  Finite kinds give both
+    exact values.
+    """
+    norm = berezin_norm(model, a, level=level)
+    nb, bn = norm.value, berezin_number(model, a, level=level).value
+    if not norm.exact:
+        bn = max(bn, *(abs(berezin_symbol(model, a, pt)) for pt in norm.argmax))
+        nb = max(nb, bn)
+    return bn, nb
+
+
 def _radius_ascent(a: np.ndarray, re: np.ndarray, im: np.ndarray, th: float,
                    h: float, gtol: float) -> tuple[float, float]:
     """Safeguarded Newton ascent of g(theta) = lambda_max(H(theta)) from th.
@@ -435,12 +429,19 @@ def numerical_radius(a: np.ndarray) -> float:
     to rounding it never exceeds w(A).
     At a stationary theta, e^{i theta} <Ax, x> is real, so for normal
     operators the value is the spectral radius to machine precision.
-    Non-square input raises DimensionMismatch, empty or non-finite input
-    ValueError.
+    An operator with an entry above linalg.UNSCALED_MAX is run as 2^-k A.
+    Non-square input raises DimensionMismatch, empty or non-finite input,
+    or a radius beyond float64, ValueError.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"operator must be square, got shape {a.shape}")
     a = as_complex_matrix(a)
+    k = _pow2_exponent(a)
+    if k:  # w(2^-k A) = 2^-k w(A), and no product of entries overflows
+        try:
+            return math.ldexp(numerical_radius(a * 2.0**-k), k)
+        except OverflowError:
+            raise ValueError("numerical radius overflows float64") from None
 
     thetas = 2.0 * np.pi * np.arange(RADIUS_GRID) / RADIUS_GRID
     half = RADIUS_GRID // 2  # Re(e^{i(theta + pi)} A) = -Re(e^{i theta} A)
@@ -457,44 +458,3 @@ def numerical_radius(a: np.ndarray) -> float:
     for i in starts:
         best = max(best, _radius_ascent(a, re, im, float(thetas[i]), h, gtol)[0])
     return best
-
-
-def counterexample_check(n: int = 2) -> InequalityResult:
-    """The 2n x 2n antidiagonal witness separating ber from the Berezin norm.
-
-    The operator is Hermitian with zero diagonal: its Berezin number over the
-    standard-basis kernels is exactly 0 while its Berezin norm, numerical
-    radius, and operator norm are all 1.
-    """
-    if int(n) < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    dim = 2 * int(n)
-    a = np.fliplr(np.eye(dim)).astype(np.complex128)
-    model = finite(dim)
-    bn = berezin_number(model, a)
-    nb = berezin_norm(model, a)
-    herm = is_hermitian(a)
-    w = numerical_radius(a)
-    opn = operator_norm(a)
-    ok = (
-        bn.value == 0.0
-        and nb.value == 1.0
-        and herm
-        and abs(w - 1.0) <= 1e-9
-        and abs(opn - 1.0) <= 1e-9
-    )
-    return InequalityResult(
-        ineq_id="counterexample",
-        lhs=bn.value,
-        rhs=nb.value,
-        gap=nb.value - bn.value,
-        satisfied=bool(ok),
-        witness={
-            "dimension": dim,
-            "hermitian": herm,
-            "numerical_radius": w,
-            "operator_norm": opn,
-            "number_argmax": bn.argmax,
-            "norm_argmax": nb.argmax,
-        },
-    )

@@ -6,7 +6,9 @@ Four subcommands:
   matrix on one model.
 - check: run selected catalog entries, random trials or an explicit scalar
   case, and emit per-case results.
-- fuzz: the randomized campaign over many entries;  streams per-case CSV.
+- fuzz: the randomized campaign over many entries; prints a JSON summary.
+  With --out, --format csv (the default) writes the per-case CSV there and
+  --format json the summary instead.
 - report: per-entry relative-gap histograms from a results CSV.
 
 Machine-readable output goes to stdout (or --out); logs go to stderr.  A
@@ -31,9 +33,9 @@ line and an exit code:
 
 So bad input, an unreadable or unusable file (a report CSV cell longer
 than the csv module's field limit included), an --out path that cannot be
-written, a negative --level (in eval always, in check and fuzz on a disk
-model), a --level above 4 on a disk model, a NaN, infinite or negative
---tol and a JSON number that a float64 cannot hold all exit 2.
+written, a negative --level, a --level above 4 on a disk model, an --n
+other than the --model's dimension, a NaN, infinite or negative --tol and
+a JSON number that a float64 cannot hold all exit 2.
 """
 
 from __future__ import annotations
@@ -253,6 +255,7 @@ def _campaign_options(opts, default_format: str, default_trials: int):
         scale=float(opts["scale"]) if opts["scale"] is not None else 1.0,
         kind=opts["gen"] or "general",
         sweep=sweep or None,
+        dims=_numbers_csv(opts["n"], int) if opts["n"] is not None else None,
     )
     return run
 
@@ -296,14 +299,13 @@ def cmd_check(opts) -> int:
         violations = 0 if res.satisfied else 1
         payload = {"cases": cases, "violations": violations}
     else:
-        n = int(opts["n"]) if opts["n"] is not None else (run.model.dimension if run.model else 3)
         report = fuzz.run_suite(
             ids,
             model=run.model,
-            gen=fuzz.GeneratorSpec(kind=run.kind, n=n, scale=run.scale, seed=run.seed),
+            gen=fuzz.GeneratorSpec(kind=run.kind, scale=run.scale, seed=run.seed),
             trials=run.trials,
             sweep=run.sweep,
-            dims=(run.model.dimension if run.model else n,),
+            dims=run.dims,
             tolerance=run.tol,
             level=run.level,
             collect_rows=True,
@@ -329,14 +331,13 @@ def cmd_fuzz(opts) -> int:
     if chosen and str(chosen).strip().lower() != "all":
         ids = _entry_ids(chosen)
     run = _campaign_options(opts, "csv", 100)
-    dims = _numbers_csv(opts["n"], int) if opts["n"] is not None else fuzz.DEFAULT_DIMS
     report = fuzz.run_suite(
         ids,
         model=run.model,
-        gen=fuzz.GeneratorSpec(kind=run.kind, n=dims[0], scale=run.scale, seed=run.seed),
+        gen=fuzz.GeneratorSpec(kind=run.kind, scale=run.scale, seed=run.seed),
         trials=run.trials,
         sweep=run.sweep,
-        dims=dims,
+        dims=run.dims if run.dims or run.model else fuzz.DEFAULT_DIMS,
         tolerance=run.tol,
         level=run.level,
         csv_path=opts["out"] if (opts["out"] and run.fmt == "csv") else None,

@@ -58,7 +58,7 @@ from .inequalities import (
     _verdict,
 )
 from .linalg import herm_eig, precise_eigensolver
-from .models import KernelModel, finite
+from .models import KernelModel, _check_level, finite
 
 _MASK64 = (1 << 64) - 1
 
@@ -320,7 +320,7 @@ def _run_entry_trial(entry, combos, trial, master_seed, dims, scale, matrix_kind
     `precise_eigensolver`.
     """
     seed = (int(master_seed) ^ int(trial)) & _MASK64
-    n = model.dimension if model is not None else dims[trial % len(dims)]
+    n = dims[trial % len(dims)]  # the model's dimension if one is forced
     ops = sample_operands(entry, n, scale, seed, matrix_kind)
     mdl = model if model is not None else (finite(n) if entry.needs_model else None)
     rows = []
@@ -374,7 +374,11 @@ def run_suite(
     operand sampling; gen.seed is the master seed, trial t draws from
     master XOR t, and gen.n fixes the dimension unless `dims` cycles several.
     model: force one kernel model (continuous models give exploratory lower
-    bounds); default is an exact finite model at each trial's dimension.
+    bounds), which fixes the dimension: `dims` other than the model's raises
+    ValueError.  The default is an exact finite model at each trial's
+    dimension.  level: the grid level on a continuous model; a negative
+    level, or one above models.MAX_LEVEL on a continuous model, raises
+    ValueError.
     Trials run in order, each in one memo scope shared by every entry;
     operands are validated once per (entry, trial), and a marginal violation
     is re-evaluated at high precision (see the module docstring).  CSV rows
@@ -382,7 +386,8 @@ def run_suite(
     point), as do `violations` and the collected rows.  csv_path is opened,
     and its header written, before the first trial; the rows are copied in
     after the last one, so a campaign that raises leaves only the header.
-    A NaN, infinite or negative tolerance raises ParamOutOfRange first.
+    Bad arguments raise before csv_path is opened; a NaN, infinite or
+    negative tolerance raises ParamOutOfRange.
     """
     t0 = time.monotonic()
     gen = gen or GeneratorSpec()
@@ -397,9 +402,15 @@ def run_suite(
     tolerance = _validated_tolerance(tolerance)
     if gen.kind not in MATRIX_KINDS:
         raise ValueError(f"unknown generator kind {gen.kind!r}")
+    if model is not None:
+        if dims is not None and any(int(d) != model.dimension for d in dims):
+            raise ValueError(f"dimensions {tuple(dims)} disagree with the model's "
+                             f"dimension {model.dimension}")
+        dims = (model.dimension,)
     dims = tuple(int(d) for d in (dims or (gen.n,)))
     if any(d < 1 for d in dims):
         raise ValueError(f"dimensions must be >= 1, got {dims}")
+    _check_level(model if model is not None else finite(dims[0]), level)
     grids = [param_grid(entry, sweep) for entry in entries]
 
     # Rows are evaluated trial-major but written entry-major: each (entry,

@@ -13,12 +13,17 @@ interval), power parameters r, s >= 1, except the scalar power-mean entry
 lem3 where any finite real orders with r <= s are allowed.
 
 The evaluators see the quantities they bound only through one environment
-record of three callables: `ber`, `nber` and `cross`.  On a kernel model
-these are the model's Berezin number, its Berezin norm and the number again;
-the operator-norm remarks (rmk_i to rmk_iv) run the same evaluators with the
-operator norm as both `ber` and `nber` and the numerical radius as `cross`.
-Variants of one inequality differ only in that record: ceb is eq1 run with
-`nber` replaced by `ber`.
+record of four callables: `ber`, `nber`, `cross` and `pair`.  On a kernel
+model these are the model's Berezin number, its Berezin norm, the number
+again, and the two lifted toward each other (`calc.berezin_pair`, read by
+prop1 alone); the operator-norm remarks (rmk_i to rmk_iv) run the same
+evaluators with the operator norm as both `ber` and `nber` and the numerical
+radius as `cross`.  Variants of one inequality differ only in that record:
+ceb is eq1 run with `nber` replaced by `ber`.
+
+The paper's two claims are results here too: Proposition 1
+(`verify_positive_equality`) and its self-adjoint contrast
+(`counterexample_check`).  `calc` computes quantities and builds no result.
 """
 
 from __future__ import annotations
@@ -43,14 +48,14 @@ from .linalg import (
     adjoint,
     as_complex_matrix,
     im_part,
+    is_hermitian,
     is_positive,
     operator_norm,
     positive_power,
     positive_sqrt,
     re_part,
 )
-from .models import KernelModel
-from .results import InequalityResult
+from .models import KernelModel, finite
 
 DEFAULT_TOL = 1e-9
 COMMUTE_TOL = 1e-10
@@ -60,6 +65,23 @@ class Part(NamedTuple):
     label: str
     lhs: float
     rhs: float
+
+
+@dataclass(frozen=True)
+class InequalityResult:
+    """Outcome of checking one inequality instance.
+
+    For multi-part entries, lhs/rhs/gap describe the part with the least
+    relative slack and `satisfied` requires every part to hold; per-part
+    numbers are echoed in the witness.  gap = rhs - lhs.
+    """
+
+    ineq_id: str
+    lhs: float
+    rhs: float
+    gap: float
+    satisfied: bool
+    witness: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -99,18 +121,20 @@ class CatalogEntry:
 
 
 class _Env(NamedTuple):
-    """What the evaluators run with: three callables, matrix -> float.
+    """What the evaluators run with: three callables, matrix -> float, and
+    one, matrix -> (float, float), for prop1.
 
     `ber` stands for the Berezin number, `nber` for the Berezin norm and
-    `cross` for the quantity of Theorem 3's B*A term.  `model` and `level`
-    are read only by prop1's argmax lift.  Built by `_evaluate_grid`.
+    `cross` for the quantity of Theorem 3's B*A term.  `pair` gives the
+    number and the norm lifted toward each other (calc.berezin_pair); it is
+    None with the operator norm, where prop1 never runs.  Built by
+    `_evaluate_grid`.
     """
 
     ber: Callable
     nber: Callable
     cross: Callable
-    model: KernelModel | None
-    level: int | None
+    pair: Callable | None
 
 
 def power_mean(a: float, b: float, alpha: float, t: float) -> float:
@@ -174,9 +198,9 @@ def _vec_quad(m: np.ndarray, x: np.ndarray) -> float:
 # --- evaluators ------------------------------------------------------------
 #
 # Each evaluator binds one trial's operands and an `_Env`, and returns
-# parts(**params) (see `CatalogEntry`).  It calls only env.ber, env.nber and
-# env.cross, so the Berezin-norm, Berezin-number and operator-norm variants
-# of an inequality share it.  A factor that depends on no parameter is computed in
+# parts(**params) (see `CatalogEntry`).  It calls only the `_Env` callables,
+# so the Berezin-norm, Berezin-number and operator-norm variants of an
+# inequality share it.  A factor that depends on no parameter is computed in
 # the evaluator body; one that depends on some of them sits in a `cache`d
 # closure keyed by those parameters or by the exponent.
 
@@ -284,21 +308,10 @@ def _ev_cor4(o, env):
 
 
 def _ev_prop1(o, env):
-    """Proposition 1 as two parts, norm <= number and number <= norm.
-
-    On disk models both values are lower bounds attained at domain points,
-    and they stay so when lifted.  The number is raised to |symbol| at both
-    points of the norm's argmax pair: for PSD A, |<A k_lam, k_mu>|^2 <=
-    <A k_lam, k_lam> <A k_mu, k_mu>, so one of them reaches the norm
-    estimate.  Then the norm is raised to the number, since diagonal pairs
-    are pairs.
-    """
-    a = o["A"]
-    norm = calc.berezin_norm(env.model, a, level=env.level)
-    nb, bn = norm.value, env.ber(a)
-    if not norm.exact:
-        bn = max(bn, *(abs(calc.berezin_symbol(env.model, a, pt)) for pt in norm.argmax))
-        nb = max(nb, bn)
+    """Proposition 1 as two parts, norm <= number and number <= norm, on the
+    number and norm of env.pair (on disk models, lower bounds lifted toward
+    each other)."""
+    bn, nb = env.pair(o["A"])
     return lambda: [Part("norm<=number", nb, bn), Part("number<=norm", bn, nb)]
 
 
@@ -788,9 +801,12 @@ def _evaluate_grid(entry: CatalogEntry, case: InequalityCase, ops: dict,
         def nber(m):
             return calc.berezin_norm(model, m, level=level).value
 
-        env = _Env(ber, nber, ber, model, level)
+        def pair(m):
+            return calc.berezin_pair(model, m, level=level)
+
+        env = _Env(ber, nber, ber, pair)
     else:
-        env = _Env(operator_norm, operator_norm, calc.numerical_radius, None, None)
+        env = _Env(operator_norm, operator_norm, calc.numerical_radius, None)
     parts = entry.evaluate(ops, env)
     return [parts(**params) for params in combos]
 
@@ -829,7 +845,7 @@ def verify_positive_equality(model: KernelModel, a: np.ndarray,
     """Check that the Berezin norm and Berezin number agree for PSD input.
 
     Runs the catalog entry prop1 at tolerance `tol`, so disk-model values
-    carry its lift (see `_ev_prop1`).  Raises NotPositive when the operand
+    carry the lift of `calc.berezin_pair`.  Raises NotPositive when the operand
     is not PSD at the standard tolerance.  lhs is the norm, rhs the number;
     satisfied means each is within tol * max(1, other) of the other.  The
     witness adds `exact`, true on finite-kind models.
@@ -838,3 +854,25 @@ def verify_positive_equality(model: KernelModel, a: np.ndarray,
     norm, number = res.witness["parts"][0]["lhs"], res.witness["parts"][0]["rhs"]
     return replace(res, lhs=norm, rhs=number, gap=number - norm,
                    witness={**res.witness, "exact": model.is_finite_kind})
+
+
+def counterexample_check(n: int = 2) -> InequalityResult:
+    """The 2n x 2n antidiagonal witness separating ber from the Berezin norm.
+
+    The operator is Hermitian with zero diagonal: its Berezin number over the
+    standard-basis kernels is exactly 0 while its Berezin norm, numerical
+    radius, and operator norm are all 1.
+    """
+    if int(n) < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    dim = 2 * int(n)
+    a = np.fliplr(np.eye(dim)).astype(np.complex128)
+    bn, nb = calc.berezin_number(finite(dim), a), calc.berezin_norm(finite(dim), a)
+    herm, w, opn = is_hermitian(a), calc.numerical_radius(a), operator_norm(a)
+    ok = (bn.value == 0.0 and nb.value == 1.0 and herm
+          and abs(w - 1.0) <= 1e-9 and abs(opn - 1.0) <= 1e-9)
+    return InequalityResult(
+        "counterexample", bn.value, nb.value, nb.value - bn.value, bool(ok),
+        witness={"dimension": dim, "hermitian": herm, "numerical_radius": w,
+                 "operator_norm": opn, "number_argmax": bn.argmax, "norm_argmax": nb.argmax},
+    )

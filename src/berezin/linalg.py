@@ -9,6 +9,7 @@ is consistent for both tiny and large operands.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +24,9 @@ HERMITIAN_TOL = 1e-8
 NEG_EIG_CLAMP = 1e-10
 # Relative cutoff separating the support of |A| from its kernel.
 SUPPORT_CUT = 1e-12
+# Largest entry modulus used unscaled where a product or a sum of squares of
+# entries is formed; above it, 2^-k A is used (_pow2_exponent).
+UNSCALED_MAX = 2.0**500
 
 
 @contextlib.contextmanager
@@ -144,11 +148,28 @@ def herm_eig(h: np.ndarray, tol: float = HERMITIAN_TOL) -> HermEig:
     return _herm_eig(h, tol)
 
 
+def _pow2_exponent(a: np.ndarray) -> int:
+    """0 while every |a_ij| <= UNSCALED_MAX, so ordinary input keeps its
+    bits; otherwise the k with max |2^-k a_ij| in [1/2, 1), which keeps
+    products and sums of squares of entries below the float64 limit."""
+    m = float(np.abs(a).max()) if a.size else 0.0
+    return math.frexp(m)[1] if m > UNSCALED_MAX else 0
+
+
 @scoped
 def _singular_system(a: np.ndarray) -> HermEig:
-    """Singular values of A (ascending) with the eigenvectors of A*A."""
-    ev = _herm_eig(adjoint(a) @ a, HERMITIAN_TOL)
+    """Singular values of A (ascending) with the eigenvectors of A*A, the
+    latter formed from 2^-k A (_pow2_exponent) and the values scaled back;
+    a largest one beyond float64 raises ValueError."""
+    k = _pow2_exponent(a)
+    b = a * 2.0**-k if k else a
+    ev = _herm_eig(adjoint(b) @ b, HERMITIAN_TOL)
     s = np.sqrt(_clamped_nonneg(ev.values, "A*A"))
+    if k:
+        with np.errstate(over="ignore"):
+            s = np.ldexp(s, k)
+        if not np.isfinite(s[-1]):
+            raise ValueError("operator norm overflows float64")
     s.flags.writeable = False
     return HermEig(s, ev.vectors)
 

@@ -13,7 +13,7 @@ from berezin import (
     bergman,
     berezin_number,
     berezin_norm,
-    berezin_set_sample,
+    berezin_pair,
     berezin_symbol,
     default_grid,
     finite,
@@ -29,7 +29,9 @@ from berezin import (
 from berezin import calc, models
 from berezin._cache import computation_scope
 from berezin.fuzz import MATRIX_KINDS
-from berezin.linalg import as_complex_matrix, im_part, precise_eigensolver, re_part
+from berezin.linalg import (
+    _pow2_exponent, as_complex_matrix, im_part, precise_eigensolver, re_part,
+)
 
 A22 = np.array([[1, 2], [3, 4]], dtype=complex)
 SHIFT = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -63,37 +65,33 @@ class TestSymbol:
 
 
 class TestSetSample:
+    """calc.symbol_values: the symbol sampled over a grid, in grid order."""
+
     def test_finite_diagonal(self):
-        vals = [ev.value for ev in berezin_set_sample(finite(2), np.diag([1.0, 1j]))]
-        assert vals == [pytest.approx(1.0), pytest.approx(1j)]
+        m = finite(2)
+        vals = calc.symbol_values(m, np.diag([1.0, 1j]), default_grid(m, 0))
+        assert vals.tolist() == [pytest.approx(1.0), pytest.approx(1j)]
 
     def test_zero_operator(self):
-        vals = [ev.value for ev in berezin_set_sample(finite(4), np.zeros((4, 4), dtype=complex))]
-        assert all(v == 0 for v in vals)
+        m = finite(4)
+        vals = calc.symbol_values(m, np.zeros((4, 4), dtype=complex), default_grid(m, 0))
+        assert vals.shape == (4,) and not vals.any()
 
     def test_hardy_shift_bounded_by_norm(self):
         m = hardy()
         s = _shift_matrix(16)
-        evs = berezin_set_sample(m, s, default_grid(m, level=0))
-        assert len(evs) == 129
-        bound = operator_norm(s)
-        assert all(abs(ev.value) <= bound + 1e-12 for ev in evs)
+        vals = calc.symbol_values(m, s, default_grid(m, level=0))
+        assert vals.shape == (129,)
+        assert np.abs(vals).max() <= operator_norm(s) + 1e-12
 
     def test_order_follows_grid(self):
-        m = hardy(3, 0.9)
-        g = default_grid(m, level=0)
-        evs = berezin_set_sample(m, np.eye(4, dtype=complex), g)
-        assert [ev.point for ev in evs] == list(g.points)
-
-    def test_sample_wraps_symbol_values(self):
         m = hardy(3, 0.9)
         a = gen_matrix(GeneratorSpec("general", 4, 1.0, seed=1))
         g = default_grid(m, level=1)
         vals = calc.symbol_values(m, a, g)
         assert vals.dtype == np.complex128 and vals.shape == (len(g.points),)
-        assert [ev.value for ev in berezin_set_sample(m, a, g)] == vals.tolist()
-        for i in (0, 7, len(g.points) - 1):
-            assert vals[i] == pytest.approx(berezin_symbol(m, a, g.points[i]), abs=1e-14)
+        want = [berezin_symbol(m, a, pt) for pt in g.points]
+        assert np.abs(vals - want).max() <= 1e-14
         with pytest.raises(DimensionMismatch):
             calc.symbol_values(m, np.eye(3, dtype=complex), g)
 
@@ -713,6 +711,51 @@ class TestPositiveEquality:
         assert res.satisfied and res.witness["exact"] is False
         assert res.lhs == res.rhs >= berezin_number(m, a, level=0).value
         assert res.lhs >= berezin_norm(m, a, level=0).value
+
+
+def test_operator_near_1e300_scales_by_a_power_of_two():
+    # A*A and the radius's products are formed from 2^-k A, so entries far
+    # above 1e154 neither overflow nor change the scaled-back values
+    a = gen_matrix(GeneratorSpec("general", 4, 1.0, seed=3))
+    for factor in (1e300 / np.abs(a).max(), 2.0**990):
+        b = a * factor
+        assert operator_norm(b) == pytest.approx(operator_norm(a) * factor, rel=1e-15)
+        assert numerical_radius(b) == pytest.approx(numerical_radius(a) * factor, rel=2e-15)
+    huge = a * (1.7e308 / np.abs(a).max())  # norm and radius beyond float64
+    with pytest.raises(ValueError, match="operator norm overflows float64"):
+        operator_norm(huge)
+    with pytest.raises(ValueError, match="numerical radius overflows float64"):
+        numerical_radius(huge)
+    # only entries above 2^500 rescale; ordinary input keeps its bits
+    edge = np.full((2, 2), 2.0**500, dtype=complex)
+    assert _pow2_exponent(edge) == 0 and _pow2_exponent(np.nextafter(edge.real, np.inf)) == 501
+
+
+class TestBerezinPair:
+    def test_finite_models_give_exact_values(self):
+        a = gen_matrix(GeneratorSpec("general", 4, 1.0, seed=5))
+        assert berezin_pair(finite(4), a) == (
+            berezin_number(finite(4), a).value, berezin_norm(finite(4), a).value)
+        assert berezin_pair(finite(2), A22) == (4.0, 4.0)
+        assert berezin_pair(finite(2), SHIFT) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("kind", ["general", "hermitian", "positive"])
+    def test_disk_values_are_lifted(self, kind):
+        m = hardy(3, 0.9)
+        for seed in range(4):
+            a = gen_matrix(GeneratorSpec(kind, 4, 1.0, seed))
+            number, norm = berezin_pair(m, a, level=0)
+            assert number >= berezin_number(m, a, level=0).value
+            assert norm >= berezin_norm(m, a, level=0).value
+            assert norm >= number
+
+    def test_disk_values_agree_on_positive_operands(self):
+        # Proposition 1: for PSD A the lifted number reaches the norm
+        m = hardy(3, 0.9)
+        for seed in (0xD15C0000, 1, 2, 3):
+            a = gen_matrix(GeneratorSpec("positive", 4, 1.0, seed))
+            number, norm = berezin_pair(m, a, level=0)
+            assert abs(norm - number) <= 1e-12 * norm
 
 
 @pytest.mark.parametrize("quantity", [berezin_number, berezin_norm])

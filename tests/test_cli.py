@@ -157,6 +157,30 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "rows and cols" in err
 
+    def test_operator_near_1e300(self, capsys, tmp_path):
+        # A*A and the radius's products would overflow: both scale by 2^-k
+        a = gen_matrix(GeneratorSpec("general", 4, 1.0, seed=3))
+        f = 1e300 / np.abs(a).max()
+        small, big = tmp_path / "small.json", tmp_path / "big.json"
+        save_matrix(small, a)
+        save_matrix(big, a * f)
+        values = []
+        for p in (small, big):
+            code, out, err = run(capsys, "eval", "--model", "hardy:3:0.9", "--matrix", str(p),
+                                 "--level", "0", "--format", "csv")
+            assert code == 0 and err == ""
+            values.append(dict(line.split(",") for line in out.splitlines()[1:]))
+        for key in ("berezin_number", "berezin_norm", "numerical_radius", "operator_norm"):
+            assert float(values[1][key]) == pytest.approx(float(values[0][key]) * f, rel=1e-14)
+
+    def test_radius_beyond_float64(self, capsys, tmp_path):
+        a = gen_matrix(GeneratorSpec("general", 4, 1.0, seed=3))
+        p = tmp_path / "huge.json"
+        save_matrix(p, a * (1.7e308 / np.abs(a).max()))
+        code, out, err = run(capsys, "eval", "--model", "finite:4", "--matrix", str(p))
+        assert code == 2 and out == ""
+        assert err == "error: numerical radius overflows float64\n"
+
     def test_eigensolver_failure_exits_4(self, capsys, identity_path, monkeypatch):
         def fails(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -286,6 +310,22 @@ class TestCheck:
             assert code == 2 and out == ""
             assert err.startswith("error:") and "level" in err and err.count("\n") == 1
 
+    def test_negative_level_on_finite_model(self, capsys):
+        code, out, err = run(capsys, "check", "--ineq", "prop1", "--level", "-3")
+        assert code == 2 and out == ""
+        assert err == "error: level must be >= 0, got -3\n"
+
+    def test_n_with_model(self, capsys):
+        argv = ["check", "--ineq", "prop1", "--model", "hardy:3:0.9", "--level", "0",
+                "--trials", "2", "--format", "csv"]
+        code, out, err = run(capsys, *argv, "--n", "5")
+        assert code == 2 and out == ""
+        assert err == "error: dimensions (5,) disagree with the model's dimension 4\n"
+        code, without_n, _ = run(capsys, *argv)
+        assert code == 0 and without_n.splitlines()[1].startswith("prop1,0,4,")
+        code, out, _ = run(capsys, *argv, "--n", "4")
+        assert code == 0 and out == without_n
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("case", [["--ineq", "prop1", "--trials", "2"],
                                       ["--ineq", "lem3", "--a", "1", "--b", "4",
@@ -312,6 +352,28 @@ class TestCheck:
 
 
 class TestFuzz:
+    @pytest.mark.parametrize("extra, msg", [
+        (["--model", "hardy:3:0.9", "--n", "2,5"],
+         "dimensions (2, 5) disagree with the model's dimension 4"),
+        (["--model", "hardy:3:0.9", "--level", "-1"], "level must be >= 0, got -1"),
+        (["--model", "hardy:3:0.9", "--level", "5"],
+         "level must be >= 0 and <= 4 on a continuous model, got 5"),
+        (["--level", "-2"], "level must be >= 0, got -2"),
+    ])
+    def test_bad_n_or_level_writes_no_csv(self, capsys, tmp_path, extra, msg):
+        dest = tmp_path / "rows.csv"
+        code, out, err = run(capsys, "fuzz", "--ineq", "prop1", "--trials", "1",
+                             "--out", str(dest), *extra)
+        assert code == 2 and out == "" and not dest.exists()
+        assert err == f"error: {msg}\n"
+
+    def test_model_without_n_uses_its_dimension(self, capsys, tmp_path):
+        dest = tmp_path / "rows.csv"
+        code, _, _ = run(capsys, "fuzz", "--ineq", "prop1", "--trials", "2", "--level", "0",
+                         "--model", "hardy:3:0.9", "--out", str(dest))
+        assert code == 0
+        assert [line.split(",")[2] for line in dest.read_text().splitlines()[1:]] == ["4", "4"]
+
     def test_suite_all_one_trial(self, capsys, tmp_path):
         dest = tmp_path / "rows.csv"
         code, out, err = run(capsys, "fuzz", "--suite", "all", "--trials", "1",

@@ -368,6 +368,39 @@ class TestEarlyParamValidation:
             run_suite(["prop1"], trials=2, tolerance=tol, csv_path=str(path))
         assert sampled == [] and not path.exists()
 
+    @pytest.mark.parametrize("model, level", [(None, -1), (finite(3), -3),
+                                              (hardy(3, 0.9), -1), (hardy(3, 0.9), 5)])
+    def test_bad_level_raises_before_any_row(self, tmp_path, monkeypatch, model, level):
+        # negative on every model; above models.MAX_LEVEL = 4 on a continuous one
+        sampled = []
+        monkeypatch.setattr(fuzz, "sample_operands", lambda *a, **k: sampled.append(a))
+        path = tmp_path / "never.csv"
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            run_suite(["prop1"], model=model, trials=2, level=level, csv_path=str(path))
+        assert sampled == [] and not path.exists()
+
+    def test_level_above_max_runs_on_finite_models(self):
+        for model in (None, finite(3)):
+            report = run_suite(["prop1"], model=model, trials=1, level=5)
+            assert report.rows_evaluated == 1 and report.violations == []
+
+    def test_dims_other_than_the_models_raise_before_any_row(self, tmp_path, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(fuzz, "sample_operands", lambda *a, **k: sampled.append(a))
+        path = tmp_path / "never.csv"
+        for dims in ((5,), (2, 5), (4, 5)):
+            with pytest.raises(ValueError, match=r"disagree with the model's dimension 4$"):
+                run_suite(["prop1"], model=hardy(3, 0.9), dims=dims, trials=2, level=0,
+                          csv_path=str(path))
+        assert sampled == [] and not path.exists()
+
+    def test_the_model_fixes_the_dimension(self):
+        runs = [run_suite(["prop1"], model=hardy(3, 0.9), dims=dims, trials=2, level=0,
+                          gen=GeneratorSpec(n=2), collect_rows=True).rows
+                for dims in (None, (4,), (4, 4))]
+        assert runs[0] == runs[1] == runs[2]
+        assert [row["n"] for row in runs[0]] == [4, 4]
+
     def test_filters_keep_their_behaviour(self):
         grid = param_grid(CATALOG["eqn2cmp"], {"alpha": [0.0, 0.5, 1.0]})
         assert {c["alpha"] for c in grid} == {0.5}

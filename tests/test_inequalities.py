@@ -431,14 +431,20 @@ class TestGridEvaluation:
 
 
 def _raised(evaluate, name, o, env):
-    """`evaluate` run with env's callable `name` raised by a factor 1 + 1e-6."""
+    """`evaluate` run with env's callable `name` raised by a factor 1 + 1e-6
+    (both values, for `pair`)."""
     f = getattr(env, name)
-    return evaluate(o, env._replace(**{name: lambda m: f(m) * (1.0 + 1e-6)}))
+
+    def up(m):
+        v = f(m)
+        return tuple(t * (1.0 + 1e-6) for t in v) if name == "pair" else v * (1.0 + 1e-6)
+
+    return evaluate(o, env._replace(**{name: up}))
 
 
 class TestEnvironmentMonotone:
-    """No part side falls when one of ber, nber, cross rises.  So a run on
-    lower bounds of the three quantities gives a lower bound of every rhs,
+    """No part side falls when one of ber, nber, cross, pair rises.  So a run
+    on lower bounds of the four quantities gives a lower bound of every rhs,
     and a run on upper bounds an upper bound of every lhs."""
 
     @pytest.mark.parametrize("ineq_id", CATALOG_ORDER)
@@ -453,7 +459,7 @@ class TestEnvironmentMonotone:
                 with computation_scope():
                     valid, _ = _validated_operands(entry, case)
                     base = _evaluate_grid(entry, case, valid, combos)
-                    for name in ("ber", "nber", "cross"):
+                    for name in ("ber", "nber", "cross", "pair"):
                         up = replace(entry, evaluate=partial(_raised, entry.evaluate, name))
                         for combo, want, got in zip(combos, base,
                                                     _evaluate_grid(up, case, valid, combos)):
@@ -462,6 +468,8 @@ class TestEnvironmentMonotone:
                                 assert g.lhs >= w.lhs and g.rhs >= w.rhs, (
                                     model, seed, name, combo, g, w
                                 )
+                                if ineq_id == "prop1" and name == "pair":
+                                    assert g.lhs > w.lhs and g.rhs > w.rhs
 
 
 class TestValidation:
