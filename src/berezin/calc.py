@@ -93,14 +93,19 @@ def _symbols(a: np.ndarray, kmat: np.ndarray) -> np.ndarray:
 def _row_max(a: np.ndarray, kmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per kernel column k_lam of kmat, max over the columns k_mu of
     |<A k_lam, k_mu>| and the first mu attaining it, built PAIR_BLOCK pair
-    values at a time, so no m x m array exists."""
-    ak, kh, m = a @ kmat, kmat.conj().T, kmat.shape[1]
-    step = max(1, PAIR_BLOCK // m)
+    values at a time, so no m x m array exists.  Blocks are lam-major, one
+    row per lam, so each row's argmax reads contiguous memory; the two
+    block buffers are allocated once per call."""
+    akt, kc, m = (a @ kmat).T, kmat.conj(), kmat.shape[1]
+    step = min(m, max(1, PAIR_BLOCK // m))
+    pairs, mods = np.empty((step, m), dtype=complex), np.empty((step, m))
     vals, mus = np.empty(m), np.empty(m, dtype=np.intp)
     for s in range(0, m, step):
-        block = np.abs(kh @ ak[:, s:s + step])  # [mu, lam]
-        arg = block.argmax(axis=0)  # a NaN is its column's first maximum, as in max
-        vals[s:s + step], mus[s:s + step] = block[arg, np.arange(arg.size)], arg
+        r = min(step, m - s)
+        np.matmul(akt[s:s + r], kc, out=pairs[:r])  # [lam, mu]
+        np.abs(pairs[:r], out=mods[:r])
+        arg = mods[:r].argmax(axis=1)  # a NaN is its row's first maximum, as in max
+        vals[s:s + r], mus[s:s + r] = mods[np.arange(r), arg], arg
     return vals, mus
 
 

@@ -278,6 +278,10 @@ def cmd_check(opts) -> int:
     if opts["a"] is not None or opts["b"] is not None:
         if ids != ["lem3"]:
             raise ValueError("--a/--b apply only to --ineq lem3")
+        unused = [f"--{k}" for k in ("model", "level", "n", "trials", "gen", "seed", "scale")
+                  if opts[k] is not None]
+        if unused:
+            raise ValueError(f"--a/--b take no {', '.join(unused)}")
         if opts["a"] is None or opts["b"] is None:
             raise ValueError("provide both --a and --b")
         params = {}
@@ -449,6 +453,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(_merged(args))
+    except OverflowError as exc:  # a Python float power past float64
+        _log(f"error: value overflows float64: {exc}")
+        return 2
     except (BerezinError, ValueError, OSError, csv.Error) as exc:  # LinAlgError is a ValueError
         code = 2
         if args.command == "eval" and isinstance(exc, DimensionMismatch):

@@ -83,7 +83,16 @@ def im_part(a: np.ndarray) -> np.ndarray:
 
 
 def _fro(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    """Frobenius norm, summed as np.linalg.norm sums it, of 2^-k A scaled
+    back (_pow2_exponent) when an entry is large enough for the sum of
+    squares to overflow; inf past float64."""
+    k = _pow2_exponent(a)
+    x = (a * 2.0**-k if k else a).ravel(order="K")
+    f = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    if not k:
+        return f
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(f, k))
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:

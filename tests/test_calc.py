@@ -508,6 +508,31 @@ class TestRowMax:
             np.testing.assert_array_equal(vals, full.max(axis=0))
             np.testing.assert_array_equal(mus, full.argmax(axis=0))
 
+    @pytest.mark.parametrize("block", [2**14, 513 * 100])
+    def test_blocks_equal_one_unblocked_product(self, rng, monkeypatch, block):
+        # level 1 has 513 points: 17 or 6 blocks, the last one partial (17 or
+        # 13 rows), so a stale buffer row in the last block shows
+        monkeypatch.setattr(calc, "PAIR_BLOCK", block)
+        m = hardy(3, 0.9)
+        kmat = kernel_matrix(m, default_grid(m, 1).points)
+        a = orc.rand_complex(rng, 4)
+        top = np.abs((a @ kmat).T @ kmat.conj()).argmax(axis=1)
+        mu = int(np.bincount(top).argmax())  # the most common row argmax
+        tied = kmat.copy()
+        tied[:, 511] = tied[:, mu]  # its rows now attain their maximum at mu and at 511
+        bad = tied.copy()
+        bad[:, 250] = np.nan  # row 250 is all NaN; every other row's first NaN is mu = 250
+        for k in (tied, bad):
+            full = np.abs((a @ k).T @ k.conj())  # [lam, mu], one unblocked product
+            vals, mus = calc._row_max(a, k)
+            np.testing.assert_array_equal(vals, full.max(axis=1))
+            np.testing.assert_array_equal(mus, full.argmax(axis=1))
+        rows = np.flatnonzero(top == mu)
+        assert mu < 511 and rows.size > 1 and rows.max() < 511
+        full = np.abs((a @ tied).T @ tied.conj())
+        np.testing.assert_array_equal(full[rows, mu], full[rows, 511])  # a real tie
+        np.testing.assert_array_equal(calc._row_max(a, tied)[1][rows], mu)
+
 
 class TestNormMemory:
     def test_level_three_norm_builds_no_pair_matrix(self):

@@ -260,6 +260,17 @@ class TestCheck:
                          "--alpha", "0.5", "--r", "1", "--s", "2")
         assert code == 2
 
+    def test_scalar_case_rejects_campaign_options(self, capsys):
+        case = ["check", "--ineq", "lem3", "--a", "1", "--b", "4", "--alpha", "0.5",
+                "--r", "0", "--s", "1"]
+        code, out, err = run(capsys, *case, "--level", "-3", "--model", "hardy:3:0.9",
+                             "--n", "7", "--trials", "0")
+        assert code == 2 and out == ""
+        assert err == "error: --a/--b take no --model, --level, --n, --trials\n"
+        for extra in (["--seed", "1"], ["--scale", "2"], ["--gen", "positive"]):
+            code, out, err = run(capsys, *case, *extra)
+            assert (code, out, err) == (2, "", f"error: --a/--b take no {extra[0]}\n")
+
     def test_scalar_operands_need_single_params(self, capsys):
         code, _, _ = run(capsys, "check", "--ineq", "lem3", "--a", "1", "--b", "2",
                          "--alpha", "0.25,0.5", "--r", "1", "--s", "2")
@@ -588,6 +599,34 @@ def test_overflowing_operator_exits_2_with_one_error_line(tmp_path, top):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "overflows" in lines[0]
     assert proc.stdout == ""
+
+
+def _check_under_w_error(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "berezin.cli", "check", *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_float_power_overflow_exits_2_with_one_error_line():
+    # cor5 squares a Berezin norm near 1e200: a Python float power past
+    # float64 raises OverflowError, which is an error line, not a traceback
+    proc = _check_under_w_error("--ineq", "cor5", "--scale", "1e100", "--trials", "1")
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "overflows" in lines[0]
+    assert proc.stdout == ""
+
+
+def test_large_operands_check_without_warnings():
+    # A*A's entries pass 1e154, where their sum of squares in the Hermitian
+    # check would overflow unless scaled by a power of two
+    proc = _check_under_w_error("--ineq", "rmk_i", "--scale", "1e6", "--trials", "20")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert json.loads(proc.stdout)["violations"] == []
 
 
 class TestExitCodes:
