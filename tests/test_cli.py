@@ -554,6 +554,14 @@ def test_unwritable_out_path(capsys, tmp_path, identity_path, argv):
     assert out == ""
 
 
+def _cli_under_w_error(*argv):
+    """`python -W error -m berezin.cli ARGV` on this checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
+    return subprocess.run([sys.executable, "-W", "error", "-m", "berezin.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
 @pytest.mark.parametrize("spec, code", [
     ("fock:0:1e154", 0), ("fock:0:1e155", 2), ("fock:0:inf", 2),  # R^2 overflows
     ("hardy:3:2e-154", 0), ("hardy:3:1e-154", 2), ("hardy:3:1e-300", 2),  # R^2 underflows
@@ -566,13 +574,7 @@ def test_disk_radius_bounds_without_warnings(tmp_path, spec, code):
     n = int(spec.split(":")[1]) + 1
     path = tmp_path / "m.json"
     save_matrix(path, np.arange(n * n).reshape(n, n) - 1j)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "berezin.cli", "eval", "--model", spec,
-         "--matrix", str(path), "--format", "csv"],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = _cli_under_w_error("eval", "--model", spec, "--matrix", str(path), "--format", "csv")
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     if code == 2:
@@ -588,32 +590,18 @@ def test_overflowing_operator_exits_2_with_one_error_line(tmp_path, top):
     a = gen_matrix(GeneratorSpec("general", 4, 1.0, 3))
     path = tmp_path / "m.json"
     save_matrix(path, a * (top / np.abs(a).max()))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "berezin.cli", "eval", "--model", "hardy:3:0.9",
-         "--matrix", str(path), "--level", "0"],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = _cli_under_w_error("eval", "--model", "hardy:3:0.9", "--matrix", str(path),
+                              "--level", "0")
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "overflows" in lines[0]
     assert proc.stdout == ""
 
 
-def _check_under_w_error(*argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
-    return subprocess.run(
-        [sys.executable, "-W", "error", "-m", "berezin.cli", "check", *argv],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-
-
 def test_float_power_overflow_exits_2_with_one_error_line():
     # cor5 squares a Berezin norm near 1e200: a Python float power past
     # float64 raises OverflowError, which is an error line, not a traceback
-    proc = _check_under_w_error("--ineq", "cor5", "--scale", "1e100", "--trials", "1")
+    proc = _cli_under_w_error("check", "--ineq", "cor5", "--scale", "1e100", "--trials", "1")
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "overflows" in lines[0]
@@ -623,7 +611,7 @@ def test_float_power_overflow_exits_2_with_one_error_line():
 def test_large_operands_check_without_warnings():
     # A*A's entries pass 1e154, where their sum of squares in the Hermitian
     # check would overflow unless scaled by a power of two
-    proc = _check_under_w_error("--ineq", "rmk_i", "--scale", "1e6", "--trials", "20")
+    proc = _cli_under_w_error("check", "--ineq", "rmk_i", "--scale", "1e6", "--trials", "20")
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert json.loads(proc.stdout)["violations"] == []
