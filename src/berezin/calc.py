@@ -15,7 +15,11 @@ of models._jet gives every first and second derivative through the 3x3
 matrices P*AP and P*P (_log_terms).  One driver (_ascent) steps for both,
 holding a point on the disk's edge to the circle; the value is the best
 over its iterates.  Estimates at level L take the best value over levels
-0..L, so refinement never loses ground.
+0..L, so refinement never loses ground.  Both quantities scale as |c| under
+A -> cA, so a call searches A = 2^k U, U's largest real or imaginary
+component in [1/2, 1), and returns 2^k times U's value (_pow2_search): one
+search per operator up to a power of two inside a computation_scope, bit
+for bit the direct search's, as scaling by 2^k commutes with rounding.
 
 The numerical radius is w(A) = max over theta of g(theta) = lambda_max(
 Re(e^{i theta} A)).  One batched eigvalsh of the first half-turn's 128
@@ -23,9 +27,9 @@ Hermitian parts samples g on a 256-point grid, the second half-turn from
 g(theta + pi) = -lambda_min(Re(e^{i theta} A)); from each grid peak a
 safeguarded Newton ascent (one eigh per step, with g' and g'' from first-
 and second-order eigenvalue perturbation) finds the stationary point.  The
-value is |<Ax, x>| at a top eigenvector x or a grid value, so it is a lower
-bound on w(A) attained at a unit vector; normal operators give their
-spectral radius to machine precision.
+value is |<Ax, x>| at a top eigenvector x or a grid value, so up to
+rounding (about n eps ||A||) it is a lower bound on w(A) attained at a unit
+vector; normal operators give their spectral radius to machine precision.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 
 from ._cache import scoped
 from .errors import DimensionMismatch, PointOutOfDomain
-from .linalg import _pow2_exponent, as_complex_matrix, im_part, re_part
+from .linalg import UNSCALED_MAX, _pow2_exponent, as_complex_matrix, im_part, re_part
 from .models import (
     BASE_ANGLES, BASE_RADII, KernelModel, OmegaGrid, _check_level, _jet, default_grid,
     kernel_matrix, normalized_kernel,
@@ -292,8 +296,8 @@ def _peaks(vals: np.ndarray, level: int) -> np.ndarray:
     return idx[np.argsort(-vals[idx], kind="stable")[:TOP_K]]
 
 
-def _grid_sup(model: KernelModel, a: np.ndarray, level: int, grid_values) -> SupEstimate:
-    """The disk search behind berezin_number and berezin_norm.
+def _grid_sup(model: KernelModel, a: np.ndarray, level: int, norm: bool) -> SupEstimate:
+    """The disk search behind berezin_number and, with `norm`, berezin_norm.
 
     At each level 0..`level`, grid_values(kernel_matrix) gives one value per
     grid point, |symbol| or the norm's row maximum (_row_max), and for the
@@ -310,6 +314,8 @@ def _grid_sup(model: KernelModel, a: np.ndarray, level: int, grid_values) -> Sup
     if not np.isfinite(a).all():
         raise ValueError("operator has non-finite entries")
     best_val, best_arg = -1.0, None
+    grid_values = (functools.partial(_row_max, a) if norm
+                   else lambda kmat: (np.abs(_symbols(a, kmat)),))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for lev in range(level + 1):
@@ -331,20 +337,48 @@ def _grid_sup(model: KernelModel, a: np.ndarray, level: int, grid_values) -> Sup
 
 
 @scoped
+def _unit_search(model: KernelModel, u: np.ndarray, level: int, norm: bool) -> SupEstimate:
+    return _grid_sup(model, u, level, norm)
+
+
+def _pow2_search(model: KernelModel, a: np.ndarray, level: int, norm: bool) -> SupEstimate:
+    """_grid_sup(model, a, level, norm) run as A = 2^k U, U's largest real or
+    imaginary component in [1/2, 1), through one memo of U, so inside a
+    computation_scope every power-of-two multiple of a searched operator
+    costs one ldexp.  Bit-exact: scaling by 2^k commutes with rounding in
+    the normal range, so every grid value and |q00| scales by 2^k, while
+    the ascent sees only ratios (_log_terms), so its steps and the argmax do
+    not move.  A zero or non-finite operator, one above linalg.UNSCALED_MAX
+    or with every component below 2^-1024 (2^-k would overflow), and one
+    whose U * 2^k is not A (an entry would underflow) take _grid_sup
+    directly, with its errors."""
+    m = float(np.maximum(np.abs(a.real), np.abs(a.imag)).max())
+    k = math.frexp(m)[1]
+    if not 0.0 < m <= UNSCALED_MAX or k < -1023:  # 2.0**-k must be finite
+        return _grid_sup(model, a, level, norm)
+    u = a * 2.0**-k
+    if not np.array_equal(u * 2.0**k, a):
+        return _grid_sup(model, a, level, norm)
+    est = _unit_search(model, u, level, norm)
+    return SupEstimate(math.ldexp(est.value, k), est.argmax, False)
+
+
+@scoped
 def berezin_number(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEstimate:
     """sup over the domain of |symbol|.
 
     Finite kind: exact, the largest diagonal modulus (first index wins ties).
     Continuous kinds: best of grid sampling plus local refinement over all
     levels up to `level` (_grid_sup); a lower bound for the true supremum.
-    A bad level or a non-finite operator raises ValueError there.
+    A bad level or a non-finite operator raises ValueError there.  The
+    search runs once per operator up to a power of two (_pow2_search).
     """
     _check_operand(model, a)
     if model.is_finite_kind:
         d = np.abs(np.diagonal(a))
         i = int(np.argmax(d))
         return SupEstimate(value=float(d[i]), argmax=i + 1, exact=True)
-    return _grid_sup(model, a, level, lambda kmat: (np.abs(_symbols(a, kmat)),))
+    return _pow2_search(model, a, level, False)
 
 
 @scoped
@@ -354,7 +388,8 @@ def berezin_norm(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEstima
     Finite kind: exact, the largest entry modulus; the argmax pair is the
     first (lam, mu) in lam-major order attaining it.  Continuous kinds: grid
     row maxima plus refinement (_grid_sup), a lower bound; a bad level or a
-    non-finite operator raises ValueError.
+    non-finite operator raises ValueError.  As for berezin_number, one
+    search per operator up to a power of two (_pow2_search).
     """
     _check_operand(model, a)
     if model.is_finite_kind:
@@ -363,7 +398,7 @@ def berezin_norm(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEstima
         k = int(np.argmax(flat))
         lam, mu = k // n + 1, k % n + 1
         return SupEstimate(value=float(flat[k]), argmax=(lam, mu), exact=True)
-    return _grid_sup(model, a, level, functools.partial(_row_max, a))
+    return _pow2_search(model, a, level, True)
 
 
 def berezin_pair(model: KernelModel, a: np.ndarray, level: int = 1) -> tuple[float, float]:

@@ -452,8 +452,9 @@ def main(argv=None) -> int:
     """Run one subcommand; the one place a failure becomes an exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(_merged(args))
-    except OverflowError as exc:  # a Python float power past float64
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(_merged(args))
+    except (OverflowError, FloatingPointError) as exc:  # a float power or numpy op past float64
         _log(f"error: value overflows float64: {exc}")
         return 2
     except (BerezinError, ValueError, OSError, csv.Error) as exc:  # LinAlgError is a ValueError

@@ -766,6 +766,79 @@ def test_operator_near_1e300_scales_by_a_power_of_two():
     assert _pow2_exponent(edge) == 0 and _pow2_exponent(np.nextafter(edge.real, np.inf)) == 501
 
 
+SPLIT_MODELS = [hardy(3, 0.9), bergman(3, 0.9), fock(3, 2.0)]
+
+
+class TestPowerOfTwoSplit:
+    """A continuous-model search runs A = 2^k U through one memo of U."""
+
+    OPERATORS = {
+        "general": gen_matrix(GeneratorSpec("general", 4, 1.0, seed=7)),
+        "origin peak": np.diag([1.0, 0.3, -0.2, 0.1]).astype(complex),
+        "real": gen_matrix(GeneratorSpec("general", 4, 1.0, seed=8)).real.copy(),
+    }
+
+    def test_origin_peak_operator_peaks_at_the_origin(self):
+        a = self.OPERATORS["origin peak"]
+        for m in SPLIT_MODELS:
+            assert berezin_number(m, a, level=0).argmax == 0j
+
+    @pytest.mark.parametrize("model", SPLIT_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("name", list(OPERATORS))
+    def test_multiples_equal_the_scaled_values_exactly(self, model, level, name):
+        # each multiple in a fresh scope, so nothing is shared: the split
+        # alone must give 2^j times A's values, the direct search's bits and
+        # the same argmax
+        a = self.OPERATORS[name]
+        with computation_scope():
+            base = (berezin_number(model, a, level), berezin_norm(model, a, level))
+            pair = berezin_pair(model, a, level)
+        for j in (-300, -40, -1, 1, 5, 300):
+            b = a * 2.0**j
+            with computation_scope():
+                got = (berezin_number(model, b, level), berezin_norm(model, b, level))
+                got_pair = berezin_pair(model, b, level)
+            direct = (calc._grid_sup(model, b, level, False), calc._grid_sup(model, b, level, True))
+            for est, ref, dir_ in zip(got, base, direct):
+                assert est.value == math.ldexp(ref.value, j) == dir_.value
+                assert est.argmax == ref.argmax == dir_.argmax
+                assert est.exact is False
+            assert got_pair == tuple(math.ldexp(v, j) for v in pair)
+
+    def test_a_multiple_in_one_scope_searches_once(self, monkeypatch):
+        calls = []
+        search = calc._grid_sup
+        monkeypatch.setattr(calc, "_grid_sup", lambda *a: calls.append(a) or search(*a))
+        m, a = hardy(3, 0.9), self.OPERATORS["general"]
+        with computation_scope():
+            first = (berezin_number(m, a, level=0), berezin_norm(m, a, level=0))
+            assert len(calls) == 2
+            again = (berezin_number(m, 8 * a, level=0), berezin_norm(m, 8 * a, level=0))
+            assert len(calls) == 2
+        for est, ref in zip(again, first):
+            assert est.value == 8 * ref.value and est.argmax == ref.argmax
+
+    @pytest.mark.parametrize("name, a", [
+        ("above 2^500", gen_matrix(GeneratorSpec("general", 4, 1.0, seed=7)) * 2.0**600),
+        ("split underflows", np.diag([2.0**400, 2.0**-700, 1.0, 0.5]).astype(complex)),
+        ("all subnormal", np.full((4, 4), 2.0**-1050, dtype=complex)),  # 2.0**1050 overflows
+        ("zero", np.zeros((4, 4), dtype=complex)),
+        ("nan", np.full((4, 4), math.nan, dtype=complex)),
+    ])
+    def test_unsafe_operators_take_the_direct_path(self, monkeypatch, name, a):
+        m = hardy(3, 0.9)
+        monkeypatch.setattr(calc, "_unit_search", lambda *args: pytest.fail("split taken"))
+        for quantity, norm in ((berezin_number, False), (berezin_norm, True)):
+            if name == "nan":
+                for run in (quantity, lambda m, a, level: calc._grid_sup(m, a, level, norm)):
+                    with pytest.raises(ValueError, match="non-finite"):
+                        run(m, a, 0)
+                continue
+            est, ref = quantity(m, a, level=0), calc._grid_sup(m, a, 0, norm)
+            assert est.value == ref.value and est.argmax == ref.argmax
+
+
 class TestBerezinPair:
     def test_finite_models_give_exact_values(self):
         a = gen_matrix(GeneratorSpec("general", 4, 1.0, seed=5))

@@ -608,6 +608,17 @@ def test_float_power_overflow_exits_2_with_one_error_line():
     assert proc.stdout == ""
 
 
+def test_numpy_overflow_exits_2_with_one_error_line():
+    # thm1's products of operands near 1e200 overflow inside numpy matmul:
+    # an error line, not a floating-point warning or a traceback
+    proc = _cli_under_w_error("check", "--ineq", "thm1", "--scale", "1e200", "--trials", "1")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "overflow" in lines[0]
+    assert proc.stdout == ""
+
+
 def test_large_operands_check_without_warnings():
     # A*A's entries pass 1e154, where their sum of squares in the Hermitian
     # check would overflow unless scaled by a power of two

@@ -554,6 +554,17 @@ class TestCsvFormat:
             "990fc8462d37e2cd93bcb1e2afda6a34f28f770fd07833e30e18ce8eeff96bde"
         )
 
+    def test_disk_campaign_searches_power_of_two_multiples_once(self, tmp_path, monkeypatch):
+        # The golden disk call's disk searches: exact 2^k multiples of an
+        # operator searched earlier in the trial (mostly eqn11's doubles of
+        # thm2's and eqn1's of cor1's) share its search.  211 without it.
+        calls = []
+        search = calc._grid_sup
+        monkeypatch.setattr(calc, "_grid_sup", lambda *a: calls.append(a) or search(*a))
+        run_suite(model=hardy(3, 0.9), level=0, trials=1, dims=(4,),
+                  gen=GeneratorSpec(n=4, seed=0xD15C0000), csv_path=str(tmp_path / "d.csv"))
+        assert len(calls) == 156
+
     def test_unix_newlines(self, tmp_path):
         path = tmp_path / "out.csv"
         run_suite(["lem3"], trials=1, csv_path=str(path))
