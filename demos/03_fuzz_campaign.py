@@ -23,7 +23,6 @@ report = run_suite(
 )
 print(f"  rows evaluated : {report.rows_evaluated}")
 print(f"  violations     : {len(report.violations)}")
-print(f"  marginal retries: {report.marginal_retries}")
 print(f"  runtime        : {report.runtime_seconds:.2f}s")
 print(f"  csv            : {csv_path} ({csv_path.stat().st_size} bytes)")
 

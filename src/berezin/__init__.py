@@ -57,7 +57,6 @@ from .linalg import (
     operator_norm,
     positive_power,
     positive_sqrt,
-    precise_eigensolver,
     re_part,
     spectral_radius,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "positive_power",
     "positive_sqrt",
     "power_mean",
-    "precise_eigensolver",
     "re_part",
     "run_suite",
     "spectral_radius",

@@ -2,13 +2,13 @@
 
 A parameter sweep evaluates many expressions built from the same handful of
 operands.  Inside a `computation_scope()` block, a function decorated with
-`scoped` runs once per distinct call.  The key is the function, the active
-`precise_eigensolver` precision, the dtype, shape and raw bytes of each
-positional ndarray argument, and every other argument by value (so those
-must be hashable).  A call that raises is not cached, so the input checks
-inside a cached function run on every distinct input.  Outside a scope every
-call computes from scratch.  Cached values equal freshly computed ones, so a
-scope never changes results; callers share them and must not modify them.
+`scoped` runs once per distinct call.  The key is the function, the dtype,
+shape and raw bytes of each positional ndarray argument, and every other
+argument by value (so those must be hashable).  A call that raises is not
+cached, so the input checks inside a cached function run on every distinct
+input.  Outside a scope every call computes from scratch.  Cached values
+equal freshly computed ones, so a scope never changes results; callers share
+them and must not modify them.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from contextvars import ContextVar
 import numpy as np
 
 _scope: ContextVar[dict | None] = ContextVar("berezin_memo_scope", default=None)
-# mpmath digits while precise_eigensolver() is active, None otherwise.
-precise_dps: ContextVar[int | None] = ContextVar("berezin_precise_dps", default=None)
 
 
 @contextlib.contextmanager
@@ -46,7 +44,7 @@ def scoped(fn):
         table = _scope.get()
         if table is None:
             return fn(*args, **kwargs)
-        key = (fn, precise_dps.get(), *map(_key, args), *kwargs.items())
+        key = (fn, *map(_key, args), *kwargs.items())
         if key not in table:
             table[key] = fn(*args, **kwargs)
         return table[key]

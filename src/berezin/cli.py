@@ -348,8 +348,8 @@ def cmd_fuzz(opts) -> int:
     )
     _log(
         f"[fuzz] {len(report.suite)} entries x {report.trials} trials -> "
-        f"{report.rows_evaluated} cases, {len(report.violations)} violations, "
-        f"{report.marginal_retries} marginal retries in {report.runtime_seconds:.2f}s"
+        f"{report.rows_evaluated} cases, {len(report.violations)} violations "
+        f"in {report.runtime_seconds:.2f}s"
     )
     summary = json.dumps(_report_payload(report, include_rows=False), indent=2)
     _emit(summary, opts["out"] if run.fmt == "json" else None)

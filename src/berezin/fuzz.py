@@ -17,10 +17,8 @@ file, and the spills are copied to the CSV in entry order after the last
 trial.  Each trial's operands are validated once per entry and bound to the
 entry's evaluator once, which then evaluates every point of the grid and
 computes each factor once per distinct value of the parameters it depends
-on (see `CatalogEntry`).  A violation within 10x tolerance is re-evaluated
-alone at high precision, by an evaluator rebuilt so that every factor and
-cached quantity is recomputed, before being reported; if that run satisfies
-the bound, the case counts as a numerical-marginal retry.
+on (see `CatalogEntry`).  Every row is judged by `_verdict` as computed in
+float64, so a violation by any margin is reported as it stands.
 
 A row is one tuple in `CSV_COLUMNS` order, and `_csv_row` alone turns it
 into a CSV line, for the campaign file and for `berezin check --format csv`
@@ -57,7 +55,7 @@ from .inequalities import (
     _validated_tolerance,
     _verdict,
 )
-from .linalg import herm_eig, precise_eigensolver
+from .linalg import herm_eig
 from .models import KernelModel, _check_level, finite
 
 _MASK64 = (1 << 64) - 1
@@ -257,7 +255,6 @@ class Violation:
     seed: int
     kind: str
     scale: float
-    retried: bool
     witness: dict
 
 
@@ -286,6 +283,9 @@ class GapStats:
 
 @dataclass
 class TrialReport:
+    """What a campaign ran and found.  `marginal_retries` is always 0, since
+    no row is re-run; it stays because the benchmark's campaigns read it."""
+
     suite: tuple
     trials: int
     rows_evaluated: int
@@ -312,12 +312,10 @@ def _csv_row(row: tuple) -> str:
 def _run_entry_trial(entry, combos, trial, master_seed, dims, scale, matrix_kind,
                      model, tolerance, level):
     """All sweep evaluations of one entry for one trial: rows in CSV_COLUMNS
-    order, violations and the count of marginal retries.
+    order, and violations.
 
     `combos` is the entry's `param_grid`, evaluated by one evaluator bound
-    to the trial's operands, in the caller's memo scope.  A marginal row is
-    re-evaluated alone, as `[combo]`, by an evaluator rebuilt under
-    `precise_eigensolver`.
+    to the trial's operands, in the caller's memo scope.
     """
     seed = (int(master_seed) ^ int(trial)) & _MASK64
     n = dims[trial % len(dims)]  # the model's dimension if one is forced
@@ -325,34 +323,22 @@ def _run_entry_trial(entry, combos, trial, master_seed, dims, scale, matrix_kind
     mdl = model if model is not None else (finite(n) if entry.needs_model else None)
     rows = []
     violations = []
-    retries = 0
     dim_echo = None if all(k == "scalar" for _, k in entry.operand_spec) else n
     case = InequalityCase(entry.ineq_id, ops, model=mdl, tolerance=tolerance, level=level)
     valid_ops, n_ops = _validated_operands(entry, case)
     tol = float(tolerance)
     for combo, parts in zip(combos, _evaluate_grid(entry, case, valid_ops, combos)):
         worst, ok = _verdict(parts, tol)
-        retried = False
-        if not ok:
-            margin = 10.0 * tolerance * max(1.0, worst.rhs)
-            if worst.lhs <= worst.rhs + margin:
-                with precise_eigensolver():
-                    (parts,) = _evaluate_grid(entry, case, valid_ops, [combo])
-                worst, ok = _verdict(parts, tol)
-                retried = True
-                if ok:
-                    retries += 1
         if not ok:  # the full witness is built for violations only
             res = _result(entry.ineq_id, parts, combo, n_ops, tol)
             violations.append(Violation(
                 ineq_id=entry.ineq_id, trial=trial, n=n, params=dict(combo),
                 lhs=res.lhs, rhs=res.rhs, gap=res.gap, seed=seed,
-                kind=matrix_kind, scale=scale, retried=retried,
-                witness=res.witness,
+                kind=matrix_kind, scale=scale, witness=res.witness,
             ))
         rows.append((entry.ineq_id, trial, dim_echo, combo.get("alpha"), combo.get("r"),
                      combo.get("s"), worst.lhs, worst.rhs, worst.rhs - worst.lhs, ok))
-    return rows, violations, retries
+    return rows, violations
 
 
 def run_suite(
@@ -380,14 +366,14 @@ def run_suite(
     level, or one above models.MAX_LEVEL on a continuous model, raises
     ValueError.
     Trials run in order, each in one memo scope shared by every entry;
-    operands are validated once per (entry, trial), and a marginal violation
-    is re-evaluated at high precision (see the module docstring).  CSV rows
-    reach csv_path in a deterministic entry-major order (entry, trial, sweep
-    point), as do `violations` and the collected rows.  csv_path is opened,
-    and its header written, before the first trial; the rows are copied in
-    after the last one, so a campaign that raises leaves only the header.
-    Bad arguments raise before csv_path is opened; a NaN, infinite or
-    negative tolerance raises ParamOutOfRange.
+    operands are validated once per (entry, trial), and every row is judged
+    in float64 as computed; a part with a non-finite side raises ValueError.
+    CSV rows reach csv_path in a deterministic entry-major order (entry,
+    trial, sweep point), as do `violations` and the collected rows.
+    csv_path is opened, and its header written, before the first trial; the
+    rows are copied in after the last one, so a campaign that raises leaves
+    only the header.  Bad arguments raise before csv_path is opened; a NaN,
+    infinite or negative tolerance raises ParamOutOfRange.
     """
     t0 = time.monotonic()
     gen = gen or GeneratorSpec()
@@ -427,7 +413,6 @@ def run_suite(
     gaps = [array("d") for _ in entries]
     kept = [[] for _ in entries] if collect_rows else None
     rows_evaluated = 0
-    retries_total = 0
     try:
         if fh is not None:
             for _ in entries:
@@ -435,12 +420,11 @@ def run_suite(
         for trial in range(trials):
             with computation_scope():  # shared by every entry's trial
                 for i, (entry, combos) in enumerate(zip(entries, grids)):
-                    rows, viols, retries = _run_entry_trial(
+                    rows, viols = _run_entry_trial(
                         entry, combos, trial, gen.seed, dims, gen.scale,
                         gen.kind, model, tolerance, level,
                     )
                     violations[i].extend(viols)
-                    retries_total += retries
                     rows_evaluated += len(rows)
                     gaps[i].extend(row[8] / max(1.0, row[7]) for row in rows)  # gap, rhs
                     if kept is not None:
@@ -466,7 +450,7 @@ def run_suite(
         trials=int(trials),
         rows_evaluated=rows_evaluated,
         violations=[v for vs in violations for v in vs],
-        marginal_retries=retries_total,
+        marginal_retries=0,
         gap_stats={ineq_id: GapStats.of(g) for ineq_id, g in gap_lists.items()},
         runtime_seconds=time.monotonic() - t0,
         master_seed=int(gen.seed),

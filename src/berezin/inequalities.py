@@ -44,6 +44,7 @@ from .errors import (
     UnknownIneqId,
 )
 from .linalg import (
+    _fro,
     abs_power,
     adjoint,
     as_complex_matrix,
@@ -756,8 +757,8 @@ def _validated_operands(entry: CatalogEntry, case: InequalityCase) -> tuple:
         ops[name] = m
     if entry.commuting is not None:
         x, y = (ops[nm] for nm in entry.commuting)
-        comm = float(np.linalg.norm(x @ y - y @ x))
-        scale = max(1.0, float(np.linalg.norm(x)) * float(np.linalg.norm(y)))
+        comm = _fro(x @ y - y @ x)
+        scale = max(1.0, _fro(x) * _fro(y))
         if comm > COMMUTE_TOL * scale:
             raise NotCommuting(
                 f"{entry.ineq_id} needs commuting operands; ||[A,B]|| = {comm:.3e}"
@@ -812,7 +813,13 @@ def _evaluate_grid(entry: CatalogEntry, case: InequalityCase, ops: dict,
 
 
 def _verdict(parts: list[Part], tol: float) -> tuple[Part, bool]:
-    """The part with the least relative slack, and whether every part holds."""
+    """The part with the least relative slack, and whether every part holds.
+
+    A part with a non-finite side has no verdict: it raises ValueError.
+    """
+    for pt in parts:
+        if not (math.isfinite(pt.lhs) and math.isfinite(pt.rhs)):
+            raise ValueError(f"part {pt.label} is not finite: lhs {pt.lhs}, rhs {pt.rhs}")
     ok = all(pt.lhs <= pt.rhs + tol * max(1.0, pt.rhs) for pt in parts)
     worst = min(parts, key=lambda pt: (pt.rhs - pt.lhs) / max(1.0, pt.rhs))
     return worst, ok

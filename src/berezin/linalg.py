@@ -1,20 +1,20 @@
 """Dense complex matrix primitives: adjoints, Hermitian eigensystems,
 operator norms, fractional powers of |A|, and positivity tests.
 
-Everything operates on numpy complex128 arrays.  Tolerances are relative to
-max(1, scale) throughout, where scale is a norm of the input, so the behavior
-is consistent for both tiny and large operands.
+Everything operates on numpy complex128 arrays, and every Hermitian
+eigensystem is one float64 `np.linalg.eigh` solve.  Tolerances are relative
+to max(1, scale) throughout, where scale is a norm of the input, so the
+behavior is consistent for both tiny and large operands.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from ._cache import precise_dps, scoped
+from ._cache import scoped
 from .errors import NoConvergence, NotHermitian, NotPositive, ParamOutOfRange
 
 # Relative tolerance accepted when an input must be Hermitian.
@@ -27,21 +27,6 @@ SUPPORT_CUT = 1e-12
 # Largest entry modulus used unscaled where a product or a sum of squares of
 # entries is formed; above it, 2^-k A is used (_pow2_exponent).
 UNSCALED_MAX = 2.0**500
-
-
-@contextlib.contextmanager
-def precise_eigensolver(dps: int = 50):
-    """Route Hermitian eigendecompositions through mpmath at `dps` digits.
-
-    Used to re-check marginal inequality violations with tighter numerics:
-    every memo key carries the precision, so cached quantities are recomputed.
-    Results are converted back to float64, so callers never see mp types.
-    """
-    token = precise_dps.set(int(dps))
-    try:
-        yield
-    finally:
-        precise_dps.reset(token)
 
 
 class HermEig(NamedTuple):
@@ -102,29 +87,6 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return _fro(a - a.conj().T) <= tol * max(1.0, _fro(a))
 
 
-def _eig_mpmath(h: np.ndarray, dps: int) -> HermEig:
-    """Hermitian eigendecomposition at elevated precision, back to float64."""
-    import mpmath
-    from mpmath import mp
-
-    n = h.shape[0]
-    with mpmath.workdps(dps):
-        m = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                z = h[i, j]
-                m[i, j] = mp.mpc(z.real, z.imag)
-        m = (m + m.transpose_conj()) * mp.mpf("0.5")
-        ev, q = mp.eighe(m)
-        vals = np.array([float(ev[i]) for i in range(n)], dtype=np.float64)
-        vecs = np.array(
-            [[complex(q[i, j]) for j in range(n)] for i in range(n)],
-            dtype=np.complex128,
-        )
-    order = np.argsort(vals, kind="stable")
-    return HermEig(vals[order], vecs[:, order])
-
-
 def _herm_eig(h: np.ndarray, tol: float) -> HermEig:
     if h.shape[0] != h.shape[1]:
         raise NotHermitian(f"matrix is {h.shape[0]}x{h.shape[1]}, not square")
@@ -132,14 +94,10 @@ def _herm_eig(h: np.ndarray, tol: float) -> HermEig:
     if dev > tol * max(1.0, _fro(h)):
         raise NotHermitian(f"deviation from Hermitian {dev:.3e} exceeds tolerance")
     sym = (h + h.conj().T) * 0.5
-    dps = precise_dps.get()
-    if dps is not None:
-        w, v = _eig_mpmath(sym, dps)
-    else:
-        try:
-            w, v = np.linalg.eigh(sym)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(str(exc)) from exc
+    try:
+        w, v = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
     w.flags.writeable = v.flags.writeable = False
     return HermEig(w, v)
 

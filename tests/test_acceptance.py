@@ -93,8 +93,7 @@ def test_criterion_3_full_campaign_clean(capsys, full_campaign):
     )
     verdict(capsys, 3, ok,
             f"{report.rows_evaluated} cases across {len(report.suite)} entries, "
-            f"{len(report.violations)} violations, "
-            f"{report.marginal_retries} marginal retries "
+            f"{len(report.violations)} violations "
             f"in {report.runtime_seconds:.1f}s")
 
 

@@ -29,9 +29,7 @@ from berezin import (
 from berezin import calc, models
 from berezin._cache import computation_scope
 from berezin.fuzz import MATRIX_KINDS
-from berezin.linalg import (
-    _pow2_exponent, as_complex_matrix, im_part, precise_eigensolver, re_part,
-)
+from berezin.linalg import _pow2_exponent, as_complex_matrix, im_part, re_part
 
 A22 = np.array([[1, 2], [3, 4]], dtype=complex)
 SHIFT = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -684,21 +682,18 @@ class TestScopedCache:
             )
         assert plain == cached_first == cached_second
 
-    def test_precise_mode_recomputes_disk_estimates(self, rng, monkeypatch):
+    def test_scope_reuses_disk_estimates(self, rng, monkeypatch):
         calls = []
         grid = calc.default_grid
         monkeypatch.setattr(calc, "default_grid", lambda *a: calls.append(a) or grid(*a))
         m, a = hardy(3, 0.9), orc.rand_complex(rng, 4)
         with computation_scope():
             first = (berezin_number(m, a, level=0), berezin_norm(m, a, level=0))
-            berezin_number(m, a, level=0), berezin_norm(m, a, level=0)
+            again = (berezin_number(m, a, level=0), berezin_norm(m, a, level=0))
             assert len(calls) == 2
-            with precise_eigensolver():
-                again = (berezin_number(m, a, level=0), berezin_norm(m, a, level=0))
-            assert len(calls) == 4
         assert first == again
 
-    def test_precise_mode_recomputes_numerical_radius(self, rng, monkeypatch):
+    def test_scope_reuses_numerical_radius(self, rng, monkeypatch):
         # counts the grid's eigvalsh and every Newton step's eigh
         calls = []
         for name in ("eigh", "eigvalsh"):
@@ -711,9 +706,6 @@ class TestScopedCache:
             solves = len(calls)
             assert {"eigh", "eigvalsh"} <= set(calls)
             assert numerical_radius(a) == first and len(calls) == solves
-            with precise_eigensolver():
-                assert numerical_radius(a) == first
-            assert len(calls) == 2 * solves
 
 
 class TestPositiveEquality:

@@ -554,12 +554,39 @@ def test_unwritable_out_path(capsys, tmp_path, identity_path, argv):
     assert out == ""
 
 
-def _cli_under_w_error(*argv):
-    """`python -W error -m berezin.cli ARGV` on this checkout's sources."""
+def _python_under_w_error(*args):
+    """`python -W error ARGS` on this checkout's sources."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
-    return subprocess.run([sys.executable, "-W", "error", "-m", "berezin.cli", *argv],
+    return subprocess.run([sys.executable, "-W", "error", *args],
                           env=env, capture_output=True, text=True, timeout=300)
+
+
+def _cli_under_w_error(*argv):
+    """`python -W error -m berezin.cli ARGV` on this checkout's sources."""
+    return _python_under_w_error("-m", "berezin.cli", *argv)
+
+
+def test_runs_without_mpmath():
+    # numpy is the only runtime dependency: with mpmath unimportable, the
+    # package imports, runs a finite and a disk campaign, and `berezin fuzz`
+    script = "\n".join([
+        "import sys",
+        "sys.modules['mpmath'] = None",
+        "from berezin import hardy, run_suite",
+        "from berezin.cli import main",
+        "run_suite(trials=1)",
+        "run_suite(model=hardy(3, 0.9), level=0, trials=1)",
+        "sys.exit(main(['fuzz', '--trials', '1']))",
+    ])
+    proc = _python_under_w_error("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["violations"] == []
+    mentions = [f"{path.name}:{i}"
+                for path in sorted(pathlib.Path(SRC).rglob("*.py"))
+                for i, line in enumerate(path.read_text().splitlines(), 1)
+                if "mpmath" in line or "precise" in line]
+    assert mentions == []
 
 
 @pytest.mark.parametrize("spec, code", [

@@ -31,8 +31,7 @@ from berezin.fuzz import (
 )
 from berezin import _cache, calc, finite, fuzz, inequalities
 from berezin.cli import main
-from berezin.inequalities import CATALOG, InequalityCase, Part, check
-from berezin.linalg import precise_eigensolver
+from berezin.inequalities import CATALOG, Part
 
 
 class TestValueStream:
@@ -256,53 +255,18 @@ class TestRunSuite:
             assert got["lhs"] == want["lhs"] and got["rhs"] == want["rhs"]
 
 
-class TestMarginalRetry:
-    def test_only_the_marginal_row_is_rerun_precisely(self, tmp_path, monkeypatch):
-        # cor4 at r = 2 is made to fail by 5x the tolerance in float64 only;
-        # the retry rebuilds the evaluator and re-evaluates that one
-        # combination under precise_dps.
-        entry = CATALOG["cor4"]
-        built, calls = [], []
-
-        def marginal_in_float64(ops, env):
-            precise = _cache.precise_dps.get() is not None
-            built.append(precise)
-            parts = entry.evaluate(ops, env)
-
-            def marginal_parts(r):
-                calls.append((precise, r))
-                if not precise and r == 2.0:
-                    return [Part("main", 1.0 + 5e-9, 1.0)]
-                return parts(r=r)
-            return marginal_parts
-
-        monkeypatch.setitem(CATALOG, "cor4", dataclasses.replace(entry, evaluate=marginal_in_float64))
-        path = tmp_path / "retry.csv"
-        gen = GeneratorSpec(n=3, seed=11)
-        rep = run_suite(["cor4"], gen=gen, trials=1, dims=(3,), csv_path=str(path))
-        assert rep.marginal_retries == 1 and rep.violations == []
-        assert calls == [(False, 1.0), (False, 1.5), (False, 2.0), (False, 3.0), (True, 2.0)]
-        assert built == [False, True]
-
-        ops = sample_operands(entry, 3, 1.0, gen.seed ^ 0)
-        with precise_eigensolver():
-            want = check(InequalityCase("cor4", ops, params={"r": 2.0}, model=finite(3)))
-        with open(path, newline="") as fh:
-            rows = {row["r"]: row for row in csv.DictReader(fh)}
-        assert rows["2"]["lhs"] == fuzz._fmt(want.lhs) and rows["2"]["rhs"] == fuzz._fmt(want.rhs)
-        assert rows["2"]["satisfied"] == "true"
-
-
 class TestViolations:
     """A failing combination is reported with everything needed to replay it."""
 
     @pytest.fixture
     def failing_cor4(self, monkeypatch):
-        # cor4 fails at r = 2 by 100x the tolerance, and at r = 3 by 5x the
-        # tolerance both in float64 and in the precise re-run
+        # cor4 fails at r = 2 by 100x the tolerance and at r = 3 by 5x; the
+        # fixture's value lists one item per evaluator built
         entry = CATALOG["cor4"]
+        built = []
 
         def failing(ops, env):
+            built.append(1)
             parts = entry.evaluate(ops, env)
 
             def failing_parts(r):
@@ -314,15 +278,17 @@ class TestViolations:
             return failing_parts
 
         monkeypatch.setitem(CATALOG, "cor4", dataclasses.replace(entry, evaluate=failing))
+        return built
 
     def test_violation_fields_and_rows(self, tmp_path, failing_cor4):
+        # the marginal r = 3 row is a plain violation: reported with its
+        # float64 values, by the one evaluator of its trial
         path = tmp_path / "violations.csv"
         gen = GeneratorSpec(kind="hermitian", n=3, scale=2.0, seed=40)
         rep = run_suite(["cor4"], gen=gen, trials=2, dims=(3, 4), csv_path=str(path))
-        assert rep.marginal_retries == 0
-        assert [(v.trial, v.params, v.retried) for v in rep.violations] == [
-            (0, {"r": 2.0}, False), (0, {"r": 3.0}, True),
-            (1, {"r": 2.0}, False), (1, {"r": 3.0}, True),
+        assert rep.marginal_retries == 0 and len(failing_cor4) == 2
+        assert [(v.trial, v.params) for v in rep.violations] == [
+            (0, {"r": 2.0}), (0, {"r": 3.0}), (1, {"r": 2.0}), (1, {"r": 3.0}),
         ]
         for v in rep.violations:
             n = (3, 4)[v.trial]
@@ -346,6 +312,7 @@ class TestViolations:
         assert code == 1
         summary = json.loads(capsys.readouterr().out)
         assert len(summary["violations"]) == 2 and summary["marginal_retries"] == 0
+        assert all("retried" not in v for v in summary["violations"])
 
 
 class TestEarlyParamValidation:
@@ -467,7 +434,7 @@ class TestTrialScope:
         uncached = calc.berezin_number.__wrapped__
 
         def counting(model, a, level=1):
-            computed.append((model, a.shape, a.tobytes(), level, _cache.precise_dps.get()))
+            computed.append((model, a.shape, a.tobytes(), level))
             return uncached(model, a, level)
 
         monkeypatch.setattr(calc, "berezin_number", _cache.scoped(counting))

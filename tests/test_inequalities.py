@@ -9,13 +9,16 @@ from hypothesis import given, settings, strategies as st
 import _oracles as orc
 from berezin import (
     DimensionMismatch,
+    GeneratorSpec,
     NotCommuting,
     NotPositive,
     ParamOutOfRange,
     UnknownIneqId,
     finite,
+    gen_commuting_pair,
     hardy,
     power_mean,
+    run_suite,
     verify_positive_equality,
 )
 from berezin.fuzz import param_grid, sample_operands
@@ -511,6 +514,19 @@ class TestValidation:
         b = np.diag([1.0, 3.0]).astype(complex)
         with pytest.raises(NotCommuting):
             _run("eqn13", {"A": a, "B": b}, {})
+
+    def test_scaled_commuting_pair_passes(self):
+        # entries near 1e100 put the commutator's sum of squares past float64:
+        # a commuting pair must still validate
+        a, b = gen_commuting_pair(GeneratorSpec(n=3, scale=1e100, seed=0))
+        case = InequalityCase("eqn13", {"A": a, "B": b}, model=finite(3))
+        assert _validated_operands(CATALOG["eqn13"], case)[1] == 3
+
+    @pytest.mark.parametrize("ineq_id", ["cor1", "eqn3"])
+    def test_non_finite_parts_raise(self, ineq_id):
+        # operands near 1e100 overflow these bounds to inf or NaN: no verdict
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            run_suite([ineq_id], trials=2, gen=GeneratorSpec("general", 3, 1e100, 1))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

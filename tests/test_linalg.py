@@ -19,7 +19,6 @@ from berezin import (
     operator_norm,
     positive_power,
     positive_sqrt,
-    precise_eigensolver,
     re_part,
     spectral_radius,
 )
@@ -114,50 +113,6 @@ class TestHermEig:
     def test_rejects_non_square(self):
         with pytest.raises(NotHermitian):
             herm_eig(np.zeros((2, 3), dtype=complex))
-
-    def test_precise_path_agrees(self, rng):
-        g = orc.rand_complex(rng, 4)
-        h = (g + g.conj().T) / 2
-        plain = herm_eig(h).values
-        with precise_eigensolver():
-            tight = herm_eig(h).values
-        assert np.abs(plain - tight).max() <= 1e-12 * max(1.0, np.abs(plain).max())
-
-    @staticmethod
-    def _record_dps(monkeypatch):
-        import mpmath
-
-        seen, workdps = [], mpmath.workdps
-
-        def recording(dps):
-            seen.append(dps)
-            return workdps(dps)
-
-        monkeypatch.setattr(mpmath, "workdps", recording)
-        return seen
-
-    def test_precise_memo_keyed_on_dps(self, rng, monkeypatch):
-        seen = self._record_dps(monkeypatch)
-        g = orc.rand_complex(rng, 3)
-        h = (g + g.conj().T) / 2
-        with computation_scope():
-            with precise_eigensolver(dps=30):
-                herm_eig(h)
-            with precise_eigensolver(dps=60):
-                herm_eig(h)
-            with precise_eigensolver(dps=60):
-                herm_eig(h)
-        assert seen == [30, 60]
-
-    def test_precise_dps_restored_on_exit(self, rng, monkeypatch):
-        seen = self._record_dps(monkeypatch)
-        g = orc.rand_complex(rng, 3)
-        h1, h2 = (g + g.conj().T) / 2, g @ g.conj().T
-        with precise_eigensolver(dps=30):
-            with precise_eigensolver(dps=60):
-                herm_eig(h1)
-            herm_eig(h2)
-        assert seen == [60, 30]
 
 
 class TestScopedGuards:
