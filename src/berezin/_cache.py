@@ -8,7 +8,8 @@ argument by value (so those must be hashable).  A call that raises is not
 cached, so the input checks inside a cached function run on every distinct
 input.  Outside a scope every call computes from scratch.  Cached values
 equal freshly computed ones, so a scope never changes results; callers share
-them and must not modify them.
+them and must not modify them.  `memoize` fills a scope ahead of the calls,
+with results computed together.
 """
 
 from __future__ import annotations
@@ -50,3 +51,24 @@ def scoped(fn):
         return table[key]
 
     return cached
+
+
+def memoize(cached, calls, batch) -> None:
+    """Inside a computation_scope, memoize the result of cached(*args) for
+    each distinct argument tuple of `calls` not memoized yet, all computed
+    by one batch(list of tuples) -> one result per tuple.  A result that is
+    an exception is not memoized, so that call raises when made.  `cached`
+    is a `scoped` function called with positional arguments only; outside a
+    scope nothing happens."""
+    table = _scope.get()
+    if table is None:
+        return
+    todo = {}
+    for args in calls:
+        key = (cached.__wrapped__, *map(_key, args))
+        if key not in table:
+            todo.setdefault(key, args)
+    if todo:
+        for key, result in zip(todo, batch(list(todo.values()))):
+            if not isinstance(result, Exception):
+                table[key] = result

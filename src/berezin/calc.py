@@ -12,14 +12,22 @@ pair (lam, mu), a safeguarded Newton ascent (_ascend) climbs log|symbol|^2,
 or log|<A k_lam, k_mu>|^2 in the four real coordinates of the pair, on exact
 derivatives: with w = conj(lam) and p_j = c_j w^j, the jet P = [p, p', p'']
 of models._jet gives every first and second derivative through the 3x3
-matrices P*AP and P*P (_log_terms).  One driver (_ascent) steps for both,
-holding a point on the disk's edge to the circle; the value is the best
-over its iterates.  Estimates at level L take the best value over levels
-0..L, so refinement never loses ground.  Both quantities scale as |c| under
-A -> cA, so a call searches A = 2^k U, U's largest real or imaginary
-component in [1/2, 1), and returns 2^k times U's value (_pow2_search): one
-search per operator up to a power of two inside a computation_scope, bit
-for bit the direct search's, as scaling by 2^k commutes with rounding.
+matrices P*AP and P*P (_log_terms).  The search takes a list of operators:
+every start of every operator, at every level, climbs in one lockstep
+ascent (_lockstep_ascent) over stacked jets and stacked matrix products,
+holding a point on the disk's edge to the circle; each value is the best
+over its iterates.  Each row of the batch runs the float operations of a
+scalar ascent in their order (CPython's complex arithmetic on split real
+arrays, Python's sums, math.hypot), so an operator's estimate has the same
+bits in any batch as alone.  Estimates at level L take the best value over
+levels 0..L, so refinement never loses ground.  Both quantities scale as
+|c| under A -> cA, so a call searches A = 2^k U, U's largest real or
+imaginary component in [1/2, 1), and returns 2^k times U's value
+(_pow2_search): one search per operator up to a power of two inside a
+computation_scope, bit for bit the direct search's, as scaling by 2^k
+commutes with rounding.  A campaign fills that memo ahead of its calls,
+all of a trial's searches in one batch (_plan_searches), and so does
+`berezin eval` for its number and norm.
 
 The numerical radius is w(A) = max over theta of g(theta) = lambda_max(
 Re(e^{i theta} A)).  One batched eigvalsh of the first half-turn's 128
@@ -34,13 +42,12 @@ vector; normal operators give their spectral radius to machine precision.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._cache import scoped
+from ._cache import memoize, scoped
 from .errors import DimensionMismatch, PointOutOfDomain
 from .linalg import UNSCALED_MAX, _pow2_exponent, as_complex_matrix, im_part, re_part
 from .models import (
@@ -50,7 +57,8 @@ from .models import (
 
 # Grid local maxima climbed per level by the disk sup search.
 TOP_K = 5
-# Pair values per block of the norm's grid stage (4 MiB of complex128).
+# Complex values per block of the grid stage (4 MiB of complex128): pair
+# values of the norm, or the number's products A K over several operators.
 PAIR_BLOCK = 2**18
 # theta sample count for the numerical radius.
 RADIUS_GRID = 256
@@ -90,8 +98,9 @@ def symbol_values(model: KernelModel, a: np.ndarray, grid: OmegaGrid) -> np.ndar
 
 
 def _symbols(a: np.ndarray, kmat: np.ndarray) -> np.ndarray:
-    """<A k, k> for each kernel column k of kmat."""
-    return np.einsum("ij,ij->j", kmat.conj(), a @ kmat)
+    """<A k, k> for each kernel column k of kmat, for one operator or a stack
+    of them (each row then has the bits of its operator alone)."""
+    return np.einsum("ij,...ij->...j", kmat.conj(), a @ kmat)
 
 
 def _row_max(a: np.ndarray, kmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,6 +122,52 @@ def _row_max(a: np.ndarray, kmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, mus
 
 
+# Complex arithmetic on split real parts, each complex array a pair (re, im)
+# of float arrays.  numpy's complex product, quotient and modulus round
+# differently from CPython's on many inputs; the ascent uses CPython's
+# formulas on arrays, so each row of a batch gets the bits that Python
+# complex arithmetic on that row alone gives (pinned in test_calc).
+
+def _cmul(ar, ai, br, bi):
+    """a * b as CPython multiplies complex numbers: (ar br - ai bi) +
+    i (ar bi + ai br), each product and sum rounded on its own."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cdiv(ar, ai, br, bi):
+    """a / b as CPython divides complex numbers (Smith's method): scaled by
+    b's real part where |br| >= |bi|, else by its imaginary part.  NaN where b
+    has a NaN, and where b = 0, on which Python raises (no caller divides by
+    0 in a row it keeps)."""
+    big = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):  # in the branch not taken
+        ratio = np.where(big, bi / br, br / bi)
+        denom = np.where(big, br + bi * ratio, br * ratio + bi)
+        return (np.where(big, ar + ai * ratio, ar * ratio + ai) / denom,
+                np.where(big, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
+def _twice(zr, zi):
+    """2.0 * z as Python computes it, the float taken as complex(2.0, 0.0)."""
+    return 2.0 * zr - 0.0 * zi, 2.0 * zi + 0.0 * zr
+
+
+def _modulus(z):
+    """|z| of a complex array as Python's abs computes it (C hypot), and
+    where it overflows from finite parts, on which abs raises OverflowError."""
+    m = np.hypot(z.real, z.imag)
+    return m, np.isinf(m) & np.isfinite(z.real) & np.isfinite(z.imag)
+
+
+def _pysum(t):
+    """Sums along the last axis in the order of Python's sum, which starts
+    from the integer 0 (so 0 + (-0.0) gives 0.0)."""
+    s = 0.0 + t[..., 0]
+    for i in range(1, t.shape[-1]):
+        s = s + t[..., i]
+    return s
+
+
 def _check_start(model: KernelModel, point) -> None:
     """The one domain check of an ascent: its iterates are projected onto
     the disk, so they stay in the domain that kernel_matrix and
@@ -122,245 +177,401 @@ def _check_start(model: KernelModel, point) -> None:
 
 
 def _log_terms(q):
-    """h1, h2, h11, h12, h22 of h = log H, H holomorphic in (z1, z2).
+    """Columns h1, h2, h11, h12, h22 (re and im, each rows x 5) of h = log H,
+    H holomorphic in (z1, z2), one row per 3x3 complex matrix of q.
 
-    q[a][b] is H's derivative of order a in z2 and b in z1.
+    q[:, a, b] is H's derivative of order a in z2 and b in z1.
     """
-    q00 = q[0][0]
-    h1, h2 = q[0][1] / q00, q[1][0] / q00
-    return h1, h2, q[0][2] / q00 - h1 * h1, q[1][1] / q00 - h1 * h2, q[2][0] / q00 - h2 * h2
+    num, q00 = q[:, (0, 1, 0, 1, 2), (1, 0, 2, 1, 0)], q[:, :1, 0]  # q01 q10 q02 q11 q20
+    rr, ri = _cdiv(num.real, num.imag, q00.real, q00.imag)
+    pr, pi = _cmul(rr[:, (0, 0, 1)], ri[:, (0, 0, 1)], rr[:, (0, 1, 1)], ri[:, (0, 1, 1)])
+    rr[:, 2:] -= pr  # - h1 h1, h1 h2, h2 h2
+    ri[:, 2:] -= pi
+    return rr, ri
 
 
-def _diagonal(h1, h2, h11, h12, h22):
-    """Gradient and Hessian in (Re w, Im w) of Re h(w, conj(w))."""
-    hxy = (h22 - h11).imag
-    return ([(h1 + h2).real, (h2 - h1).imag],
-            [[(h11 + 2.0 * h12 + h22).real, hxy], [hxy, (2.0 * h12 - h11 - h22).real]])
+def _diagonal(tr, ti):
+    """Gradient (rows x 2) and Hessian (rows x 2 x 2) in (Re w, Im w) of
+    Re h(w, conj(w)), from _log_terms' columns."""
+    (h1r, h2r, h11r, h12r, h22r), (h1i, h2i, h11i, h12i, h22i) = tr.T, ti.T
+    t = 2.0 * h12r - 0.0 * h12i  # (2.0 * h12).real
+    grad, hess = np.empty((len(tr), 2)), np.empty((len(tr), 2, 2))
+    grad[:, 0], grad[:, 1] = h1r + h2r, h2i - h1i
+    hess[:, 0, 0], hess[:, 1, 1] = h11r + t + h22r, t - h11r - h22r
+    hess[:, 0, 1] = hess[:, 1, 0] = h22i - h11i
+    return grad, hess
 
 
-def _block(c: complex, d) -> list:
-    """Hessian block of Re h in (Re z, Im z) from c = h_zz (holomorphic),
-    minus the 2x2 block d."""
-    return [[c.real - d[0][0], -c.imag - d[0][1]], [-c.imag - d[1][0], -c.real - d[1][1]]]
+def _block(cr, ci):
+    """Hessian blocks (rows x 2 x 2) of Re h in (Re z, Im z) from c = h_zz
+    (holomorphic, re and im)."""
+    b = np.empty((len(cr), 2, 2))
+    b[:, 0, 0], b[:, 1, 1] = cr, -cr
+    b[:, 0, 1] = b[:, 1, 0] = -ci
+    return b
 
 
-def _number_derivatives(jet, a, x):
-    """|symbol| at lam = conj(w), w = x[0] + i x[1], with the gradient and
-    Hessian in x of G = log|N|^2 - 2 log D, N = p*Ap and D = ||p||^2.
+def _derivatives(jet, a, x, pair):
+    """Per row of x, the value at its point or pair, the gradient and
+    Hessian in x of its log-square, and whether the value overflowed from
+    finite parts.  a[row] is the row's operator (rows x n x n); x lists
+    (Re w, Im w) and, where `pair`, (Re mu, Im mu), as wide for every row (a
+    point row's mu is absent, 0, with zero derivatives).
 
-    N(w) = H(w, conj(w)) for H(z1, z2) = p(z2)^T A p(z1), and D likewise
-    with A = I, so both come from the 3x3 matrices P*AP and P*P.  The
-    derivatives are None where N = 0.
+    A point row is |symbol| at lam = conj(w), with G = log|N|^2 - 2 log D,
+    N = p*Ap and D = ||p||^2: N(w) = H(w, conj(w)) for H(z1, z2) =
+    p(z2)^T A p(z1), and D likewise with A = I, so both come from the 3x3
+    matrices P*AP and P*P.  A pair row is |<A k_lam, k_mu>| at lam =
+    conj(w), with F = log|M|^2 - log D(w) - log D(mu), M = p(mu)^T A p(w)
+    holomorphic in (w, mu), so its terms come from P(mu)^T A P(w), each log
+    D being a diagonal restriction as for a point.  All rows share one jet,
+    three stacked products and one _log_terms.  The gradient is NaN where N
+    or M is 0.
     """
-    p = jet(complex(x[0], x[1]))
-    ph = p.conj().T
-    q, e = (ph @ (a @ p)).tolist(), (ph @ p).tolist()
-    val = abs(q[0][0]) / e[0][0].real
-    if val == 0.0:
-        return val, None, None
-    terms = [2.0 * (u - v) for u, v in zip(_log_terms(q), _log_terms(e))]
-    return (val, *_diagonal(*terms))
+    one, two = np.flatnonzero(~pair), np.flatnonzero(pair)
+    n1, k = len(one), len(x)
+    order = np.concatenate((one, two))
+    z = x.view(complex)
+    p = jet(np.concatenate((z[one, 0], z[two, 0], z[two, -1])))  # w of points; w, mu of pairs
+    ap = a[order] @ p[:k]
+    q = np.concatenate((p[:n1].conj(), p[k:])).transpose(0, 2, 1) @ ap  # P*AP; P(mu)^T A P(w)
+    e = p.conj().transpose(0, 2, 1) @ p  # P*P at every point
+    d = e[:, 0, 0].real
+    val, over = np.empty(k), np.empty(k, dtype=bool)
+    val[order], over[order] = _modulus(q[:, 0, 0])
+    val[order] /= np.concatenate((d[:n1], np.sqrt(d[n1:k] * d[k:])))
+    tr, ti = _log_terms(np.concatenate((q, e)))
+    tr[:n1] -= tr[k:k + n1]  # a point's log N minus log D
+    ti[:n1] -= ti[k:k + n1]
+    hr, hi = _twice(tr[:k], ti[:k])
+    g, h = _diagonal(np.concatenate((hr[:n1], tr[k + n1:])),
+                     np.concatenate((hi[:n1], ti[k + n1:])))
+    grad, hess = np.zeros(x.shape), np.zeros(x.shape + x.shape[1:])
+    grad[one, :2], hess[one, :2, :2] = g[:n1], h[:n1]
+    if len(two):  # D(w) and D(mu) of the pairs follow the points' terms
+        (h1r, h2r, h11r, h12r, h22r), (h1i, h2i, h11i, h12i, h22i) = hr[n1:].T, hi[n1:].T
+        gw, gm, hw, hm = g[n1:k], g[k:], h[n1:k], h[k:]
+        grad[two] = np.stack((h1r - gw[:, 0], -h1i - gw[:, 1], h2r - gm[:, 0], -h2i - gm[:, 1]), 1)
+        hess[two, :2, :2], hess[two, 2:, 2:] = _block(h11r, h11i) - hw, _block(h22r, h22i) - hm
+        hess[two, :2, 2:] = hess[two, 2:, :2] = _block(h12r, h12i)  # minus 0.0: the same bits
+    grad[val == 0.0] = np.nan
+    return val, grad, hess, over
 
 
-def _norm_derivatives(jet, a, x):
-    """|<A k_lam, k_mu>| at lam = conj(w), w = x[0] + i x[1], mu = x[2] +
-    i x[3], with the gradient and Hessian in x of F = log|M|^2 - log D(w) -
-    log D(mu), M = p(mu)^T A p(w) and D = ||p||^2.
-
-    M is holomorphic in (w, mu), so its terms come from P(mu)^T A P(w); each
-    log D is a diagonal restriction, as in _number_derivatives.  The
-    derivatives are None where M = 0.
-    """
-    pw = jet(complex(x[0], x[1]))
-    pm = jet(complex(x[2], x[3]))
-    q = (pm.T @ (a @ pw)).tolist()
-    ew, em = (pw.conj().T @ pw).tolist(), (pm.conj().T @ pm).tolist()
-    val = abs(q[0][0]) / math.sqrt(ew[0][0].real * em[0][0].real)
-    if val == 0.0:
-        return val, None, None
-    h1, h2, h11, h12, h22 = (2.0 * t for t in _log_terms(q))
-    gw, hw = _diagonal(*_log_terms(ew))
-    gm, hm = _diagonal(*_log_terms(em))
-    bw, bm, bx = _block(h11, hw), _block(h22, hm), _block(h12, ((0.0, 0.0), (0.0, 0.0)))
-    grad = [h1.real - gw[0], -h1.imag - gw[1], h2.real - gm[0], -h2.imag - gm[1]]
-    return val, grad, [bw[0] + bx[0], bw[1] + bx[1], bx[0] + bm[0], bx[1] + bm[1]]
-
-
-def _newton_step(hess, g):
-    """-hess^{-1} g, or None unless hess is negative definite: Gaussian
-    elimination on -hess without pivoting, whose pivots are all positive
-    exactly when -hess is positive definite."""
-    k = len(g)
-    m = [[-v for v in row] + [t] for row, t in zip(hess, g)]
+def _newton_steps(hess, g, used):
+    """Per row, -hess^{-1} g over the coordinates `used` (rows x k, bool),
+    0 on the others, and whether hess is negative definite on them:
+    Gaussian elimination on -hess without pivoting, whose pivots are all
+    positive exactly when -hess is positive definite (the step is
+    meaningless where they are not).  An unused coordinate is skipped as a
+    pivot and left out of the back-substitution's sums, so each row's bits
+    are those of the elimination on its used coordinates alone."""
+    k = g.shape[1]
+    m = np.concatenate((-hess, g[:, :, None]), axis=2)
+    ok = np.ones(len(g), dtype=bool)
     for i in range(k):
-        if not m[i][i] > 0.0:
-            return None
-        for r in range(i + 1, k):
-            f = m[r][i] / m[i][i]
-            m[r] = [u - f * v for u, v in zip(m[r], m[i])]
-    d = [0.0] * k
-    for i in reversed(range(k)):
-        d[i] = (m[i][k] - sum(m[i][j] * d[j] for j in range(i + 1, k))) / m[i][i]
-    return d
+        pivot = used[:, i]
+        ok &= ~pivot | (m[:, i, i] > 0.0)
+        if i + 1 < k:  # each row below the pivot: u - (m[r][i] / m[i][i]) v
+            rows = m[:, i + 1:] - (m[:, i + 1:, i] / m[:, i, i, None])[:, :, None] * m[:, i, None]
+            if not pivot.all():
+                rows = np.where(pivot[:, None, None], rows, m[:, i + 1:])
+            m[:, i + 1:] = rows
+    mz = np.where(used[:, None, :], m[:, :, :k], 0.0)  # an unused column adds exact zeros
+    d = np.zeros_like(g)
+    for i in reversed(range(k)):  # a Python sum from 0 over the coordinates after i
+        rhs = m[:, i, k] - _pysum(mz[:, i, i + 1:] * d[:, i + 1:]) if i + 1 < k else m[:, i, k]
+        d[:, i] = np.where(used[:, i], rhs / m[:, i, i], 0.0)
+    return d, ok
 
 
-def _ascent(derivatives, x: list, radius: float, h: float):
-    """Safeguarded Newton ascent over one or two points in |z| <= radius.
+def _tangent_basis(x, g, edge2, present):
+    """The step coordinates of each row of x, two slots per point: a point on
+    the edge whose gradient points outward (g.z > 0) steps along its unit
+    tangent (-y, x)/|z| in its first slot and leaves the second unused;
+    another point steps in its own two coordinates, and a point not
+    `present` (rows x points, bool; it sits at 0 with zero derivatives) in
+    none.  Returns, per slot (rows x dim), the weights u0 on x's coordinate
+    of the same index and u1 on the point's second coordinate (0 but on the
+    edge), the curvature term (-g.z/|z|^2 on the edge, else 0), whether the
+    slot is used, and which points are on the edge."""
+    zx, zy = x[:, 0::2], x[:, 1::2]
+    r2 = zx * zx + zy * zy
+    out = g[:, 0::2] * zx + g[:, 1::2] * zy
+    edge = (r2 >= edge2) & (out > 0.0)
+    r = np.sqrt(r2)
+    u0, u1, curv = np.zeros(x.shape), np.zeros(x.shape), np.zeros(x.shape)
+    used = np.empty(x.shape, dtype=bool)
+    used[:, 0::2], used[:, 1::2] = present, present & ~edge
+    u0[:, 0::2], u0[:, 1::2] = np.where(edge, -zy / r, present), used[:, 1::2]
+    u1[:, 0::2], curv[:, 0::2] = np.where(edge, zx / r, 0.0), np.where(edge, -out / r2, 0.0)
+    return u0, u1, curv, used, edge
 
-    x lists (Re z, Im z) of each point; derivatives(x) returns the value
-    and the gradient and Hessian of its log-square in x.  A point on the
-    edge whose gradient points outward moves along the circle: its two
-    coordinates give way to the unit tangent, with curvature term -g.z/|z|^2.
-    The step is Newton's where the Hessian is negative definite and
-    otherwise the gradient step that maximises the quadratic model, or h
-    where the model is not concave along the gradient.  It is clipped to
-    length h, and each point is then projected onto the disk.  Stops on a
-    step below 1e-13 radius, a gradient below 1e-14 / h, zero or non-finite
-    derivatives, or after 16 evaluations.  Returns the largest value over
-    the iterates and its x.
+
+def _lockstep_ascent(derivatives, x, present, h, radius: float):
+    """Safeguarded Newton ascents in lockstep, one per row of x, each over the
+    points of its row that are `present` (rows x points, bool) in |z| <=
+    radius.
+
+    x lists (Re z, Im z) of each point, two columns per point, 0 for one not
+    present; derivatives(rows, xr) returns, for the ascents `rows` at their
+    iterates xr, the values, the gradients and Hessians of their
+    log-squares in x (NaN where undefined, 0 in an absent point's
+    coordinates) and whether a value overflowed.  A point on the edge
+    whose gradient points outward moves along the circle: its two
+    coordinates give way to the unit tangent, with curvature term
+    -g.z/|z|^2 (_tangent_basis).  The step is Newton's where the Hessian is
+    negative definite and otherwise the gradient step that maximises the
+    quadratic model, or h where the model is not concave along the gradient.
+    It is clipped to length h (one per row), and each point is then
+    projected onto the disk.  An ascent stops on a non-finite value or
+    derivative, on a step below 1e-13 radius, on a gradient step whose
+    gradient is below 1e-14 / h, or after 16 evaluations.  Returns per row
+    the largest value over the iterates, its x, and whether a value
+    overflowed.
+
+    Each row runs the float operations of one scalar ascent in its order:
+    sums as Python's sum, complex arithmetic as CPython's, and the
+    projection's modulus as math.hypot, so a row's bits do not depend on the
+    other rows of the batch.  Unused slots and absent points
+    (_tangent_basis) hold exact zeros, which leave every sum as it was.
     """
-    best, arg = -1.0, x
+    rows, dim = x.shape
+    best, arg, over = np.full(rows, -1.0), x.copy(), np.zeros(rows, dtype=bool)
     edge2 = (radius * (1.0 - 1e-12)) ** 2
-    for _ in range(16):
-        val, g, hess = derivatives(x)
-        if val > best:
-            best, arg = val, x
-        if g is None or not math.isfinite(sum(g) + sum(map(sum, hess))):
+    near = radius * (1.0 - 1e-15)  # np.hypot is within an ulp of math.hypot: a
+    # point whose np.hypot reaches `near` gets math.hypot's, the others stay
+    live, x = np.arange(rows), x.copy()
+    odd = np.arange(dim) | 1  # each slot's point's second coordinate
+    for it in range(16):
+        xl = x[live]
+        val, g, hess, ovf = derivatives(live, xl)
+        over[live] |= ovf
+        up = val > best[live]
+        best[live[up]], arg[live[up]] = val[up], xl[up]
+        keep = np.flatnonzero(np.isfinite(_pysum(g) + _pysum(_pysum(hess))))
+        if it == 15 or not keep.size:
             break
-        cols, curv = [], []  # step coordinates, as sparse columns over x
-        for i in range(0, len(x), 2):
-            zx, zy = x[i], x[i + 1]
-            r2 = zx * zx + zy * zy
-            out = g[i] * zx + g[i + 1] * zy
-            if r2 >= edge2 and out > 0.0:
-                r = math.sqrt(r2)
-                cols.append(((i, -zy / r), (i + 1, zx / r)))
-                curv.append(-out / r2)
-            else:
-                cols += [((i, 1.0),), ((i + 1, 1.0),)]
-                curv += [0.0, 0.0]
-        gr = [sum(u * g[i] for i, u in c) for c in cols]
-        hr = [[sum(u * v * hess[i][j] for i, u in ci for j, v in cj) for cj in cols]
-              for ci in cols]
-        for k, c in enumerate(curv):
-            hr[k][k] += c
-        d = _newton_step(hr, gr)
-        if d is None:
-            gg = sum(t * t for t in gr)
-            if gg * h * h <= 1e-28:
-                break
-            ghg = sum(s * t * u for s, row in zip(gr, hr) for t, u in zip(gr, row))
-            scale = gg / -ghg if ghg < 0.0 else h / math.sqrt(gg)
-            d = [scale * t for t in gr]
-        size = math.sqrt(sum(t * t for t in d))
-        if size < 1e-13 * radius:
+        live, xl, g, hess, hl = live[keep], xl[keep], g[keep], hess[keep], h[live[keep]]
+        u0, u1, curv, used, edge = _tangent_basis(xl, g, edge2, present[live])
+        # each slot's sums over the columns it spans, in Python's order, from
+        # 0; u1 weighs the point's second coordinate, so where u1 = 0 its term
+        # is an exact zero
+        gr = (0.0 + u0 * g) + u1 * g[:, odd]
+        hr = 0.0
+        for ua, ha in ((u0, hess), (u1, hess[:, odd])):
+            for ub, hab in ((u0, ha), (u1, ha[:, :, odd])):
+                hr = hr + (ua[:, :, None] * ub[:, None, :]) * hab
+        diag = np.arange(dim)
+        hr[:, diag, diag] += curv
+        d, newton = _newton_steps(hr, gr, used)
+        gg = _pysum(gr * gr)
+        ghg = _pysum((gr[:, :, None] * gr[:, None, :] * hr).reshape(len(live), -1))
+        scale = np.where(ghg < 0.0, gg / -ghg, hl / np.sqrt(gg))
+        d = np.where(newton[:, None], d, np.where(used, scale[:, None] * gr, 0.0))
+        size = np.sqrt(_pysum(d * d))
+        go = ~(~newton & (gg * hl * hl <= 1e-28)) & ~(size < 1e-13 * radius)
+        step = hl / size
+        step = np.where(step < 1.0, step, 1.0)[:, None] * d  # min(1.0, h / size), NaN to 1.0
+        xn = xl.copy()
+        xn[:, 0::2] += step[:, 0::2] * u0[:, 0::2]
+        xn[:, 1::2] += np.where(edge, step[:, 0::2] * u1[:, 0::2], step[:, 1::2] * u0[:, 1::2])
+        for pt in range(dim // 2):
+            zx, zy = xn[:, 2 * pt], xn[:, 2 * pt + 1]
+            cand = np.flatnonzero(np.hypot(zx, zy) >= near)
+            if cand.size:
+                r = np.array(list(map(math.hypot, zx[cand].tolist(), zy[cand].tolist())))
+                c, r = cand[r > radius], r[r > radius]
+                xn[c, 2 * pt], xn[c, 2 * pt + 1] = zx[c] * radius / r, zy[c] * radius / r
+        live = live[go]
+        x[live] = xn[go]
+        if not live.size:
             break
-        scale = min(1.0, h / size)
-        x = list(x)
-        for c, t in zip(cols, d):
-            for i, u in c:
-                x[i] += scale * t * u
-        for i in range(0, len(x), 2):
-            r = math.hypot(x[i], x[i + 1])
-            if r > radius:
-                x[i], x[i + 1] = x[i] * radius / r, x[i + 1] * radius / r
-    return best, arg
+    return best, arg, over
 
 
-def _ascend(model: KernelModel, a: np.ndarray, start: tuple, level: int):
-    """Newton polish from a grid point (lam,) of |symbol|, or from a grid pair
-    (lam, mu) of |<A k_lam, k_mu>|, in w = conj(lam) and mu, with steps
-    clipped to the level's radial spacing; returns (value, argmax), the
-    argmax a point or a pair like the start."""
-    for point in start:
-        _check_start(model, point)
-    derivs = _number_derivatives if len(start) == 1 else _norm_derivatives
-    x0 = [start[0].real, -start[0].imag] + [t for mu in start[1:] for t in (mu.real, mu.imag)]
-    h = model.radius / (BASE_RADII * 2**level)  # the grid's radial spacing
-    val, x = _ascent(functools.partial(derivs, _jet(model), a), x0, model.radius, h)
-    lam = complex(x[0], -x[1])
-    return val, (lam if len(start) == 1 else (lam, complex(x[2], x[3])))
+def _ascend(model: KernelModel, ops: np.ndarray, starts: list):
+    """Newton polish of every start in one lockstep ascent (_lockstep_ascent).
+
+    ops stacks the operators (count x n x n, complex).  A start (i, level,
+    pts) is a grid point (lam,) of |symbol| or a grid pair (lam, mu) of
+    |<A k_lam, k_mu>| for A = ops[i]; it climbs in w = conj(lam), and mu,
+    with steps clipped to its level's radial spacing (_derivatives); with
+    pairs in the batch a point start carries an absent second point.
+    Returns per start the value and the argmax, a point or a pair like the
+    start, and per operator whether an ascent of it overflowed.
+    """
+    for _, _, pts in starts:
+        for point in pts:
+            _check_start(model, point)
+    over = np.zeros(len(ops), dtype=bool)
+    if not starts:
+        return [], [], over
+    which = np.array([i for i, _, _ in starts])
+    pair = np.array([len(pts) == 2 for _, _, pts in starts])
+    h = np.array([model.radius / (BASE_RADII * 2**lev) for _, lev, _ in starts])
+    x0 = np.zeros((len(starts), 4 if pair.any() else 2))
+    x0[:, :2] = [(pts[0].real, -pts[0].imag) for _, _, pts in starts]
+    if pair.any():
+        x0[pair, 2:] = [(pts[1].real, pts[1].imag) for _, _, pts in starts if len(pts) == 2]
+    jet = _jet(model)
+    present = np.stack((np.ones_like(pair), pair), axis=1)[:, :x0.shape[1] // 2]
+    with np.errstate(all="ignore"):
+        vals, x, ovf = _lockstep_ascent(
+            lambda rows, xr: _derivatives(jet, ops[which[rows]], xr, pair[rows]),
+            x0, present, h, model.radius)
+    over[which[ovf]] = True
+    args = [complex(s, -t) for s, t in x[:, :2].tolist()]
+    for k in np.flatnonzero(pair).tolist():
+        args[k] = args[k], complex(x[k, 2], x[k, 3])
+    return vals.tolist(), args, over
 
 
-def _peaks(vals: np.ndarray, level: int) -> np.ndarray:
-    """Indices of the TOP_K best local maxima of vals, one value per point of
-    default_grid(level), ties to the lower index: the ring points >= their
-    cyclic angle neighbours and the points directly inside (the origin, for
-    ring 0) and outside them, and the origin if >= ring 0.  Includes the argmax."""
-    n_ang = BASE_ANGLES * 2**level
-    ring = vals[1:].reshape(-1, n_ang)  # radius-major mesh
-    ang = np.concatenate((ring[:, -1:], ring, ring[:, :1]), axis=1)
-    rad = np.concatenate(([vals[0]] * n_ang, vals[1:], [-np.inf] * n_ang)).reshape(-1, n_ang)
-    peak = (ring >= ang[:, :-2]) & (ring >= ang[:, 2:]) & (ring >= rad[:-2]) & (ring >= rad[2:])
-    idx = np.flatnonzero(np.concatenate(([vals[0] >= ring[0].max()], peak.ravel())))
-    return idx[np.argsort(-vals[idx], kind="stable")[:TOP_K]]
+def _peaks(vals: np.ndarray, level: int) -> list:
+    """Per row of vals, one value per point of default_grid(level), the
+    indices of its TOP_K best local maxima, ties to the lower index: the ring
+    points >= their cyclic angle neighbours and the points directly inside
+    (the origin, for ring 0) and outside them, and the origin if >= ring 0.
+    Includes the argmax."""
+    rows, n_ang = len(vals), BASE_ANGLES * 2**level
+    ring = vals[:, 1:].reshape(rows, -1, n_ang)  # radius-major mesh
+    ang = np.concatenate((ring[:, :, -1:], ring, ring[:, :, :1]), axis=2)
+    rad = np.concatenate((np.repeat(vals[:, :1], n_ang, axis=1), vals[:, 1:],
+                          np.full((rows, n_ang), -np.inf)), axis=1).reshape(rows, -1, n_ang)
+    peak = ((ring >= ang[:, :, :-2]) & (ring >= ang[:, :, 2:])
+            & (ring >= rad[:, :-2]) & (ring >= rad[:, 2:]))
+    found = np.concatenate(((vals[:, 0] >= ring[:, 0].max(axis=1))[:, None],
+                            peak.reshape(rows, -1)), axis=1)
+    out = []
+    for row, mask in zip(vals, found):
+        idx = np.flatnonzero(mask)
+        out.append(idx[np.argsort(-row[idx], kind="stable")[:TOP_K]])
+    return out
 
 
-def _grid_sup(model: KernelModel, a: np.ndarray, level: int, norm: bool) -> SupEstimate:
-    """The disk search behind berezin_number and, with `norm`, berezin_norm.
+def _grid_sup(model: KernelModel, searches: list, level: int) -> list:
+    """The disk search behind berezin_number and berezin_norm, for a list of
+    (operator, norm) searches at once, norm True for the Berezin norm: one
+    SupEstimate or ValueError per search, each what that search alone gives.
 
-    At each level 0..`level`, grid_values(kernel_matrix) gives one value per
-    grid point, |symbol| or the norm's row maximum (_row_max), and for the
-    norm each point's partner mu.  The TOP_K best local maxima of those
-    values on the grid (_peaks), ties to the lower index, are candidates,
-    (lam,) or (lam, mu), and the starts of ascents.
-    The estimate is the best value over all of them.  A level outside
-    models._check_level, a non-finite entry of `a`, or an operator near the
-    float64 limit, whose grid or ascent overflows (a best value that is not
-    finite, or an OverflowError; the overflow warnings are silenced), raises
-    ValueError.
+    At each level 0..`level`, the grid's kernel matrix gives each search one
+    value per grid point, |symbol| (from stacked products A K, as many
+    operators at a time as fit in PAIR_BLOCK values) or the norm's row
+    maximum (_row_max), and for the norm each point's partner mu.  The TOP_K
+    best local maxima of those values on the grid (_peaks), ties to the
+    lower index, are candidates, (lam,) or (lam, mu), and the starts of
+    ascents; the starts of every level of every search climb in one
+    lockstep ascent (_ascend).  An estimate is the best value over its
+    search's candidates and ascents, taken in level and peak order.  A level
+    outside models._check_level raises ValueError; a non-finite entry of an
+    operator, or an operator near the float64 limit, whose grid or ascent
+    overflows (a best value that is not finite, or a modulus past float64;
+    the overflow warnings are silenced), gives a ValueError in its place.
     """
     _check_level(model, level)
-    if not np.isfinite(a).all():
-        raise ValueError("operator has non-finite entries")
-    best_val, best_arg = -1.0, None
-    grid_values = (functools.partial(_row_max, a) if norm
-                   else lambda kmat: (np.abs(_symbols(a, kmat)),))
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lev in range(level + 1):
-                pts = default_grid(model, lev).points
-                vals, *partners = grid_values(kernel_matrix(model, pts))
-                for i in _peaks(vals, lev):
-                    start = (pts[i], *(pts[p[i]] for p in partners))
-                    if vals[i] > best_val:
-                        best_val = float(vals[i])
-                        best_arg = start[0] if len(start) == 1 else start
-                    ref_val, ref_arg = _ascend(model, a, start, lev)
-                    if ref_val > best_val:
-                        best_val, best_arg = ref_val, ref_arg
-    except OverflowError as exc:  # abs() of a complex whose modulus overflows
-        raise ValueError(f"disk estimate overflows float64 ({exc})") from exc
-    if best_arg is None or not math.isfinite(best_val):
-        raise ValueError(f"disk estimate overflows float64 (best value {best_val!r})")
-    return SupEstimate(value=best_val, argmax=best_arg, exact=False)
+    out: list = [None if np.isfinite(a).all() else ValueError("operator has non-finite entries")
+                 for a, _ in searches]
+    live = [i for i, a in enumerate(out) if a is None]
+    n = model.dimension
+    stack = np.array([searches[i][0] for i in live], dtype=complex).reshape(-1, n, n)
+    kinds = [[k for k, i in enumerate(live) if bool(searches[i][1]) is norm]
+             for norm in (False, True)]
+    cands = []  # (search, level, grid value, start), each search's in level and peak order
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lev in range(level + 1 if live else 0):
+            pts = default_grid(model, lev).points
+            kmat = kernel_matrix(model, pts)
+            step = max(1, PAIR_BLOCK // kmat.size)  # operators whose A K fit in a block
+            for norm, ks in zip((False, True), kinds):
+                for s in range(0, len(ks), step):
+                    block = ks[s:s + step]
+                    if norm:
+                        vals, mus = map(np.array, zip(*(_row_max(stack[k], kmat) for k in block)))
+                    else:
+                        vals = np.abs(_symbols(stack[block], kmat))
+                    for b, (k, peaks) in enumerate(zip(block, _peaks(vals, lev))):
+                        for j in peaks:
+                            start = (pts[j], pts[mus[b, j]]) if norm else (pts[j],)
+                            cands.append((k, lev, vals[b, j], start))
+    ref_vals, ref_args, over = _ascend(model, stack, [(k, lev, s) for k, lev, _, s in cands])
+    best: list = [(-1.0, None)] * len(live)
+    for (k, _, val, start), ref_val, ref_arg in zip(cands, ref_vals, ref_args):
+        best_val, best_arg = best[k]
+        if val > best_val:
+            best_val, best_arg = float(val), (start[0] if len(start) == 1 else start)
+        if ref_val > best_val:
+            best_val, best_arg = ref_val, ref_arg
+        best[k] = best_val, best_arg
+    for i, (best_val, best_arg), overflowed in zip(live, best, over):
+        if overflowed:  # Python's abs() raises on such a modulus
+            out[i] = ValueError("disk estimate overflows float64 (absolute value too large)")
+        elif best_arg is None or not math.isfinite(best_val):
+            out[i] = ValueError(f"disk estimate overflows float64 (best value {best_val!r})")
+        else:
+            out[i] = SupEstimate(value=best_val, argmax=best_arg, exact=False)
+    return out
+
+
+def _search(model: KernelModel, a: np.ndarray, level: int, norm: bool) -> SupEstimate:
+    """_grid_sup of the one search (a, norm), raising its ValueError."""
+    (est,) = _grid_sup(model, [(a, norm)], level)
+    if isinstance(est, Exception):
+        raise est
+    return est
 
 
 @scoped
 def _unit_search(model: KernelModel, u: np.ndarray, level: int, norm: bool) -> SupEstimate:
-    return _grid_sup(model, u, level, norm)
+    return _search(model, u, level, norm)
 
 
-def _pow2_search(model: KernelModel, a: np.ndarray, level: int, norm: bool) -> SupEstimate:
-    """_grid_sup(model, a, level, norm) run as A = 2^k U, U's largest real or
-    imaginary component in [1/2, 1), through one memo of U, so inside a
-    computation_scope every power-of-two multiple of a searched operator
-    costs one ldexp.  Bit-exact: scaling by 2^k commutes with rounding in
-    the normal range, so every grid value and |q00| scales by 2^k, while
-    the ascent sees only ratios (_log_terms), so its steps and the argmax do
-    not move.  A zero or non-finite operator, one above linalg.UNSCALED_MAX
-    or with every component below 2^-1024 (2^-k would overflow), and one
-    whose U * 2^k is not A (an entry would underflow) take _grid_sup
-    directly, with its errors."""
+def _pow2_split(a: np.ndarray):
+    """(U, k) with A = 2^k U and U's largest real or imaginary component in
+    [1/2, 1), or None for a zero or non-finite operator, one above
+    linalg.UNSCALED_MAX or with every component below 2^-1024 (2^-k would
+    overflow), and one whose U * 2^k is not A (an entry would underflow)."""
     m = float(np.maximum(np.abs(a.real), np.abs(a.imag)).max())
     k = math.frexp(m)[1]
     if not 0.0 < m <= UNSCALED_MAX or k < -1023:  # 2.0**-k must be finite
-        return _grid_sup(model, a, level, norm)
+        return None
     u = a * 2.0**-k
-    if not np.array_equal(u * 2.0**k, a):
-        return _grid_sup(model, a, level, norm)
-    est = _unit_search(model, u, level, norm)
-    return SupEstimate(math.ldexp(est.value, k), est.argmax, False)
+    return (u, k) if np.array_equal(u * 2.0**k, a) else None
+
+
+def _pow2_search(model: KernelModel, a: np.ndarray, level: int, norm: bool) -> SupEstimate:
+    """The search of `a` run as A = 2^k U (_pow2_split) through one memo of
+    U, so inside a computation_scope every power-of-two multiple of a
+    searched operator costs one ldexp.  Bit-exact: scaling by 2^k commutes
+    with rounding in the normal range, so every grid value and |q00| scales
+    by 2^k, while the ascent sees only ratios (_log_terms), so its steps and
+    the argmax do not move.  An operator that does not split is searched
+    directly, with its errors."""
+    split = _pow2_split(a)
+    if split is None:
+        return _search(model, a, level, norm)
+    est = _unit_search(model, split[0], level, norm)
+    return SupEstimate(math.ldexp(est.value, split[1]), est.argmax, False)
+
+
+def _plan_searches(model: KernelModel, level: int, searches) -> None:
+    """Warm the current computation_scope's memo of _unit_search with the
+    searches that berezin_number (norm False) and berezin_norm (norm True)
+    would run for each (operator, norm) of `searches`: the distinct U not yet
+    memoized go through one _grid_sup batch, numbers and norms in one
+    lockstep ascent.  Operators those calls would not search through the
+    memo (finite models, a wrong shape, an operator that does not split) are
+    skipped, and a search that fails is not memoized, so the calls
+    themselves raise as before.  A cache warm-up only: values are those of
+    the calls."""
+    if model.is_finite_kind:
+        return
+    calls = []
+    for a, norm in searches:
+        split = _pow2_split(a) if a.shape == (model.dimension,) * 2 else None
+        if split is not None:
+            calls.append((model, split[0], level, norm))
+    memoize(_unit_search, calls,
+            lambda todo: _grid_sup(model, [(u, norm) for _, u, _, norm in todo], level))
 
 
 @scoped

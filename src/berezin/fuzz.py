@@ -12,13 +12,15 @@ them.  Every entry's parameter grid is validated before any row is
 evaluated.  Evaluation is trial-major: one memo scope (`computation_scope`)
 per trial holds every entry's evaluation of that trial, so entries whose
 operands coincide (same seed, same spec) share eigensystems, Berezin numbers
-and norms.  Rows stay entry-major: each entry's rows go to a temporary spill
-file, and the spills are copied to the CSV in entry order after the last
-trial.  Each trial's operands are validated once per entry and bound to the
-entry's evaluator once, which then evaluates every point of the grid and
-computes each factor once per distinct value of the parameters it depends
-on (see `CatalogEntry`).  Every row is judged by `_verdict` as computed in
-float64, so a violation by any margin is reported as it stands.
+and norms; on a disk model a planning pass first searches all of the trial's
+Berezin numbers and norms in one batch.  Rows stay entry-major: each entry's
+rows go to a temporary spill file, and the spills are copied to the CSV in
+entry order after the last trial.  Each trial's operands are validated once
+per entry and bound to the entry's evaluator once, which then evaluates
+every point of the grid and computes each factor once per distinct value of
+the parameters it depends on (see `CatalogEntry`).  Every row is judged by
+`_verdict` as computed in float64, so a violation by any margin is reported
+as it stands.
 
 A row is one tuple in `CSV_COLUMNS` order, and `_csv_row` alone turns it
 into a CSV line, for the campaign file and for `berezin check --format csv`
@@ -40,6 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import calc
 from ._cache import computation_scope
 from .errors import ParamOutOfRange, UnknownIneqId
 from .inequalities import (
@@ -50,6 +53,7 @@ from .inequalities import (
     InequalityCase,
     _evaluate_grid,
     _result,
+    _search_plan,
     _validated_operands,
     _validated_params,
     _validated_tolerance,
@@ -309,23 +313,56 @@ def _csv_row(row: tuple) -> str:
             f"{lhs:.17g},{rhs:.17g},{gap:.17g},{'true' if ok else 'false'}\n")
 
 
-def _run_entry_trial(entry, combos, trial, master_seed, dims, scale, matrix_kind,
-                     model, tolerance, level):
-    """All sweep evaluations of one entry for one trial: rows in CSV_COLUMNS
-    order, and violations.
-
-    `combos` is the entry's `param_grid`, evaluated by one evaluator bound
-    to the trial's operands, in the caller's memo scope.
-    """
+def _entry_case(entry, trial, master_seed, dims, scale, matrix_kind, model, tolerance, level):
+    """One entry's trial before evaluation: its seed, dimension, case, and
+    validated operands with their dimension (`_validated_operands`)."""
     seed = (int(master_seed) ^ int(trial)) & _MASK64
     n = dims[trial % len(dims)]  # the model's dimension if one is forced
     ops = sample_operands(entry, n, scale, seed, matrix_kind)
     mdl = model if model is not None else (finite(n) if entry.needs_model else None)
+    case = InequalityCase(entry.ineq_id, ops, model=mdl, tolerance=tolerance, level=level)
+    return seed, n, case, _validated_operands(entry, case)
+
+
+def _plan_trial(entries, grids, trial, master_seed, dims, scale, matrix_kind, model,
+                tolerance, level):
+    """The planning pass of one trial on a continuous model: each entry's
+    `_entry_case`, and every disk search its evaluator will make
+    (`_search_plan`) run in one batch into the memo scope
+    (calc._plan_searches).  An entry whose case or plan raises gets None or
+    is left out of the plan; the real pass then meets its error in order."""
+    cases, plan = [], []
+    for entry, combos in zip(entries, grids):
+        try:
+            case = _entry_case(entry, trial, master_seed, dims, scale, matrix_kind, model,
+                               tolerance, level)
+        except Exception:  # the real pass draws it again and raises
+            case = None
+        cases.append(case)
+        if case is None:
+            continue
+        found = []
+        try:
+            _search_plan(entry, case[3][0], combos, found)
+        except Exception:  # left out of the plan; the real pass raises in order
+            continue
+        plan.extend(found)
+    calc._plan_searches(model, level, plan)
+    return cases
+
+
+def _run_entry_trial(entry, combos, trial, prepared, scale, matrix_kind, tolerance):
+    """All sweep evaluations of one entry for one trial: rows in CSV_COLUMNS
+    order, and violations.
+
+    `prepared` is the trial's `_entry_case`; `combos` is the entry's
+    `param_grid`, evaluated by one evaluator bound to the trial's operands,
+    in the caller's memo scope.
+    """
+    seed, n, case, (valid_ops, n_ops) = prepared
     rows = []
     violations = []
     dim_echo = None if all(k == "scalar" for _, k in entry.operand_spec) else n
-    case = InequalityCase(entry.ineq_id, ops, model=mdl, tolerance=tolerance, level=level)
-    valid_ops, n_ops = _validated_operands(entry, case)
     tol = float(tolerance)
     for combo, parts in zip(combos, _evaluate_grid(entry, case, valid_ops, combos)):
         worst, ok = _verdict(parts, tol)
@@ -368,6 +405,13 @@ def run_suite(
     Trials run in order, each in one memo scope shared by every entry;
     operands are validated once per (entry, trial), and every row is judged
     in float64 as computed; a part with a non-finite side raises ValueError.
+    On a continuous model each trial starts with a planning pass
+    (`_plan_trial`): every entry's evaluator runs on its operands with a
+    recording environment that answers 1.0, and the disk searches it would
+    make run in one batch into the trial's memo.  Planning only
+    warms the memo: finite models skip it, an entry whose planning raises is
+    left out of it, and the real pass alone decides every row, every error
+    and their order.
     CSV rows reach csv_path in a deterministic entry-major order (entry,
     trial, sweep point), as do `violations` and the collected rows.
     csv_path is opened, and its header written, before the first trial; the
@@ -398,6 +442,7 @@ def run_suite(
         raise ValueError(f"dimensions must be >= 1, got {dims}")
     _check_level(model if model is not None else finite(dims[0]), level)
     grids = [param_grid(entry, sweep) for entry in entries]
+    planned = model is not None and not model.is_finite_kind
 
     # Rows are evaluated trial-major but written entry-major: each (entry,
     # trial) block of rows goes to its entry's spill file, and the spills are
@@ -417,13 +462,15 @@ def run_suite(
         if fh is not None:
             for _ in entries:
                 spills.append(tempfile.TemporaryFile(buffering=0))  # one write per block
+        draw = (gen.seed, dims, gen.scale, gen.kind, model, tolerance, level)
         for trial in range(trials):
             with computation_scope():  # shared by every entry's trial
+                cases = (_plan_trial(entries, grids, trial, *draw) if planned
+                         else [None] * len(entries))
                 for i, (entry, combos) in enumerate(zip(entries, grids)):
-                    rows, viols = _run_entry_trial(
-                        entry, combos, trial, gen.seed, dims, gen.scale,
-                        gen.kind, model, tolerance, level,
-                    )
+                    case = cases[i] or _entry_case(entry, trial, *draw)
+                    rows, viols = _run_entry_trial(entry, combos, trial, case, gen.scale,
+                                                   gen.kind, tolerance)
                     violations[i].extend(viols)
                     rows_evaluated += len(rows)
                     gaps[i].extend(row[8] / max(1.0, row[7]) for row in rows)  # gap, rhs

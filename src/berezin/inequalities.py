@@ -812,6 +812,34 @@ def _evaluate_grid(entry: CatalogEntry, case: InequalityCase, ops: dict,
     return [parts(**params) for params in combos]
 
 
+def _search_plan(entry: CatalogEntry, ops: dict, combos: list[dict], plan: list) -> None:
+    """Run the evaluator as `_evaluate_grid` would on a kernel model, with an
+    environment that answers every Berezin quantity with 1.0 and appends
+    (operator, norm) to `plan` for each disk search the real one would make:
+    norm False for `ber` and `cross`, True for `nber`, and both for `pair`
+    (the norm first, as calc.berezin_pair).  The operators an evaluator
+    builds depend on its operands and parameters only, so they are the ones
+    the real environment is called with.  An entry that runs with the
+    operator norm (needs_model False) plans nothing."""
+    if not entry.needs_model:
+        return
+
+    def number(m):
+        plan.append((m, False))
+        return 1.0
+
+    def norm(m):
+        plan.append((m, True))
+        return 1.0
+
+    def pair(m):
+        return norm(m), number(m)
+
+    parts = entry.evaluate(ops, _Env(number, norm, number, pair))
+    for params in combos:
+        parts(**params)
+
+
 def _verdict(parts: list[Part], tol: float) -> tuple[Part, bool]:
     """The part with the least relative slack, and whether every part holds.
 

@@ -153,7 +153,9 @@ def _coefficients(kind: str, dimension: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _jet(model: KernelModel):
-    """w -> P(w) = [p, p', p''], the kernel jet as an n x 3 array.
+    """w -> P(w) = [p, p', p''], the kernel jet as an n x 3 array, or one
+    such array per entry of an array w (shape w.shape + (n, 3)), each with
+    the bits of its own scalar call.
 
     p_j(w) = c_j w^j with c_j from _coefficients, so P[j, k] = coef[j, k] *
     w^expo[j, k] with coef = c_j [1, j, j(j-1)] and expo = max(j - k, 0).
@@ -164,7 +166,7 @@ def _jet(model: KernelModel):
     coef = c[:, None] * np.stack([np.ones(len(j)), j, j * (j - 1.0)], axis=1)
     expo = np.maximum(j[:, None] - np.arange(3), 0)
     j.flags.writeable = coef.flags.writeable = expo.flags.writeable = False
-    return lambda w: coef * (w**j)[expo]
+    return lambda w: coef * (np.asarray(w)[..., None] ** j)[..., expo]
 
 
 def _kernel_columns(model: KernelModel, points) -> np.ndarray:

@@ -367,14 +367,14 @@ class TestAscentDerivatives:
         jet, r = calc._jet(model), model.radius
         eps = 1e-5 * max(1.0, r)
         edge = (r * math.cos(1.0), r * math.sin(1.0))
-        for fn, points in (
-            (calc._number_derivatives, [(0.0, 0.0), (0.3 * r, -0.2 * r), edge]),
-            (calc._norm_derivatives, [(0.0, 0.0, 0.0, 0.0), (0.3 * r, -0.2 * r, 0.1 * r, 0.5 * r),
-                                      (*edge, -r * math.sin(2.0), r * math.cos(2.0))]),
+        for pair, points in (
+            (False, [(0.0, 0.0), (0.3 * r, -0.2 * r), edge]),
+            (True, [(0.0, 0.0, 0.0, 0.0), (0.3 * r, -0.2 * r, 0.1 * r, 0.5 * r),
+                    (*edge, -r * math.sin(2.0), r * math.cos(2.0))]),
         ):
             for x in map(np.array, points):
-                val, grad, hess = fn(jet, a, list(x))
-                grad, hess = np.array(grad), np.array(hess)
+                val, grad, hess, _ = calc._derivatives(jet, a[None], x[None], np.array([pair]))
+                val, grad, hess = val[0], grad[0], hess[0]
                 assert 2.0 * math.log(val) == pytest.approx(_log_square(model, a, x), abs=1e-12)
                 steps = eps * np.eye(len(x))
 
@@ -425,11 +425,11 @@ class TestRefineDomainCheck:
     def test_start_outside_domain_raises(self, start):
         m, a = hardy(4, 0.9), np.eye(5, dtype=complex)
         with pytest.raises(PointOutOfDomain):
-            calc._ascend(m, a, (start,), 0)
+            calc._ascend(m, a[None], [(0, 0, (start,))])
         with pytest.raises(PointOutOfDomain):
-            calc._ascend(m, a, (0.1j, start), 0)
+            calc._ascend(m, a[None], [(0, 0, (0.1j, start))])
         with pytest.raises(PointOutOfDomain):
-            calc._ascend(m, a, (start, 0.1j), 0)
+            calc._ascend(m, a[None], [(0, 0, (start, 0.1j))])
 
 
 def _disk_sample(model, center, radius):
@@ -571,6 +571,11 @@ def _local_maxima_oracle(vals, level):
     return out
 
 
+def _peaks(vals, level):
+    """calc._peaks of one row of values."""
+    return calc._peaks(vals[None], level)[0]
+
+
 class TestPeaks:
     """calc._peaks: the TOP_K best grid local maxima, ties to the lower index."""
 
@@ -578,11 +583,11 @@ class TestPeaks:
     def test_origin_against_first_ring(self, level):
         # values fall away from the origin, except one first-ring point
         vals, _ = _mesh_values(level, lambda r, t: -10.0 * r, origin=1.0)
-        assert calc._peaks(vals, level).tolist() == [0]
+        assert _peaks(vals, level).tolist() == [0]
         vals[4] = 2.0  # ring 0, angle 3 beats the origin
-        assert calc._peaks(vals, level).tolist() == [4]
+        assert _peaks(vals, level).tolist() == [4]
         vals[4] = 1.0  # a tie with the origin: both kept, the origin first
-        assert calc._peaks(vals, level).tolist() == [0, 4]
+        assert _peaks(vals, level).tolist() == [0, 4]
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_angle_wraps(self, level):
@@ -591,7 +596,7 @@ class TestPeaks:
         vals, n_ang = _mesh_values(
             level, lambda r, t: np.where(t == 0, t.shape[1], t) - 100.0 * abs(r - 3),
             origin=-1e3)
-        assert calc._peaks(vals, level).tolist() == [1 + 3 * n_ang]
+        assert _peaks(vals, level).tolist() == [1 + 3 * n_ang]
         assert _local_maxima_oracle(vals, level) == [1 + 3 * n_ang]
 
     @pytest.mark.parametrize("level", [0, 1])
@@ -602,9 +607,9 @@ class TestPeaks:
 
         vals, n_ang = _mesh_values(level, lambda r, t: 10.0 * r + bump(t), origin=-1e3)
         n_rad = (len(vals) - 1) // n_ang
-        assert calc._peaks(vals, level).tolist() == [1 + (n_rad - 1) * n_ang + 5]
+        assert _peaks(vals, level).tolist() == [1 + (n_rad - 1) * n_ang + 5]
         vals, _ = _mesh_values(level, lambda r, t: -10.0 * r + bump(t), origin=-1e3)
-        assert calc._peaks(vals, level).tolist() == [1 + 5]
+        assert _peaks(vals, level).tolist() == [1 + 5]
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_plateau_ties_to_lower_index(self, level):
@@ -613,23 +618,23 @@ class TestPeaks:
         vals, n_ang = _mesh_values(
             level, lambda r, t: -10.0 * abs(r - 2) - abs(t - 9.5), origin=-1e3)
         vals[1 + 5 * n_ang + 1] = vals[1 + 2 * n_ang + 9]
-        assert calc._peaks(vals, level).tolist() == [
+        assert _peaks(vals, level).tolist() == [
             1 + 2 * n_ang + 9, 1 + 2 * n_ang + 10, 1 + 5 * n_ang + 1,
         ]
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_constant_values(self, level):
         vals, _ = _mesh_values(level, lambda r, t: np.zeros(r.shape), origin=0.0)
-        assert calc._peaks(vals, level).tolist() == [0, 1, 2, 3, 4]
+        assert _peaks(vals, level).tolist() == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_at_most_top_k_and_global_argmax_included(self, rng, level):
         # a checkerboard: every other mesh point is a peak
         vals, _ = _mesh_values(level, lambda r, t: (r + t) % 2, origin=0.0)
-        assert len(calc._peaks(vals, level)) == calc.TOP_K
+        assert len(_peaks(vals, level)) == calc.TOP_K
         for _ in range(20):
             vals = rng.standard_normal(len(vals)) ** 3
-            got = calc._peaks(vals, level).tolist()
+            got = _peaks(vals, level).tolist()
             assert len(got) <= calc.TOP_K and int(np.argmax(vals)) in got
             maxima = _local_maxima_oracle(vals, level)
             assert got == sorted(maxima, key=lambda i: (-vals[i], i))[:calc.TOP_K]
@@ -791,7 +796,7 @@ class TestPowerOfTwoSplit:
             with computation_scope():
                 got = (berezin_number(model, b, level), berezin_norm(model, b, level))
                 got_pair = berezin_pair(model, b, level)
-            direct = (calc._grid_sup(model, b, level, False), calc._grid_sup(model, b, level, True))
+            direct = calc._grid_sup(model, [(b, False), (b, True)], level)
             for est, ref, dir_ in zip(got, base, direct):
                 assert est.value == math.ldexp(ref.value, j) == dir_.value
                 assert est.argmax == ref.argmax == dir_.argmax
@@ -823,12 +828,189 @@ class TestPowerOfTwoSplit:
         monkeypatch.setattr(calc, "_unit_search", lambda *args: pytest.fail("split taken"))
         for quantity, norm in ((berezin_number, False), (berezin_norm, True)):
             if name == "nan":
-                for run in (quantity, lambda m, a, level: calc._grid_sup(m, a, level, norm)):
+                for run in (quantity, lambda m, a, level: calc._search(m, a, level, norm)):
                     with pytest.raises(ValueError, match="non-finite"):
                         run(m, a, 0)
                 continue
-            est, ref = quantity(m, a, level=0), calc._grid_sup(m, a, 0, norm)
+            est, ref = quantity(m, a, level=0), calc._search(m, a, 0, norm)
             assert est.value == ref.value and est.argmax == ref.argmax
+
+
+def _same(est, ref):
+    """Two search results are the same: equal value bits and argmax, or the
+    same error."""
+    if isinstance(ref, Exception):
+        return type(est) is type(ref) and str(est) == str(ref)
+    return (np.float64(est.value).tobytes() == np.float64(ref.value).tobytes()
+            and repr(est.argmax) == repr(ref.argmax) and est.exact is ref.exact is False)
+
+
+class TestBatchedSearch:
+    """A batch of operators searches each as it would be searched alone."""
+
+    OPERATORS = {
+        **TestPowerOfTwoSplit.OPERATORS,
+        "hermitian": gen_matrix(GeneratorSpec("hermitian", 4, 1.0, seed=9)),
+        "positive": gen_matrix(GeneratorSpec("positive", 4, 1.0, seed=10)),
+        "general 2": gen_matrix(GeneratorSpec("general", 4, 3.0, seed=11)),
+        "zero": np.zeros((4, 4), dtype=complex),
+        "edge peak": np.diag([0.1, 0.2, 0.3, 1.0]).astype(complex),
+        "fortran order": np.asfortranarray(gen_matrix(GeneratorSpec("general", 4, 1.0, seed=12))),
+    }
+
+    def test_edge_peak_operator_peaks_on_the_edge(self):
+        for m in SPLIT_MODELS:
+            est = calc._search(m, self.OPERATORS["edge peak"], 0, False)
+            assert abs(est.argmax) == pytest.approx(m.radius, rel=1e-12)
+
+    SEARCHES = [(a, norm) for a in OPERATORS.values() for norm in (False, True)]
+
+    @pytest.mark.parametrize("model", SPLIT_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_each_search_as_alone(self, model, level):
+        # numbers and norms of every operator in one batch, then reversed
+        batch = calc._grid_sup(model, self.SEARCHES, level)
+        for search, est in zip(self.SEARCHES, batch):
+            (alone,) = calc._grid_sup(model, [search], level)
+            assert _same(est, alone)
+        for est, ref in zip(calc._grid_sup(model, self.SEARCHES[::-1], level), batch[::-1]):
+            assert _same(est, ref)
+
+    @pytest.mark.parametrize("norm", [False, True], ids=["number", "norm"])
+    def test_one_quantity_as_alone(self, norm):
+        # a batch of numbers alone climbs in two coordinates, not four
+        m = bergman(3, 0.9)
+        searches = [(a, norm) for a in self.OPERATORS.values()]
+        for est, search in zip(calc._grid_sup(m, searches, 1), searches):
+            assert _same(est, calc._grid_sup(m, [search], 1)[0])
+
+    def test_grid_stage_blocks_equal_one_block(self, monkeypatch):
+        # level 1 on hardy(3, 0.9): 4 x 513 kernel values, so 3 operators per
+        # block and a partial last block
+        m = hardy(3, 0.9)
+        whole = calc._grid_sup(m, self.SEARCHES, 1)
+        monkeypatch.setattr(calc, "PAIR_BLOCK", 3 * 4 * 513 + 5)
+        for est, ref in zip(calc._grid_sup(m, self.SEARCHES, 1), whole):
+            assert _same(est, ref)
+
+    @pytest.mark.filterwarnings("error")
+    def test_failing_operators_fail_alone(self):
+        m, good = hardy(3, 0.9), list(self.OPERATORS.values())[:3]
+        nan = np.full((4, 4), math.nan, dtype=complex)
+        huge = gen_matrix(GeneratorSpec("general", 4, 1.0, seed=3))
+        huge = huge * (1.7e308 / np.abs(huge).max())
+        ops = [good[0], nan, good[1], huge, good[2]]
+        batch = calc._grid_sup(m, [(a, norm) for a in ops for norm in (False, True)], 0)
+        for k, a in enumerate(good):
+            for norm in (False, True):
+                assert _same(batch[4 * k + norm], calc._grid_sup(m, [(a, norm)], 0)[0])
+        for est in batch[2:4]:
+            assert isinstance(est, ValueError) and "non-finite" in str(est)
+        for est in batch[6:8]:
+            assert isinstance(est, ValueError) and "overflows float64" in str(est)
+
+    def test_plan_warms_the_memo_and_skips_failures(self, monkeypatch):
+        m, a = hardy(3, 0.9), self.OPERATORS["general"]
+        nan = np.full((4, 4), math.nan, dtype=complex)
+        wrong = np.eye(3, dtype=complex)
+        with computation_scope():
+            calc._plan_searches(m, 0, [(a, False), (4 * a, False), (a, True), (nan, True),
+                                       (wrong, False), (np.zeros((4, 4), dtype=complex), True)])
+            monkeypatch.setattr(calc, "_search", lambda *args: pytest.fail("searched on demand"))
+            got = berezin_number(m, 0.5 * a, level=0), berezin_norm(m, a, level=0)
+        with computation_scope():
+            monkeypatch.undo()
+            ref = berezin_number(m, 0.5 * a, level=0), berezin_norm(m, a, level=0)
+        assert got == ref
+        for bad, error in ((nan, ValueError), (wrong, DimensionMismatch)):
+            with computation_scope():
+                calc._plan_searches(m, 0, [(bad, False)])
+                with pytest.raises(error):
+                    berezin_number(m, bad, level=0)
+
+    def test_plan_does_nothing_on_finite_models(self, monkeypatch):
+        monkeypatch.setattr(calc, "_grid_sup", lambda *args: pytest.fail("searched"))
+        with computation_scope():
+            calc._plan_searches(finite(4), 1, [(np.eye(4, dtype=complex), False)])
+
+
+class TestBitIdentityAssumptions:
+    """The numpy and CPython facts that let a batched search give each
+    operator the bits of its search alone.  A numpy, BLAS or CPython upgrade
+    that breaks one fails here by name."""
+
+    @pytest.mark.parametrize("degree", [3, 15])
+    @pytest.mark.parametrize("kind", ["hardy", "bergman", "fock"])
+    def test_stacked_jets_and_products_equal_per_point(self, rng, kind, degree):
+        model = getattr(models, kind)(degree, 3.0 if kind == "fock" else 0.95)
+        jet, n, rows = calc._jet(model), degree + 1, 64
+        rad = model.radius * np.sqrt(rng.random(rows))
+        rad[:8] = model.radius  # on the edge
+        ang = 2.0 * math.pi * rng.random(rows)
+        w = rad * np.cos(ang) + 1j * rad * np.sin(ang)
+        a = rng.standard_normal((rows, n, n)) + 1j * rng.standard_normal((rows, n, n))
+        # as _derivatives stacks them: one jet over the points' w, then the
+        # pairs' w and mu; A P(w); the left factors P(w)* of the points and
+        # P(mu)^T of the pairs; and P*P at every point
+        half = rows // 2
+        p = jet(np.concatenate((w, w[:half] * 0.5j)))
+        ap = a @ p[:rows]
+        q = np.concatenate((p[:half].conj(), p[rows:])).transpose(0, 2, 1) @ ap
+        e = p.conj().transpose(0, 2, 1) @ p
+        # as the number's grid stage
+        kmat = kernel_matrix(model, default_grid(model, 0).points)
+        sym = calc._symbols(a, kmat)
+        for i in range(rows):
+            pi = jet(complex(w[i]))
+            assert np.array_equal(pi, p[i]) and np.array_equal(pi.conj().T @ pi, e[i])
+            left = pi.conj().T if i < half else jet(complex(w[i - half] * 0.5j)).T
+            assert np.array_equal(left @ (a[i] @ pi), q[i])
+            assert np.array_equal(np.einsum("ij,ij->j", kmat.conj(), a[i] @ kmat), sym[i])
+
+    @staticmethod
+    def _samples(rng, count):
+        """Complex pairs with ties |br| = |bi|, zeros, subnormals, huge and
+        ordinary parts."""
+        pool = np.concatenate((rng.standard_normal(count), [0.0, -0.0, 5e-324, -2.5e-320, 1e-310],
+                               [1.5e308, -1.7e308], rng.standard_normal(64) * 1e300,
+                               rng.standard_normal(64) * 1e-300))
+        a, b = (rng.choice(pool, (count, 2)) for _ in range(2))
+        tie = rng.random(count) < 0.1
+        b[tie, 1] = np.copysign(b[tie, 0], rng.standard_normal(tie.sum()))
+        a[:2] = [[1.5e308, 1.5e308], [-1.7e308, 1e308]]  # moduli past float64
+        return a[:, 0] + 1j * a[:, 1], b[:, 0] + 1j * b[:, 1]
+
+    def test_split_formulas_equal_python_complex_arithmetic(self, rng):
+        a, b = self._samples(rng, 10_000)
+        keep = b != 0  # Python raises on division by zero
+        def parts(z):
+            return z.real, z.imag
+
+        def same(want, got):  # complex numbers against (re, im) arrays, bit for bit
+            want = np.array(want, dtype=complex)
+            return [want.real.tobytes(), want.imag.tobytes()] == [t.tobytes() for t in got]
+
+        with np.errstate(all="ignore"):
+            prod = calc._cmul(*parts(a), *parts(b))
+            quot = calc._cdiv(*parts(a[keep]), *parts(b[keep]))
+            mod, over = calc._modulus(a)
+            twice = calc._twice(*parts(a))
+        pa, pb = a.tolist(), b.tolist()
+        assert same([x * y for x, y in zip(pa, pb)], prod)
+        assert same([x / y for x, y in zip(pa, pb) if y != 0], quot)
+        assert same([2.0 * x for x in pa], twice)
+        want, raised = [], []
+        for x in pa:
+            try:
+                want.append(abs(x))
+                raised.append(False)
+            except OverflowError:  # the modulus of finite parts overflows
+                want.append(math.inf)
+                raised.append(True)
+        assert np.array(want).tobytes() == mod.tobytes()
+        assert over.tolist() == raised and any(raised)
+        s = rng.standard_normal((1000, 5)) * rng.choice([0.0, -0.0, 1.0, 1e300], (1000, 5))
+        assert np.array([sum(r) for r in s.tolist()]).tobytes() == calc._pysum(s).tobytes()
 
 
 class TestBerezinPair:

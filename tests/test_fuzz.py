@@ -29,7 +29,7 @@ from berezin.fuzz import (
     param_grid,
     sample_operands,
 )
-from berezin import _cache, calc, finite, fuzz, inequalities
+from berezin import _cache, calc, finite, fuzz, inequalities, models
 from berezin.cli import main
 from berezin.inequalities import CATALOG, Part
 
@@ -522,15 +522,101 @@ class TestCsvFormat:
         )
 
     def test_disk_campaign_searches_power_of_two_multiples_once(self, tmp_path, monkeypatch):
-        # The golden disk call's disk searches: exact 2^k multiples of an
-        # operator searched earlier in the trial (mostly eqn11's doubles of
-        # thm2's and eqn1's of cor1's) share its search.  211 without it.
-        calls = []
+        # The golden disk call's disk searches, counted in operators at the
+        # batched entry point: exact 2^k multiples of an operator searched
+        # earlier in the trial (mostly eqn11's doubles of thm2's and eqn1's
+        # of cor1's) share its search.  211 without it.
+        searched = []
         search = calc._grid_sup
-        monkeypatch.setattr(calc, "_grid_sup", lambda *a: calls.append(a) or search(*a))
+        monkeypatch.setattr(calc, "_grid_sup", lambda model, searches, level: (
+            searched.extend(searches) or search(model, searches, level)))
         run_suite(model=hardy(3, 0.9), level=0, trials=1, dims=(4,),
                   gen=GeneratorSpec(n=4, seed=0xD15C0000), csv_path=str(tmp_path / "d.csv"))
-        assert len(calls) == 156
+        assert len(searched) == 156
+
+    GOLDEN_DISK = dict(model=hardy(3, 0.9), level=0, trials=1, dims=(4,),
+                       gen=GeneratorSpec(n=4, seed=0xD15C0000))
+
+    @pytest.mark.parametrize("campaign", [
+        GOLDEN_DISK,
+        dict(model=models.bergman(3, 0.9), level=1, trials=2, gen=GeneratorSpec(n=4, seed=5)),
+        dict(model=models.fock(3, 2.0), level=1, trials=2, gen=GeneratorSpec(n=4, seed=6)),
+    ], ids=["golden", "bergman", "fock"])
+    def test_csv_identical_without_planning(self, tmp_path, monkeypatch, campaign):
+        # planning only warms the memo: with it a no-op, every search runs
+        # on demand and the bytes are the same
+        run_suite(csv_path=str(tmp_path / "planned.csv"), **campaign)
+        monkeypatch.setattr(calc, "_plan_searches", lambda *args: None)
+        run_suite(csv_path=str(tmp_path / "unplanned.csv"), **campaign)
+        assert (tmp_path / "planned.csv").read_bytes() == (tmp_path / "unplanned.csv").read_bytes()
+
+    def test_golden_disk_call_searches_nothing_on_demand(self, tmp_path, monkeypatch):
+        planning, on_demand = [], []
+        plan, search = calc._plan_searches, calc._grid_sup
+
+        def planned(*args):
+            planning.append(True)
+            try:
+                return plan(*args)
+            finally:
+                planning.pop()
+
+        def counted(model, searches, level):
+            if not planning:
+                on_demand.extend(searches)
+            return search(model, searches, level)
+
+        monkeypatch.setattr(calc, "_plan_searches", planned)
+        monkeypatch.setattr(calc, "_grid_sup", counted)
+        run_suite(csv_path=str(tmp_path / "d.csv"), **self.GOLDEN_DISK)
+        assert on_demand == []
+
+    def test_entry_raising_in_planning_is_left_out(self, tmp_path, monkeypatch):
+        # thm1's planning raises: its searches run on demand, with the same bytes
+        run_suite(csv_path=str(tmp_path / "ref.csv"), **self.GOLDEN_DISK)
+        plan = fuzz._search_plan
+
+        def failing(entry, *args):
+            if entry.ineq_id == "thm1":
+                raise RuntimeError("planning failed")
+            return plan(entry, *args)
+
+        searched = []
+        search = calc._search
+        monkeypatch.setattr(fuzz, "_search_plan", failing)
+        monkeypatch.setattr(calc, "_search", lambda *a: searched.append(a) or search(*a))
+        run_suite(csv_path=str(tmp_path / "got.csv"), **self.GOLDEN_DISK)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert searched
+
+    @pytest.mark.parametrize("planned", [True, False])
+    def test_errors_keep_their_entry_order(self, tmp_path, monkeypatch, planned):
+        # "boom" raises in planning and in the real pass; "late" only in the
+        # real pass, where its Berezin number is not the planning 1.0.  The
+        # real pass reports the first entry's error either way.
+        def boom(ops, env):
+            raise ValueError("boom")
+
+        def late(ops, env):
+            if env.ber(ops["A"]) != 1.0:
+                raise ValueError("late")
+            return lambda: [Part("main", 0.0, 1.0)]
+
+        for name, ev in (("boom", boom), ("late", late)):
+            monkeypatch.setitem(CATALOG, name, dataclasses.replace(CATALOG["eql1"], ineq_id=name,
+                                                                  evaluate=ev))
+        if not planned:
+            monkeypatch.setattr(calc, "_plan_searches", lambda *args: None)
+        for suite, first in ((["eql1", "late", "boom"], "late"),
+                             (["eql1", "boom", "late"], "boom")):
+            path = tmp_path / "e.csv"
+            with pytest.raises(ValueError, match=first):
+                run_suite(suite, csv_path=str(path), **self.GOLDEN_DISK)
+            assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
+
+    def test_finite_campaigns_do_not_plan(self, monkeypatch):
+        monkeypatch.setattr(fuzz, "_plan_trial", lambda *args: pytest.fail("planned"))
+        run_suite(["cor1", "prop1"], trials=2, dims=(3,))
 
     def test_unix_newlines(self, tmp_path):
         path = tmp_path / "out.csv"
