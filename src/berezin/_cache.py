@@ -8,8 +8,8 @@ argument by value (so those must be hashable).  A call that raises is not
 cached, so the input checks inside a cached function run on every distinct
 input.  Outside a scope every call computes from scratch.  Cached values
 equal freshly computed ones, so a scope never changes results; callers share
-them and must not modify them.  `memoize` fills a scope ahead of the calls,
-with results computed together.
+them and must not modify them.  `memo` exposes the scope's dict to a
+caller that fills it with results computed together.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ def computation_scope():
         _scope.reset(token)
 
 
-def _key(x):
+def array_key(x):
+    """x's memo key part: dtype, shape and raw bytes for an ndarray, else x."""
     return (x.dtype.str, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x
 
 
@@ -45,7 +46,7 @@ def scoped(fn):
         table = _scope.get()
         if table is None:
             return fn(*args, **kwargs)
-        key = (fn, *map(_key, args), *kwargs.items())
+        key = (fn, *map(array_key, args), *kwargs.items())
         if key not in table:
             table[key] = fn(*args, **kwargs)
         return table[key]
@@ -53,22 +54,8 @@ def scoped(fn):
     return cached
 
 
-def memoize(cached, calls, batch) -> None:
-    """Inside a computation_scope, memoize the result of cached(*args) for
-    each distinct argument tuple of `calls` not memoized yet, all computed
-    by one batch(list of tuples) -> one result per tuple.  A result that is
-    an exception is not memoized, so that call raises when made.  `cached`
-    is a `scoped` function called with positional arguments only; outside a
-    scope nothing happens."""
-    table = _scope.get()
-    if table is None:
-        return
-    todo = {}
-    for args in calls:
-        key = (cached.__wrapped__, *map(_key, args))
-        if key not in table:
-            todo.setdefault(key, args)
-    if todo:
-        for key, result in zip(todo, batch(list(todo.values()))):
-            if not isinstance(result, Exception):
-                table[key] = result
+def memo() -> dict | None:
+    """The current computation_scope's memo, or None outside a scope.  A
+    caller that fills it itself keys each entry as `scoped` does, from its
+    own function (with `array_key` for arrays), and stores no exception."""
+    return _scope.get()

@@ -20,13 +20,15 @@ over its iterates.  Each row of the batch runs the float operations of a
 scalar ascent in their order (CPython's complex arithmetic on split real
 arrays, Python's sums, math.hypot), so an operator's estimate has the same
 bits in any batch as alone.  Estimates at level L take the best value over
-levels 0..L, so refinement never loses ground.  Both quantities scale as
-|c| under A -> cA, so a call searches A = 2^k U, U's largest real or
-imaginary component in [1/2, 1), and returns 2^k times U's value
-(_pow2_search): one search per operator up to a power of two inside a
+levels 0..L, so refinement never loses ground.  Every disk search goes
+through one memo path (_searches), for a batch of (operator, norm) at once:
+both quantities scale as |c| under A -> cA, so it searches A = 2^k U, U's
+largest real or imaginary component in [1/2, 1), and returns 2^k times U's
+value, one search per operator up to a power of two inside a
 computation_scope, bit for bit the direct search's, as scaling by 2^k
-commutes with rounding.  A campaign fills that memo ahead of its calls,
-all of a trial's searches in one batch (_plan_searches), and so does
+commutes with rounding.  A lone berezin_number or berezin_norm call is a
+batch of one, berezin_pair a batch of two; a campaign fills the memo ahead
+of its calls with all of a trial's searches in one batch, and so does
 `berezin eval` for its number and norm.
 
 The numerical radius is w(A) = max over theta of g(theta) = lambda_max(
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._cache import memoize, scoped
+from ._cache import array_key, memo, scoped
 from .errors import DimensionMismatch, PointOutOfDomain
 from .linalg import UNSCALED_MAX, _pow2_exponent, as_complex_matrix, im_part, re_part
 from .models import (
@@ -466,13 +468,15 @@ def _grid_sup(model: KernelModel, searches: list, level: int) -> list:
     outside models._check_level raises ValueError; a non-finite entry of an
     operator, or an operator near the float64 limit, whose grid or ascent
     overflows (a best value that is not finite, or a modulus past float64;
-    the overflow warnings are silenced), gives a ValueError in its place.
+    the overflow warnings are silenced), gives a ValueError in its place, and
+    an operator of the wrong shape a DimensionMismatch.
     """
     _check_level(model, level)
-    out: list = [None if np.isfinite(a).all() else ValueError("operator has non-finite entries")
-                 for a, _ in searches]
-    live = [i for i, a in enumerate(out) if a is None]
     n = model.dimension
+    out: list = [DimensionMismatch(f"operator of shape {a.shape} on a dimension-{n} model")
+                 if a.shape != (n, n) else None if np.isfinite(a).all()
+                 else ValueError("operator has non-finite entries") for a, _ in searches]
+    live = [i for i, a in enumerate(out) if a is None]
     stack = np.array([searches[i][0] for i in live], dtype=complex).reshape(-1, n, n)
     kinds = [[k for k, i in enumerate(live) if bool(searches[i][1]) is norm]
              for norm in (False, True)]
@@ -512,19 +516,6 @@ def _grid_sup(model: KernelModel, searches: list, level: int) -> list:
     return out
 
 
-def _search(model: KernelModel, a: np.ndarray, level: int, norm: bool) -> SupEstimate:
-    """_grid_sup of the one search (a, norm), raising its ValueError."""
-    (est,) = _grid_sup(model, [(a, norm)], level)
-    if isinstance(est, Exception):
-        raise est
-    return est
-
-
-@scoped
-def _unit_search(model: KernelModel, u: np.ndarray, level: int, norm: bool) -> SupEstimate:
-    return _search(model, u, level, norm)
-
-
 def _pow2_split(a: np.ndarray):
     """(U, k) with A = 2^k U and U's largest real or imaginary component in
     [1/2, 1), or None for a zero or non-finite operator, one above
@@ -538,40 +529,46 @@ def _pow2_split(a: np.ndarray):
     return (u, k) if np.array_equal(u * 2.0**k, a) else None
 
 
-def _pow2_search(model: KernelModel, a: np.ndarray, level: int, norm: bool) -> SupEstimate:
-    """The search of `a` run as A = 2^k U (_pow2_split) through one memo of
-    U, so inside a computation_scope every power-of-two multiple of a
-    searched operator costs one ldexp.  Bit-exact: scaling by 2^k commutes
-    with rounding in the normal range, so every grid value and |q00| scales
-    by 2^k, while the ascent sees only ratios (_log_terms), so its steps and
-    the argmax do not move.  An operator that does not split is searched
-    directly, with its errors."""
-    split = _pow2_split(a)
-    if split is None:
-        return _search(model, a, level, norm)
-    est = _unit_search(model, split[0], level, norm)
-    return SupEstimate(math.ldexp(est.value, split[1]), est.argmax, False)
+def _searches(model: KernelModel, level: int, searches: list):
+    """The disk searches of berezin_number (norm False) and berezin_norm
+    (norm True) for each (operator, norm) of `searches` on a continuous
+    model: an iterator over one SupEstimate or error per search (_grid_sup).
 
-
-def _plan_searches(model: KernelModel, level: int, searches) -> None:
-    """Warm the current computation_scope's memo of _unit_search with the
-    searches that berezin_number (norm False) and berezin_norm (norm True)
-    would run for each (operator, norm) of `searches`: the distinct U not yet
-    memoized go through one _grid_sup batch, numbers and norms in one
-    lockstep ascent.  Operators those calls would not search through the
-    memo (finite models, a wrong shape, an operator that does not split) are
-    skipped, and a search that fails is not memoized, so the calls
-    themselves raise as before.  A cache warm-up only: values are those of
-    the calls."""
-    if model.is_finite_kind:
-        return
-    calls = []
+    Each operator A is searched as A = 2^k U (_pow2_split), or as itself
+    when it does not split, through the current computation_scope's memo
+    (a fresh dict outside a scope); the distinct searches not memoized go
+    through one _grid_sup batch, numbers and norms in one lockstep ascent,
+    and the successes are memoized, never the errors.  Inside a scope every
+    power-of-two multiple of a searched operator so costs one ldexp, bit for
+    bit the direct search: scaling by 2^k commutes with rounding in the
+    normal range, so every grid value and |q00| scales by 2^k, while the
+    ascent sees only ratios (_log_terms), so its steps and the argmax do not
+    move.  The estimates are built as the iterator is read, so a caller
+    that only fills the memo ahead of its calls builds none.
+    """
+    table = memo()
+    table = {} if table is None else table
+    shape, todo, keys = (model.dimension,) * 2, {}, []
     for a, norm in searches:
-        split = _pow2_split(a) if a.shape == (model.dimension,) * 2 else None
-        if split is not None:
-            calls.append((model, split[0], level, norm))
-    memoize(_unit_search, calls,
-            lambda todo: _grid_sup(model, [(u, norm) for _, u, _, norm in todo], level))
+        u, k = (_pow2_split(a) if a.shape == shape else None) or (a, 0)
+        key = (_searches, model, array_key(u), level, norm)
+        keys.append((key, k))
+        if key not in table:
+            todo.setdefault(key, (u, norm))
+    done = dict(zip(todo, _grid_sup(model, list(todo.values()), level))) if todo else {}
+    table.update((key, est) for key, est in done.items() if not isinstance(est, Exception))
+    return (est if not k or isinstance(est, Exception)
+            else SupEstimate(math.ldexp(est.value, k), est.argmax, False)
+            for key, k in keys for est in [done.get(key) or table[key]])
+
+
+def _raised(results) -> list:
+    """The list of `results`, raising the first exception among them."""
+    results = list(results)
+    for est in results:
+        if isinstance(est, Exception):
+            raise est
+    return results
 
 
 @scoped
@@ -582,14 +579,14 @@ def berezin_number(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEsti
     Continuous kinds: best of grid sampling plus local refinement over all
     levels up to `level` (_grid_sup); a lower bound for the true supremum.
     A bad level or a non-finite operator raises ValueError there.  The
-    search runs once per operator up to a power of two (_pow2_search).
+    search runs once per operator up to a power of two (_searches).
     """
     _check_operand(model, a)
     if model.is_finite_kind:
         d = np.abs(np.diagonal(a))
         i = int(np.argmax(d))
         return SupEstimate(value=float(d[i]), argmax=i + 1, exact=True)
-    return _pow2_search(model, a, level, False)
+    return _raised(_searches(model, level, [(a, False)]))[0]
 
 
 @scoped
@@ -600,7 +597,7 @@ def berezin_norm(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEstima
     first (lam, mu) in lam-major order attaining it.  Continuous kinds: grid
     row maxima plus refinement (_grid_sup), a lower bound; a bad level or a
     non-finite operator raises ValueError.  As for berezin_number, one
-    search per operator up to a power of two (_pow2_search).
+    search per operator up to a power of two (_searches).
     """
     _check_operand(model, a)
     if model.is_finite_kind:
@@ -609,7 +606,7 @@ def berezin_norm(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEstima
         k = int(np.argmax(flat))
         lam, mu = k // n + 1, k % n + 1
         return SupEstimate(value=float(flat[k]), argmax=(lam, mu), exact=True)
-    return _pow2_search(model, a, level, True)
+    return _raised(_searches(model, level, [(a, True)]))[0]
 
 
 def berezin_pair(model: KernelModel, a: np.ndarray, level: int = 1) -> tuple[float, float]:
@@ -619,16 +616,18 @@ def berezin_pair(model: KernelModel, a: np.ndarray, level: int = 1) -> tuple[flo
 
     The number is raised to |symbol| at both points of the norm's argmax
     pair; for PSD A, |<A k_lam, k_mu>|^2 <= <A k_lam, k_lam> <A k_mu, k_mu>,
-    so one of them reaches the norm estimate.  Then the norm is raised to
-    the number, since diagonal pairs are pairs.  Finite kinds give both
-    exact values.
+    so in exact arithmetic one of them reaches the norm estimate (in floating
+    point the lifted norm can stay above the lifted number by rounding, a
+    few ulps).  Then the norm is raised to the number, since diagonal pairs
+    are pairs.  On continuous kinds both come from one _searches batch, so
+    one lockstep ascent.  Finite kinds give both exact values.
     """
-    norm = berezin_norm(model, a, level=level)
-    nb, bn = norm.value, berezin_number(model, a, level=level).value
-    if not norm.exact:
-        bn = max(bn, *(abs(berezin_symbol(model, a, pt)) for pt in norm.argmax))
-        nb = max(nb, bn)
-    return bn, nb
+    if model.is_finite_kind:
+        return berezin_number(model, a, level).value, berezin_norm(model, a, level).value
+    _check_operand(model, a)
+    norm, number = _raised(_searches(model, level, [(a, True), (a, False)]))
+    bn = max(number.value, *(abs(berezin_symbol(model, a, pt)) for pt in norm.argmax))
+    return bn, max(norm.value, bn)
 
 
 def _radius_ascent(a: np.ndarray, re: np.ndarray, im: np.ndarray, th: float,

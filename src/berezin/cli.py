@@ -201,7 +201,8 @@ def cmd_eval(opts) -> int:
     grid = default_grid(model, level=level)  # rejects a negative level
     as_csv = opts["format"] == "csv"
     with computation_scope():  # one kernel matrix per grid level
-        calc._plan_searches(model, level, [(mat, False), (mat, True)])  # one lockstep ascent
+        if not model.is_finite_kind:  # one lockstep ascent for the number and the norm
+            calc._searches(model, level, [(mat, False), (mat, True)])
         bn = calc.berezin_number(model, mat, level=level)
         nb = calc.berezin_norm(model, mat, level=level)
         w = calc.numerical_radius(mat)

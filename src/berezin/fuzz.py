@@ -329,7 +329,7 @@ def _plan_trial(entries, grids, trial, master_seed, dims, scale, matrix_kind, mo
     """The planning pass of one trial on a continuous model: each entry's
     `_entry_case`, and every disk search its evaluator will make
     (`_search_plan`) run in one batch into the memo scope
-    (calc._plan_searches).  An entry whose case or plan raises gets None or
+    (calc._searches).  An entry whose case or plan raises gets None or
     is left out of the plan; the real pass then meets its error in order."""
     cases, plan = [], []
     for entry, combos in zip(entries, grids):
@@ -347,7 +347,7 @@ def _plan_trial(entries, grids, trial, master_seed, dims, scale, matrix_kind, mo
         except Exception:  # left out of the plan; the real pass raises in order
             continue
         plan.extend(found)
-    calc._plan_searches(model, level, plan)
+    calc._searches(model, level, plan)
     return cases
 
 

@@ -26,9 +26,10 @@ from berezin import (
     operator_norm,
     verify_positive_equality,
 )
-from berezin import calc, models
+from berezin import calc, cli, models
 from berezin._cache import computation_scope
 from berezin.fuzz import MATRIX_KINDS
+from berezin.io import save_matrix
 from berezin.linalg import _pow2_exponent, as_complex_matrix, im_part, re_part
 
 A22 = np.array([[1, 2], [3, 4]], dtype=complex)
@@ -824,15 +825,22 @@ class TestPowerOfTwoSplit:
         ("nan", np.full((4, 4), math.nan, dtype=complex)),
     ])
     def test_unsafe_operators_take_the_direct_path(self, monkeypatch, name, a):
-        m = hardy(3, 0.9)
-        monkeypatch.setattr(calc, "_unit_search", lambda *args: pytest.fail("split taken"))
+        m, search = hardy(3, 0.9), calc._grid_sup
+
+        def direct(model, searches, level):
+            if any(op is not a for op, _ in searches):
+                pytest.fail("split taken")
+            return search(model, searches, level)
+
+        monkeypatch.setattr(calc, "_grid_sup", direct)
         for quantity, norm in ((berezin_number, False), (berezin_norm, True)):
+            (ref,) = search(m, [(a, norm)], 0)
             if name == "nan":
-                for run in (quantity, lambda m, a, level: calc._search(m, a, level, norm)):
-                    with pytest.raises(ValueError, match="non-finite"):
-                        run(m, a, 0)
+                with pytest.raises(ValueError, match="non-finite"):
+                    quantity(m, a, 0)
+                assert isinstance(ref, ValueError) and "non-finite" in str(ref)
                 continue
-            est, ref = quantity(m, a, level=0), calc._search(m, a, 0, norm)
+            est = quantity(m, a, level=0)
             assert est.value == ref.value and est.argmax == ref.argmax
 
 
@@ -860,7 +868,7 @@ class TestBatchedSearch:
 
     def test_edge_peak_operator_peaks_on_the_edge(self):
         for m in SPLIT_MODELS:
-            est = calc._search(m, self.OPERATORS["edge peak"], 0, False)
+            (est,) = calc._grid_sup(m, [(self.OPERATORS["edge peak"], False)], 0)
             assert abs(est.argmax) == pytest.approx(m.radius, rel=1e-12)
 
     SEARCHES = [(a, norm) for a in OPERATORS.values() for norm in (False, True)]
@@ -914,9 +922,9 @@ class TestBatchedSearch:
         nan = np.full((4, 4), math.nan, dtype=complex)
         wrong = np.eye(3, dtype=complex)
         with computation_scope():
-            calc._plan_searches(m, 0, [(a, False), (4 * a, False), (a, True), (nan, True),
-                                       (wrong, False), (np.zeros((4, 4), dtype=complex), True)])
-            monkeypatch.setattr(calc, "_search", lambda *args: pytest.fail("searched on demand"))
+            calc._searches(m, 0, [(a, False), (4 * a, False), (a, True), (nan, True),
+                                  (wrong, False), (np.zeros((4, 4), dtype=complex), True)])
+            monkeypatch.setattr(calc, "_grid_sup", lambda *args: pytest.fail("searched on demand"))
             got = berezin_number(m, 0.5 * a, level=0), berezin_norm(m, a, level=0)
         with computation_scope():
             monkeypatch.undo()
@@ -924,14 +932,28 @@ class TestBatchedSearch:
         assert got == ref
         for bad, error in ((nan, ValueError), (wrong, DimensionMismatch)):
             with computation_scope():
-                calc._plan_searches(m, 0, [(bad, False)])
+                calc._searches(m, 0, [(bad, False)])
                 with pytest.raises(error):
                     berezin_number(m, bad, level=0)
 
-    def test_plan_does_nothing_on_finite_models(self, monkeypatch):
+    def test_plan_does_nothing_on_finite_models(self, monkeypatch, tmp_path):
+        # `berezin eval` plans its disk searches; on a finite model it has none
         monkeypatch.setattr(calc, "_grid_sup", lambda *args: pytest.fail("searched"))
-        with computation_scope():
-            calc._plan_searches(finite(4), 1, [(np.eye(4, dtype=complex), False)])
+        save_matrix(tmp_path / "m.json", np.eye(4, dtype=complex))
+        assert cli.main(["eval", "--model", "finite:4", "--matrix", str(tmp_path / "m.json")]) == 0
+
+    @pytest.mark.parametrize("model", SPLIT_MODELS, ids=lambda m: m.kind)
+    def test_pair_is_one_batch(self, monkeypatch, model):
+        # the number and the norm of a lone berezin_pair climb in one ascent,
+        # with the lift applied to berezin_number's and berezin_norm's values
+        a = self.OPERATORS["positive"]
+        norm, number = berezin_norm(model, a, 1), berezin_number(model, a, 1)
+        bn = max(number.value, *(abs(berezin_symbol(model, a, pt)) for pt in norm.argmax))
+        calls, search = [], calc._grid_sup
+        monkeypatch.setattr(calc, "_grid_sup", lambda *args: calls.append(args) or search(*args))
+        got = berezin_pair(model, a, 1)
+        assert np.array(got).tobytes() == np.array([bn, max(norm.value, bn)]).tobytes()
+        assert len(calls) == 1
 
 
 class TestBitIdentityAssumptions:

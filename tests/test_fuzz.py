@@ -543,16 +543,18 @@ class TestCsvFormat:
         dict(model=models.fock(3, 2.0), level=1, trials=2, gen=GeneratorSpec(n=4, seed=6)),
     ], ids=["golden", "bergman", "fock"])
     def test_csv_identical_without_planning(self, tmp_path, monkeypatch, campaign):
-        # planning only warms the memo: with it a no-op, every search runs
-        # on demand and the bytes are the same
+        # planning only warms the memo: with an empty plan, every search
+        # runs on demand and the bytes are the same
         run_suite(csv_path=str(tmp_path / "planned.csv"), **campaign)
-        monkeypatch.setattr(calc, "_plan_searches", lambda *args: None)
+        monkeypatch.setattr(fuzz, "_search_plan", lambda *args: None)
         run_suite(csv_path=str(tmp_path / "unplanned.csv"), **campaign)
         assert (tmp_path / "planned.csv").read_bytes() == (tmp_path / "unplanned.csv").read_bytes()
 
-    def test_golden_disk_call_searches_nothing_on_demand(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _on_demand(monkeypatch):
+        """The searches that _grid_sup runs outside the planning pass."""
         planning, on_demand = [], []
-        plan, search = calc._plan_searches, calc._grid_sup
+        plan, search = fuzz._plan_trial, calc._grid_sup
 
         def planned(*args):
             planning.append(True)
@@ -566,9 +568,21 @@ class TestCsvFormat:
                 on_demand.extend(searches)
             return search(model, searches, level)
 
-        monkeypatch.setattr(calc, "_plan_searches", planned)
+        monkeypatch.setattr(fuzz, "_plan_trial", planned)
         monkeypatch.setattr(calc, "_grid_sup", counted)
+        return on_demand
+
+    def test_golden_disk_call_searches_nothing_on_demand(self, tmp_path, monkeypatch):
+        on_demand = self._on_demand(monkeypatch)
         run_suite(csv_path=str(tmp_path / "d.csv"), **self.GOLDEN_DISK)
+        assert on_demand == []
+
+    def test_operators_that_do_not_split_are_planned(self, monkeypatch):
+        # eql1 on the identity: its self-commutator is zero, which has no
+        # power-of-two split
+        on_demand = self._on_demand(monkeypatch)
+        run_suite(["eql1"], model=models.hardy(3, 0.9), level=0, trials=1, dims=(4,),
+                  gen=GeneratorSpec(kind="identity", n=4))
         assert on_demand == []
 
     def test_entry_raising_in_planning_is_left_out(self, tmp_path, monkeypatch):
@@ -581,10 +595,8 @@ class TestCsvFormat:
                 raise RuntimeError("planning failed")
             return plan(entry, *args)
 
-        searched = []
-        search = calc._search
         monkeypatch.setattr(fuzz, "_search_plan", failing)
-        monkeypatch.setattr(calc, "_search", lambda *a: searched.append(a) or search(*a))
+        searched = self._on_demand(monkeypatch)
         run_suite(csv_path=str(tmp_path / "got.csv"), **self.GOLDEN_DISK)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert searched
@@ -606,7 +618,7 @@ class TestCsvFormat:
             monkeypatch.setitem(CATALOG, name, dataclasses.replace(CATALOG["eql1"], ineq_id=name,
                                                                   evaluate=ev))
         if not planned:
-            monkeypatch.setattr(calc, "_plan_searches", lambda *args: None)
+            monkeypatch.setattr(fuzz, "_search_plan", lambda *args: None)
         for suite, first in ((["eql1", "late", "boom"], "late"),
                              (["eql1", "boom", "late"], "boom")):
             path = tmp_path / "e.csv"
