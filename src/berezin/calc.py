@@ -27,9 +27,9 @@ largest real or imaginary component in [1/2, 1), and returns 2^k times U's
 value, one search per operator up to a power of two inside a
 computation_scope, bit for bit the direct search's, as scaling by 2^k
 commutes with rounding.  A lone berezin_number or berezin_norm call is a
-batch of one, berezin_pair a batch of two; a campaign fills the memo ahead
-of its calls with all of a trial's searches in one batch, and so does
-`berezin eval` for its number and norm.
+batch of one, berezin_pair a batch of two; a campaign trial, or one
+inequalities.check, runs all of its searches in one batch, and
+`berezin eval` fills the memo ahead of its number and norm in one batch.
 
 The numerical radius is w(A) = max over theta of g(theta) = lambda_max(
 Re(e^{i theta} A)).  One batched eigvalsh of the first half-turn's 128
@@ -516,50 +516,57 @@ def _grid_sup(model: KernelModel, searches: list, level: int) -> list:
     return out
 
 
-def _pow2_split(a: np.ndarray):
-    """(U, k) with A = 2^k U and U's largest real or imaginary component in
-    [1/2, 1), or None for a zero or non-finite operator, one above
-    linalg.UNSCALED_MAX or with every component below 2^-1024 (2^-k would
-    overflow), and one whose U * 2^k is not A (an entry would underflow)."""
-    m = float(np.maximum(np.abs(a.real), np.abs(a.imag)).max())
-    k = math.frexp(m)[1]
-    if not 0.0 < m <= UNSCALED_MAX or k < -1023:  # 2.0**-k must be finite
-        return None
-    u = a * 2.0**-k
-    return (u, k) if np.array_equal(u * 2.0**k, a) else None
+def _pow2_splits(stack: np.ndarray):
+    """(U, k, ok) for a stack of operators A (count x n x n, complex), in one
+    array pass: A = 2^k U with U's largest real or imaginary component in
+    [1/2, 1) where ok.  ok is False for a zero or non-finite operator, one
+    above linalg.UNSCALED_MAX or with every component below 2^-1024 (2^-k
+    would overflow), and one whose U * 2^k is not A (an entry would
+    underflow); U and k mean nothing there."""
+    m = np.maximum(np.abs(stack.real), np.abs(stack.imag)).max(axis=(1, 2))
+    k = np.frexp(m)[1]
+    ok = (m > 0.0) & (m <= UNSCALED_MAX) & (k >= -1023)  # NaN fails too
+    k = np.where(ok, k, 0)  # so 2^-k stays finite
+    with np.errstate(invalid="ignore"):  # inf * 0j, in a row that is not ok
+        u = stack * np.ldexp(1.0, -k)[:, None, None]
+    ok &= (u * np.ldexp(1.0, k)[:, None, None] == stack).all(axis=(1, 2))
+    return u, k, ok
 
 
-def _searches(model: KernelModel, level: int, searches: list):
+def _searches(model: KernelModel, level: int, searches: list) -> list:
     """The disk searches of berezin_number (norm False) and berezin_norm
     (norm True) for each (operator, norm) of `searches` on a continuous
-    model: an iterator over one SupEstimate or error per search (_grid_sup).
+    model: one SupEstimate or error per search (_grid_sup).
 
-    Each operator A is searched as A = 2^k U (_pow2_split), or as itself
-    when it does not split, through the current computation_scope's memo
-    (a fresh dict outside a scope); the distinct searches not memoized go
-    through one _grid_sup batch, numbers and norms in one lockstep ascent,
-    and the successes are memoized, never the errors.  Inside a scope every
-    power-of-two multiple of a searched operator so costs one ldexp, bit for
-    bit the direct search: scaling by 2^k commutes with rounding in the
-    normal range, so every grid value and |q00| scales by 2^k, while the
-    ascent sees only ratios (_log_terms), so its steps and the argmax do not
-    move.  The estimates are built as the iterator is read, so a caller
-    that only fills the memo ahead of its calls builds none.
+    Each operator A is searched as A = 2^k U (_pow2_splits, one array pass
+    for the batch), or as itself when it does not split, through the
+    current computation_scope's memo (a fresh dict outside a scope); the
+    distinct searches not memoized go through one _grid_sup batch, numbers
+    and norms in one lockstep ascent, and the successes are memoized, never
+    the errors.  Inside a scope every power-of-two multiple of a searched
+    operator so costs one ldexp, bit for bit the direct search: scaling by
+    2^k commutes with rounding in the normal range, so every grid value and
+    |q00| scales by 2^k, while the ascent sees only ratios (_log_terms), so
+    its steps and the argmax do not move.
     """
     table = memo()
     table = {} if table is None else table
-    shape, todo, keys = (model.dimension,) * 2, {}, []
+    shape = (model.dimension,) * 2
+    fit = [a for a, _ in searches if a.shape == shape]
+    units = zip(*_pow2_splits(np.array(fit, dtype=complex).reshape(-1, *shape)))
+    todo, keys = {}, []
     for a, norm in searches:
-        u, k = (_pow2_split(a) if a.shape == shape else None) or (a, 0)
+        u, k, ok = next(units) if a.shape == shape else (a, 0, False)
+        u, k = (u, int(k)) if ok else (a, 0)
         key = (_searches, model, array_key(u), level, norm)
         keys.append((key, k))
         if key not in table:
             todo.setdefault(key, (u, norm))
     done = dict(zip(todo, _grid_sup(model, list(todo.values()), level))) if todo else {}
     table.update((key, est) for key, est in done.items() if not isinstance(est, Exception))
-    return (est if not k or isinstance(est, Exception)
+    return [est if not k or isinstance(est, Exception)
             else SupEstimate(math.ldexp(est.value, k), est.argmax, False)
-            for key, k in keys for est in [done.get(key) or table[key]])
+            for key, k in keys for est in [done.get(key) or table[key]]]
 
 
 def _raised(results) -> list:
@@ -625,7 +632,14 @@ def berezin_pair(model: KernelModel, a: np.ndarray, level: int = 1) -> tuple[flo
     if model.is_finite_kind:
         return berezin_number(model, a, level).value, berezin_norm(model, a, level).value
     _check_operand(model, a)
-    norm, number = _raised(_searches(model, level, [(a, True), (a, False)]))
+    return _lift(model, a, *_raised(_searches(model, level, [(a, True), (a, False)])))
+
+
+def _lift(model: KernelModel, a: np.ndarray, norm: SupEstimate,
+          number: SupEstimate) -> tuple[float, float]:
+    """berezin_pair's (number, norm) from A's disk norm and number estimates:
+    the number raised to |symbol| at both points of the norm's argmax pair,
+    then the norm raised to the number."""
     bn = max(number.value, *(abs(berezin_symbol(model, a, pt)) for pt in norm.argmax))
     return bn, max(norm.value, bn)
 

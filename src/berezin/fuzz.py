@@ -8,12 +8,13 @@ generator specs produce identical operands byte for byte.
 `run_suite` sweeps catalog entries over a parameter grid for many random
 trials, writes one CSV row per (entry, trial, sweep point), and reports
 violations with enough context (seed, kind, dimension, scale) to replay
-them.  Every entry's parameter grid is validated before any row is
-evaluated.  Evaluation is trial-major: one memo scope (`computation_scope`)
-per trial holds every entry's evaluation of that trial, so entries whose
-operands coincide (same seed, same spec) share eigensystems, Berezin numbers
-and norms; on a disk model a planning pass first searches all of the trial's
-Berezin numbers and norms in one batch.  Rows stay entry-major: each entry's
+them.  Every entry's parameter grid is validated before any row is evaluated.
+Evaluation is trial-major: one memo scope (`computation_scope`) per trial
+holds every entry's evaluation of that trial, so entries whose operands
+coincide (same seed, same spec) share eigensystems, Berezin numbers and
+norms.  On a disk model every evaluator runs once on deferred Berezin values,
+and all of the trial's disk searches then run in one batch before its rows
+are judged (`inequalities._resolve`).  Rows stay entry-major: each entry's
 rows go to a temporary spill file, and the spills are copied to the CSV in
 entry order after the last trial.  Each trial's operands are validated once
 per entry and bound to the entry's evaluator once, which then evaluates
@@ -42,7 +43,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import calc
 from ._cache import computation_scope
 from .errors import ParamOutOfRange, UnknownIneqId
 from .inequalities import (
@@ -52,8 +52,9 @@ from .inequalities import (
     CatalogEntry,
     InequalityCase,
     _evaluate_grid,
+    _forced,
+    _resolve,
     _result,
-    _search_plan,
     _validated_operands,
     _validated_params,
     _validated_tolerance,
@@ -313,58 +314,31 @@ def _csv_row(row: tuple) -> str:
             f"{lhs:.17g},{rhs:.17g},{gap:.17g},{'true' if ok else 'false'}\n")
 
 
-def _entry_case(entry, trial, master_seed, dims, scale, matrix_kind, model, tolerance, level):
-    """One entry's trial before evaluation: its seed, dimension, case, and
-    validated operands with their dimension (`_validated_operands`)."""
+def _entry_trial(entry, combos, found, trial, master_seed, dims, scale, matrix_kind, model,
+                 tolerance, level):
+    """One entry's trial up to its verdicts: its seed, dimension, operand
+    dimension (`_validated_operands`) and the parts of each combination of
+    `combos` (`_evaluate_grid`, which appends its disk searches to
+    `found`)."""
     seed = (int(master_seed) ^ int(trial)) & _MASK64
     n = dims[trial % len(dims)]  # the model's dimension if one is forced
     ops = sample_operands(entry, n, scale, seed, matrix_kind)
     mdl = model if model is not None else (finite(n) if entry.needs_model else None)
     case = InequalityCase(entry.ineq_id, ops, model=mdl, tolerance=tolerance, level=level)
-    return seed, n, case, _validated_operands(entry, case)
+    valid_ops, n_ops = _validated_operands(entry, case)
+    return seed, n, n_ops, _evaluate_grid(entry, case, valid_ops, combos, found)
 
 
-def _plan_trial(entries, grids, trial, master_seed, dims, scale, matrix_kind, model,
-                tolerance, level):
-    """The planning pass of one trial on a continuous model: each entry's
-    `_entry_case`, and every disk search its evaluator will make
-    (`_search_plan`) run in one batch into the memo scope
-    (calc._searches).  An entry whose case or plan raises gets None or
-    is left out of the plan; the real pass then meets its error in order."""
-    cases, plan = [], []
-    for entry, combos in zip(entries, grids):
-        try:
-            case = _entry_case(entry, trial, master_seed, dims, scale, matrix_kind, model,
-                               tolerance, level)
-        except Exception:  # the real pass draws it again and raises
-            case = None
-        cases.append(case)
-        if case is None:
-            continue
-        found = []
-        try:
-            _search_plan(entry, case[3][0], combos, found)
-        except Exception:  # left out of the plan; the real pass raises in order
-            continue
-        plan.extend(found)
-    calc._searches(model, level, plan)
-    return cases
-
-
-def _run_entry_trial(entry, combos, trial, prepared, scale, matrix_kind, tolerance):
+def _run_entry_trial(entry, combos, trial, prepared, deferred, scale, matrix_kind, tolerance):
     """All sweep evaluations of one entry for one trial: rows in CSV_COLUMNS
-    order, and violations.
-
-    `prepared` is the trial's `_entry_case`; `combos` is the entry's
-    `param_grid`, evaluated by one evaluator bound to the trial's operands,
-    in the caller's memo scope.
-    """
-    seed, n, case, (valid_ops, n_ops) = prepared
+    order, and violations.  `prepared` is the trial's `_entry_trial`, whose
+    parts are forced first where `deferred` (after `_resolve`)."""
+    seed, n, n_ops, grid = prepared
     rows = []
     violations = []
     dim_echo = None if all(k == "scalar" for _, k in entry.operand_spec) else n
     tol = float(tolerance)
-    for combo, parts in zip(combos, _evaluate_grid(entry, case, valid_ops, combos)):
+    for combo, parts in zip(combos, map(_forced, grid) if deferred else grid):
         worst, ok = _verdict(parts, tol)
         if not ok:  # the full witness is built for violations only
             res = _result(entry.ineq_id, parts, combo, n_ops, tol)
@@ -405,13 +379,14 @@ def run_suite(
     Trials run in order, each in one memo scope shared by every entry;
     operands are validated once per (entry, trial), and every row is judged
     in float64 as computed; a part with a non-finite side raises ValueError.
-    On a continuous model each trial starts with a planning pass
-    (`_plan_trial`): every entry's evaluator runs on its operands with a
-    recording environment that answers 1.0, and the disk searches it would
-    make run in one batch into the trial's memo.  Planning only
-    warms the memo: finite models skip it, an entry whose planning raises is
-    left out of it, and the real pass alone decides every row, every error
-    and their order.
+    A trial runs in three steps: each entry's case and evaluator, in entry
+    order (`_entry_trial`), up to the first that raises; one batch of every
+    disk search the evaluators asked for on a continuous model (`_resolve`;
+    none on finite models); then, in entry order, the entry's error is
+    raised, or its parts are forced and judged.  So the first failing
+    entry's error is raised, from its evaluator or from a search it asked
+    for; within one entry an evaluator error wins over the error of a search
+    asked for before it.
     CSV rows reach csv_path in a deterministic entry-major order (entry,
     trial, sweep point), as do `violations` and the collected rows.
     csv_path is opened, and its header written, before the first trial; the
@@ -442,7 +417,6 @@ def run_suite(
         raise ValueError(f"dimensions must be >= 1, got {dims}")
     _check_level(model if model is not None else finite(dims[0]), level)
     grids = [param_grid(entry, sweep) for entry in entries]
-    planned = model is not None and not model.is_finite_kind
 
     # Rows are evaluated trial-major but written entry-major: each (entry,
     # trial) block of rows goes to its entry's spill file, and the spills are
@@ -465,12 +439,19 @@ def run_suite(
         draw = (gen.seed, dims, gen.scale, gen.kind, model, tolerance, level)
         for trial in range(trials):
             with computation_scope():  # shared by every entry's trial
-                cases = (_plan_trial(entries, grids, trial, *draw) if planned
-                         else [None] * len(entries))
-                for i, (entry, combos) in enumerate(zip(entries, grids)):
-                    case = cases[i] or _entry_case(entry, trial, *draw)
-                    rows, viols = _run_entry_trial(entry, combos, trial, case, gen.scale,
-                                                   gen.kind, tolerance)
+                found, prepared = [], []
+                for entry, combos in zip(entries, grids):
+                    try:
+                        prepared.append(_entry_trial(entry, combos, found, trial, *draw))
+                    except Exception as exc:  # raised in entry order, after the batch
+                        prepared.append(exc)
+                        break
+                _resolve(model, level, found)  # the trial's disk searches, one batch
+                for i, (entry, combos, done) in enumerate(zip(entries, grids, prepared)):
+                    if isinstance(done, Exception):
+                        raise done
+                    rows, viols = _run_entry_trial(entry, combos, trial, done, bool(found),
+                                                   gen.scale, gen.kind, tolerance)
                     violations[i].extend(viols)
                     rows_evaluated += len(rows)
                     gaps[i].extend(row[8] / max(1.0, row[7]) for row in rows)  # gap, rhs

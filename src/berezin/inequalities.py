@@ -19,7 +19,10 @@ again, and the two lifted toward each other (`calc.berezin_pair`, read by
 prop1 alone); the operator-norm remarks (rmk_i to rmk_iv) run the same
 evaluators with the operator norm as both `ber` and `nber` and the numerical
 radius as `cross`.  Variants of one inequality differ only in that record:
-ceb is eq1 run with `nber` replaced by `ber`.
+ceb is eq1 run with `nber` replaced by `ber`.  On a continuous model the
+record's values are deferred (`_Deferred`): an evaluator runs once, its
+disk searches then run in one batch (`_resolve`), and its parts are forced
+with the bits that eager float arithmetic gives.
 
 The paper's two claims are results here too: Proposition 1
 (`verify_positive_equality`) and its self-adjoint contrast
@@ -29,6 +32,7 @@ The paper's two claims are results here too: Proposition 1
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from typing import Callable, NamedTuple
@@ -122,20 +126,63 @@ class CatalogEntry:
 
 
 class _Env(NamedTuple):
-    """What the evaluators run with: three callables, matrix -> float, and
-    one, matrix -> (float, float), for prop1.
+    """What the evaluators run with: three callables, matrix -> value, and
+    one, matrix -> (value, value), for prop1.
 
     `ber` stands for the Berezin number, `nber` for the Berezin norm and
     `cross` for the quantity of Theorem 3's B*A term.  `pair` gives the
     number and the norm lifted toward each other (calc.berezin_pair); it is
     None with the operator norm, where prop1 never runs.  Built by
-    `_evaluate_grid`.
+    `_evaluate_grid`: the values are floats on finite models and with the
+    operator norm, and `_Deferred` floats on continuous models.
     """
 
     ber: Callable
     nber: Callable
     cross: Callable
     pair: Callable | None
+
+
+class _Deferred:
+    """A Berezin value known only after the batched disk search (`_resolve`),
+    or a sum, product, power or square root (`_sqrt`) of such values: `fn`
+    applied to `args`, deferred ones forced first, once forced, and kept.
+    It runs the Python float operation of the eager value on the same
+    operands in the same order, so it has the same bits.  A search leaf
+    gets its result as its one argument; forcing it raises a search error.
+    """
+
+    __slots__ = ("fn", "args", "value")
+
+    def __init__(self, fn, *args):
+        self.fn, self.args, self.value = fn, args, None
+
+    def force(self):
+        if self.value is None:
+            self.value = self.fn(*map(_force, self.args))
+        return self.value
+
+    def __add__(self, other):
+        return _Deferred(operator.add, self, other)
+
+    def __mul__(self, other):
+        return _Deferred(operator.mul, self, other)
+
+    def __rmul__(self, other):
+        return _Deferred(operator.mul, other, self)
+
+    def __pow__(self, other):
+        return _Deferred(operator.pow, self, other)
+
+
+def _force(x):
+    """x's float: a `_Deferred` forced, anything else as it is."""
+    return x.force() if isinstance(x, _Deferred) else x
+
+
+def _sqrt(x):
+    """math.sqrt, deferred on a deferred value."""
+    return _Deferred(math.sqrt, x) if isinstance(x, _Deferred) else math.sqrt(x)
 
 
 def power_mean(a: float, b: float, alpha: float, t: float) -> float:
@@ -279,7 +326,7 @@ def _ev_eqn1(o, env):
 
     def parts(alpha, r):
         x, y = factors(alpha, r)
-        return [Part("main", nm**r, 2.0 ** (r - 1.0) * math.sqrt(x) * math.sqrt(y))]
+        return [Part("main", nm**r, 2.0 ** (r - 1.0) * _sqrt(x) * _sqrt(y))]
     return parts
 
 
@@ -288,7 +335,7 @@ def _ev_eqn2cmp(o, env):
 
     def parts(alpha, r):
         x, y = factors(alpha, r)
-        return [Part("main", 2.0 ** (r - 1.0) * math.sqrt(x * y), 2.0 ** (r - 2.0) * (x + y))]
+        return [Part("main", 2.0 ** (r - 1.0) * _sqrt(x * y), 2.0 ** (r - 2.0) * (x + y))]
     return parts
 
 
@@ -434,7 +481,7 @@ def _ev_abprod(o, env):
             out.append(Part(
                 "factored",
                 nm,
-                math.sqrt(env.ber(a @ adjoint(a))) * math.sqrt(env.ber(adjoint(b) @ b)),
+                _sqrt(env.ber(a @ adjoint(a))) * _sqrt(env.ber(adjoint(b) @ b)),
             ))
         return out
     return parts
@@ -515,14 +562,14 @@ def _ev_eqn11(o, env):
 def _ev_eqn12(o, env):
     a, b = o["A"], o["B"]
     lhs = env.nber(positive_sqrt(a) @ positive_sqrt(b))
-    rhs = math.sqrt(env.ber(a)) * math.sqrt(env.ber(b))
+    rhs = _sqrt(env.ber(a)) * _sqrt(env.ber(b))
     return lambda: [Part("main", lhs, rhs)]
 
 
 def _ev_eqn13(o, env):
     a, b = o["A"], o["B"]
     lhs = env.nber(positive_sqrt(a @ b))
-    rhs = math.sqrt(env.ber(a)) * math.sqrt(env.ber(b))
+    rhs = _sqrt(env.ber(a)) * _sqrt(env.ber(b))
     return lambda: [Part("main", lhs, rhs)]
 
 
@@ -781,19 +828,26 @@ def check(case: InequalityCase) -> InequalityResult:
     tol = _validated_tolerance(case.tolerance)
     ops, n = _validated_operands(entry, case)
     params = _validated_params(entry, case.params)
-    (parts,) = _evaluate_grid(entry, case, ops, [params])
-    return _result(case.ineq_id, parts, params, n, tol)
+    found: list = []
+    (parts,) = _evaluate_grid(entry, case, ops, [params], found)
+    _resolve(case.model, case.level, found)
+    return _result(case.ineq_id, _forced(parts), params, n, tol)
 
 
 def _evaluate_grid(entry: CatalogEntry, case: InequalityCase, ops: dict,
-                   combos: list[dict]) -> list[list[Part]]:
+                   combos: list[dict], found: list) -> list[list[Part]]:
     """The parts of each parameter combination, from one evaluator.
 
     `ops` is the first item of `_validated_operands(entry, case)`, each
     combination has passed `_validated_params`, and `case.params` is not
-    read.
+    read.  On a continuous model each Berezin value is a `_Deferred` leaf,
+    with (operator, norm, leaf) appended to `found` (`pair`: a lift node
+    over a norm and a number leaf), so the sides wait for `_resolve` and
+    `_forced`; elsewhere they are floats.
     """
-    if entry.needs_model:
+    if not entry.needs_model:
+        env = _Env(operator_norm, operator_norm, calc.numerical_radius, None)
+    elif case.model.is_finite_kind:
         model, level = case.model, case.level
 
         def ber(m):
@@ -802,42 +856,45 @@ def _evaluate_grid(entry: CatalogEntry, case: InequalityCase, ops: dict,
         def nber(m):
             return calc.berezin_norm(model, m, level=level).value
 
-        def pair(m):
-            return calc.berezin_pair(model, m, level=level)
-
-        env = _Env(ber, nber, ber, pair)
+        env = _Env(ber, nber, ber, partial(calc.berezin_pair, model, level=level))
     else:
-        env = _Env(operator_norm, operator_norm, calc.numerical_radius, None)
+        def leaf(m, norm, fn):
+            node = _Deferred(fn)
+            found.append((m, norm, node))
+            return node
+
+        def pair(m):
+            both = _Deferred(partial(calc._lift, case.model, m),
+                             leaf(m, True, _estimate), leaf(m, False, _estimate))
+            return _Deferred(operator.itemgetter(0), both), _Deferred(operator.itemgetter(1), both)
+
+        number = partial(leaf, norm=False, fn=_value)
+        env = _Env(number, partial(leaf, norm=True, fn=_value), number, pair)
     parts = entry.evaluate(ops, env)
     return [parts(**params) for params in combos]
 
 
-def _search_plan(entry: CatalogEntry, ops: dict, combos: list[dict], plan: list) -> None:
-    """Run the evaluator as `_evaluate_grid` would on a kernel model, with an
-    environment that answers every Berezin quantity with 1.0 and appends
-    (operator, norm) to `plan` for each disk search the real one would make:
-    norm False for `ber` and `cross`, True for `nber`, and both for `pair`
-    (the norm first, as calc.berezin_pair).  The operators an evaluator
-    builds depend on its operands and parameters only, so they are the ones
-    the real environment is called with.  An entry that runs with the
-    operator norm (needs_model False) plans nothing."""
-    if not entry.needs_model:
-        return
+def _estimate(est):
+    """A search leaf's SupEstimate, or its error raised."""
+    return calc._raised([est])[0]
 
-    def number(m):
-        plan.append((m, False))
-        return 1.0
 
-    def norm(m):
-        plan.append((m, True))
-        return 1.0
+def _value(est) -> float:
+    return _estimate(est).value
 
-    def pair(m):
-        return norm(m), number(m)
 
-    parts = entry.evaluate(ops, _Env(number, norm, number, pair))
-    for params in combos:
-        parts(**params)
+def _resolve(model: KernelModel | None, level: int, found: list) -> None:
+    """Run the searches of `found` (`_evaluate_grid`) in one calc._searches
+    batch, and bind each result, estimate or error, to its leaf."""
+    if found:
+        results = calc._searches(model, level, [(m, norm) for m, norm, _ in found])
+        for (_, _, node), est in zip(found, results):
+            node.args = (est,)
+
+
+def _forced(parts: list[Part]) -> list[Part]:
+    """parts with every side forced to its float, after `_resolve`."""
+    return [Part(pt.label, _force(pt.lhs), _force(pt.rhs)) for pt in parts]
 
 
 def _verdict(parts: list[Part], tol: float) -> tuple[Part, bool]:

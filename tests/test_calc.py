@@ -817,13 +817,15 @@ class TestPowerOfTwoSplit:
         for est, ref in zip(again, first):
             assert est.value == 8 * ref.value and est.argmax == ref.argmax
 
-    @pytest.mark.parametrize("name, a", [
+    UNSAFE = [
         ("above 2^500", gen_matrix(GeneratorSpec("general", 4, 1.0, seed=7)) * 2.0**600),
         ("split underflows", np.diag([2.0**400, 2.0**-700, 1.0, 0.5]).astype(complex)),
         ("all subnormal", np.full((4, 4), 2.0**-1050, dtype=complex)),  # 2.0**1050 overflows
         ("zero", np.zeros((4, 4), dtype=complex)),
         ("nan", np.full((4, 4), math.nan, dtype=complex)),
-    ])
+    ]
+
+    @pytest.mark.parametrize("name, a", UNSAFE)
     def test_unsafe_operators_take_the_direct_path(self, monkeypatch, name, a):
         m, search = hardy(3, 0.9), calc._grid_sup
 
@@ -842,6 +844,31 @@ class TestPowerOfTwoSplit:
                 continue
             est = quantity(m, a, level=0)
             assert est.value == ref.value and est.argmax == ref.argmax
+
+    @pytest.mark.filterwarnings("error")
+    def test_mixed_batch_splits_the_safe_operators_alone(self, monkeypatch):
+        # every unsafe operator, an infinite one too, between safe ones in
+        # one batch: the one array pass splits the safe ones only, and each
+        # search gives what it gives alone
+        inf = np.eye(4, dtype=complex)
+        inf[1, 2] = math.inf
+        unsafe = [a for _, a in self.UNSAFE] + [inf]
+        safe = list(self.OPERATORS.values()) * 2
+        ops = [a for pair in zip(safe, unsafe) for a in pair]
+        u, k, ok = calc._pow2_splits(np.array(ops, dtype=complex))
+        assert ok.tolist() == [True, False] * len(unsafe)
+        for a, ui, ki in zip(safe, u[ok], k[ok].tolist()):
+            assert np.array_equal(ui * 2.0**ki, a)
+            assert 0.5 <= np.maximum(np.abs(ui.real), np.abs(ui.imag)).max() < 1.0
+        m, search, sent = hardy(3, 0.9), calc._grid_sup, []
+        monkeypatch.setattr(calc, "_grid_sup", lambda model, searches, level: (
+            sent.extend(op for op, _ in searches) or search(model, searches, level)))
+        for norm in (False, True):
+            sent.clear()
+            got = calc._searches(m, 0, [(a, norm) for a in ops])
+            assert [any(b is a for b in sent) for a in ops] == [False, True] * len(unsafe)
+            for a, est in zip(ops, got):
+                assert _same(est, search(m, [(a, norm)], 0)[0])
 
 
 def _same(est, ref):

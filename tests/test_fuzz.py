@@ -430,18 +430,19 @@ class TestTrialScope:
     """One memo scope per trial, shared by every entry; rows stay entry-major."""
 
     def test_berezin_number_computed_once_per_distinct_operand(self, monkeypatch):
-        computed = []
-        uncached = calc.berezin_number.__wrapped__
+        # counted at the trial's batched search: no search runs twice
+        searched = []
+        search = calc._grid_sup
 
-        def counting(model, a, level=1):
-            computed.append((model, a.shape, a.tobytes(), level))
-            return uncached(model, a, level)
+        def counting(model, searches, level):
+            searched.extend((model, a.shape, a.tobytes(), level, norm) for a, norm in searches)
+            return search(model, searches, level)
 
-        monkeypatch.setattr(calc, "berezin_number", _cache.scoped(counting))
+        monkeypatch.setattr(calc, "_grid_sup", counting)
         run_suite(model=hardy(3, 0.9), level=0, trials=1, dims=(4,),
                   gen=GeneratorSpec(n=4, seed=0xD15C0000))
-        assert len(computed) > len(CATALOG)
-        assert len(computed) == len(set(computed))
+        assert len([s for s in searched if not s[-1]]) > len(CATALOG)
+        assert len(searched) == len(set(searched))
 
     def test_failed_campaign_leaves_only_the_header(self, tmp_path, monkeypatch):
         entry = CATALOG["prop1"]
@@ -537,98 +538,123 @@ class TestCsvFormat:
     GOLDEN_DISK = dict(model=hardy(3, 0.9), level=0, trials=1, dims=(4,),
                        gen=GeneratorSpec(n=4, seed=0xD15C0000))
 
+    @staticmethod
+    def _lone_check(entry, trial, campaign, combo):
+        """`check` of the case that a campaign's row (entry, trial, combo)
+        judges."""
+        gen, model = campaign["gen"], campaign["model"]
+        ops = sample_operands(entry, model.dimension, gen.scale, gen.seed ^ trial, gen.kind)
+        return inequalities.check(inequalities.InequalityCase(
+            entry.ineq_id, ops, combo, model=model, level=campaign["level"]))
+
     @pytest.mark.parametrize("campaign", [
         GOLDEN_DISK,
         dict(model=models.bergman(3, 0.9), level=1, trials=2, gen=GeneratorSpec(n=4, seed=5)),
         dict(model=models.fock(3, 2.0), level=1, trials=2, gen=GeneratorSpec(n=4, seed=6)),
     ], ids=["golden", "bergman", "fock"])
-    def test_csv_identical_without_planning(self, tmp_path, monkeypatch, campaign):
-        # planning only warms the memo: with an empty plan, every search
-        # runs on demand and the bytes are the same
-        run_suite(csv_path=str(tmp_path / "planned.csv"), **campaign)
-        monkeypatch.setattr(fuzz, "_search_plan", lambda *args: None)
-        run_suite(csv_path=str(tmp_path / "unplanned.csv"), **campaign)
-        assert (tmp_path / "planned.csv").read_bytes() == (tmp_path / "unplanned.csv").read_bytes()
+    def test_csv_identical_without_planning(self, campaign):
+        # batch independence: every disk row, whose trial searches in one
+        # batch, equals a `check` of its case alone, bit for bit (the checks
+        # of one entry's trial share a memo scope, not a batch)
+        rows = iter(run_suite(collect_rows=True, **campaign).rows)
+        for ineq_id in inequalities.CATALOG_ORDER:
+            for trial in range(campaign["trials"]):
+                with _cache.computation_scope():
+                    for combo in param_grid(CATALOG[ineq_id]):
+                        res = self._lone_check(CATALOG[ineq_id], trial, campaign, combo)
+                        row = next(rows)
+                        assert (row["ineq_id"], row["trial"]) == (ineq_id, trial)
+                        assert (row["lhs"].hex(), row["rhs"].hex(), row["satisfied"]) == (
+                            res.lhs.hex(), res.rhs.hex(), res.satisfied), (ineq_id, combo)
+        assert next(rows, None) is None
+
+    def test_lone_disk_check_searches_in_one_batch(self, monkeypatch):
+        # a multi-search entry's check: one _grid_sup call for all its
+        # searches, with the campaign row's values
+        entry = CATALOG["thm1"]
+        row = run_suite(["thm1"], collect_rows=True, **self.GOLDEN_DISK).rows[0]
+        batches = self._batches(monkeypatch)
+        res = self._lone_check(entry, 0, self.GOLDEN_DISK, param_grid(entry)[0])
+        assert len(batches) == 1 and len(batches[0]) == 3  # the norm and two numbers
+        assert (res.lhs.hex(), res.rhs.hex()) == (row["lhs"].hex(), row["rhs"].hex())
 
     @staticmethod
-    def _on_demand(monkeypatch):
-        """The searches that _grid_sup runs outside the planning pass."""
-        planning, on_demand = [], []
-        plan, search = fuzz._plan_trial, calc._grid_sup
-
-        def planned(*args):
-            planning.append(True)
-            try:
-                return plan(*args)
-            finally:
-                planning.pop()
+    def _batches(monkeypatch):
+        """The searches of each _grid_sup call, one list per call."""
+        batches, search = [], calc._grid_sup
 
         def counted(model, searches, level):
-            if not planning:
-                on_demand.extend(searches)
+            batches.append(searches)
             return search(model, searches, level)
 
-        monkeypatch.setattr(fuzz, "_plan_trial", planned)
         monkeypatch.setattr(calc, "_grid_sup", counted)
-        return on_demand
+        return batches
 
     def test_golden_disk_call_searches_nothing_on_demand(self, tmp_path, monkeypatch):
-        on_demand = self._on_demand(monkeypatch)
+        # every disk search of a trial runs in the trial's one batch
+        batches = self._batches(monkeypatch)
         run_suite(csv_path=str(tmp_path / "d.csv"), **self.GOLDEN_DISK)
-        assert on_demand == []
+        assert [len(b) for b in batches] == [156]
+        batches.clear()
+        run_suite(model=models.bergman(3, 0.9), level=0, trials=3, gen=GeneratorSpec(n=4, seed=5))
+        assert len(batches) == 3
 
     def test_operators_that_do_not_split_are_planned(self, monkeypatch):
         # eql1 on the identity: its self-commutator is zero, which has no
-        # power-of-two split
-        on_demand = self._on_demand(monkeypatch)
+        # power-of-two split; it is searched as it is, in the trial's batch
+        batches = self._batches(monkeypatch)
         run_suite(["eql1"], model=models.hardy(3, 0.9), level=0, trials=1, dims=(4,),
                   gen=GeneratorSpec(kind="identity", n=4))
-        assert on_demand == []
+        (batch,) = batches
+        assert any(not a.any() for a, _ in batch)
 
-    def test_entry_raising_in_planning_is_left_out(self, tmp_path, monkeypatch):
-        # thm1's planning raises: its searches run on demand, with the same bytes
-        run_suite(csv_path=str(tmp_path / "ref.csv"), **self.GOLDEN_DISK)
-        plan = fuzz._search_plan
-
-        def failing(entry, *args):
-            if entry.ineq_id == "thm1":
-                raise RuntimeError("planning failed")
-            return plan(entry, *args)
-
-        monkeypatch.setattr(fuzz, "_search_plan", failing)
-        searched = self._on_demand(monkeypatch)
-        run_suite(csv_path=str(tmp_path / "got.csv"), **self.GOLDEN_DISK)
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        assert searched
-
-    @pytest.mark.parametrize("planned", [True, False])
-    def test_errors_keep_their_entry_order(self, tmp_path, monkeypatch, planned):
-        # "boom" raises in planning and in the real pass; "late" only in the
-        # real pass, where its Berezin number is not the planning 1.0.  The
-        # real pass reports the first entry's error either way.
+    @staticmethod
+    def _failing_entries(monkeypatch):
+        """Entries that fail: "boom" in its evaluator, "lost" in its search
+        (of a non-finite operator), which raises once its value is forced
+        after the trial's batch, and "both", whose evaluator raises after
+        asking for that failing search."""
         def boom(ops, env):
             raise ValueError("boom")
 
-        def late(ops, env):
-            if env.ber(ops["A"]) != 1.0:
-                raise ValueError("late")
-            return lambda: [Part("main", 0.0, 1.0)]
+        def lost(ops, env):
+            value = env.ber(np.full_like(ops["A"], np.nan))
+            return lambda: [Part("main", value, 1.0)]
 
-        for name, ev in (("boom", boom), ("late", late)):
+        def both(ops, env):
+            lost(ops, env)
+            raise ValueError("evaluator")
+
+        for name, ev in (("boom", boom), ("lost", lost), ("both", both)):
             monkeypatch.setitem(CATALOG, name, dataclasses.replace(CATALOG["eql1"], ineq_id=name,
                                                                   evaluate=ev))
-        if not planned:
-            monkeypatch.setattr(fuzz, "_search_plan", lambda *args: None)
-        for suite, first in ((["eql1", "late", "boom"], "late"),
-                             (["eql1", "boom", "late"], "boom")):
-            path = tmp_path / "e.csv"
-            with pytest.raises(ValueError, match=first):
-                run_suite(suite, csv_path=str(path), **self.GOLDEN_DISK)
-            assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
+
+    def test_evaluator_error_wins_within_its_entry(self, tmp_path, monkeypatch):
+        # inside one entry, an evaluator error is raised over the error of a
+        # search it asked for earlier, since the search runs after it
+        self._failing_entries(monkeypatch)
+        path = tmp_path / "e.csv"
+        with pytest.raises(ValueError, match="evaluator"):
+            run_suite(["eql1", "both"], csv_path=str(path), **self.GOLDEN_DISK)
+        assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
+
+    @pytest.mark.parametrize("search_first", [True, False])
+    def test_errors_keep_their_entry_order(self, tmp_path, monkeypatch, search_first):
+        # the first failing entry's error is raised, whether it comes from
+        # its evaluator or from its search, and the CSV keeps its header only
+        self._failing_entries(monkeypatch)
+        suite, first = ((["eql1", "lost", "boom"], "non-finite") if search_first
+                        else (["eql1", "boom", "lost"], "boom"))
+        path = tmp_path / "e.csv"
+        with pytest.raises(ValueError, match=first):
+            run_suite(suite, csv_path=str(path), **self.GOLDEN_DISK)
+        assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
 
     def test_finite_campaigns_do_not_plan(self, monkeypatch):
-        monkeypatch.setattr(fuzz, "_plan_trial", lambda *args: pytest.fail("planned"))
+        # no disk search on finite models, nor for entries without a model
+        monkeypatch.setattr(calc, "_grid_sup", lambda *args: pytest.fail("searched"))
         run_suite(["cor1", "prop1"], trials=2, dims=(3,))
+        run_suite(["rmk_i", "lem2", "lem3"], model=hardy(3, 0.9), level=0, trials=1)
 
     def test_unix_newlines(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -28,6 +28,8 @@ from berezin.inequalities import (
     CATALOG_ORDER,
     InequalityCase,
     _evaluate_grid,
+    _forced,
+    _resolve,
     _result,
     _validated_operands,
     check,
@@ -49,6 +51,15 @@ def _zero_ops(entry, n):
         elif kind != "unit-vector":
             ops[name] = np.zeros((n, n), dtype=complex)
     return ops
+
+
+def _evaluated(entry, case, valid, combos):
+    """_evaluate_grid's parts with their disk searches run in one batch and
+    every side forced, as `check` and a campaign trial judge them."""
+    found = []
+    grid = _evaluate_grid(entry, case, valid, combos, found)
+    _resolve(case.model, case.level, found)
+    return [_forced(parts) for parts in grid]
 
 
 def _run(ineq_id, ops, params, n=2, tol=1e-9):
@@ -406,7 +417,7 @@ class TestGridEvaluation:
         with computation_scope():
             valid, n = _validated_operands(entry, case)
             grid = [_result(entry.ineq_id, parts, combo, n, case.tolerance)
-                    for combo, parts in zip(combos, _evaluate_grid(entry, case, valid, combos))]
+                    for combo, parts in zip(combos, _evaluated(entry, case, valid, combos))]
         with computation_scope():
             single = [check(replace(case, params=combo)) for combo in combos]
         assert len(grid) == len(single) == len(combos)
@@ -461,11 +472,11 @@ class TestEnvironmentMonotone:
                                       level=0)
                 with computation_scope():
                     valid, _ = _validated_operands(entry, case)
-                    base = _evaluate_grid(entry, case, valid, combos)
+                    base = _evaluated(entry, case, valid, combos)
                     for name in ("ber", "nber", "cross", "pair"):
                         up = replace(entry, evaluate=partial(_raised, entry.evaluate, name))
                         for combo, want, got in zip(combos, base,
-                                                    _evaluate_grid(up, case, valid, combos)):
+                                                    _evaluated(up, case, valid, combos)):
                             assert [pt.label for pt in got] == [pt.label for pt in want]
                             for g, w in zip(got, want):
                                 assert g.lhs >= w.lhs and g.rhs >= w.rhs, (
