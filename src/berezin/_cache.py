@@ -8,8 +8,11 @@ argument by value (so those must be hashable).  A call that raises is not
 cached, so the input checks inside a cached function run on every distinct
 input.  Outside a scope every call computes from scratch.  Cached values
 equal freshly computed ones, so a scope never changes results; callers share
-them and must not modify them.  `memo` exposes the scope's dict to a
-caller that fills it with results computed together.
+them, and every array among them is read-only.  In `linalg` the eigensystems
+and the powers |A|^p and H^p are cached, in `calc` the Berezin numbers,
+norms, disk searches and numerical radii, in `models` the kernel matrices,
+and in `fuzz.sample_operands` the operands of a campaign trial.  `memo`
+exposes the scope's dict to a caller that fills it itself.
 """
 
 from __future__ import annotations

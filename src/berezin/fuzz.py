@@ -8,13 +8,15 @@ generator specs produce identical operands byte for byte.
 `run_suite` sweeps catalog entries over a parameter grid for many random
 trials, writes one CSV row per (entry, trial, sweep point), and reports
 violations with enough context (seed, kind, dimension, scale) to replay
-them.  Every entry's parameter grid is validated before any row is evaluated.
+them.  Every entry's parameter grid is validated before any row is evaluated
+(a default grid once per process, `param_grid`).
 Evaluation is trial-major: one memo scope (`computation_scope`) per trial
-holds every entry's evaluation of that trial, so entries whose operands
-coincide (same seed, same spec) share eigensystems, Berezin numbers and
-norms.  On a disk model every evaluator runs once on deferred Berezin values,
-and all of the trial's disk searches then run in one batch before its rows
-are judged (`inequalities._resolve`).  Rows stay entry-major: each entry's
+holds every entry's evaluation of that trial: each operand is drawn once
+(`sample_operands`), and entries whose operands coincide share its
+eigensystems, fractional powers, Berezin numbers and norms, all read-only.
+On a disk model every evaluator runs once on deferred Berezin values, and
+all of the trial's disk searches then run in one batch before its rows are
+judged (`inequalities._resolve`).  Rows stay entry-major: each entry's
 rows go to a temporary spill file, and the spills are copied to the CSV in
 entry order after the last trial.  Each trial's operands are validated once
 per entry and bound to the entry's evaluator once, which then evaluates
@@ -32,6 +34,7 @@ No cell is ever quoted, since none can hold a comma, a quote or a newline
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import shutil
@@ -39,11 +42,12 @@ import tempfile
 import time
 from array import array
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
 
-from ._cache import computation_scope
+from ._cache import computation_scope, memo
 from .errors import ParamOutOfRange, UnknownIneqId
 from .inequalities import (
     CATALOG,
@@ -186,25 +190,53 @@ def sample_operands(entry: CatalogEntry, n: int, scale: float, seed: int,
     operands declared "positive" accept only positivity-preserving overrides
     (positive, rank-deficient, identity) and otherwise stay "positive".
     The "identity" override makes every operand deterministic: matrices I,
-    scalars 1, unit vectors e_1.
+    scalars 1, unit vectors e_1.  Arrays come back read-only.
+
+    Inside a computation_scope() each operand is drawn once and shared: the
+    memo key is (seed, n, scale, matrix_kind) and the operand kinds drawn so
+    far, and the stream's state after each operand is kept with it, so an
+    entry whose kinds leave a shared prefix draws on from that state.  The
+    commuting pair is one such operand.  Either way the operands are those
+    of a fresh stream, bit for bit.
     """
-    vs = ValueStream(seed)
-    identity = matrix_kind == "identity"
-    if entry.commuting is not None and not identity:
-        a, b = gen_commuting_pair(GeneratorSpec(n=n, scale=scale, seed=seed))
-        return {"A": a, "B": b}
-    ops = {}
+    table = memo()
+    if table is None:  # outside a scope the draws are this call's alone
+        table = {}
+    key = (sample_operands, seed, n, scale, matrix_kind)
+    if entry.commuting is not None and matrix_kind != "identity":
+        key += ("commuting",)
+        if key not in table:
+            pair = gen_commuting_pair(GeneratorSpec(n=n, scale=scale, seed=seed))
+            for m in pair:
+                m.flags.writeable = False
+            table[key] = pair
+        return dict(zip(entry.commuting, table[key]))
+    ops, vs, state = {}, None, None
     for name, kind in entry.operand_spec:
-        if kind == "scalar":
-            ops[name] = 1.0 if identity else float(abs(vs.gaussians(1)[0]) * scale)
-        elif kind == "unit-vector":
-            ops[name] = np.eye(1, n, dtype=np.complex128)[0] if identity else _unit_vector(n, vs)
-        elif kind == "positive":
-            use = matrix_kind if matrix_kind in ("positive", "rank-deficient", "identity") else "positive"
-            ops[name] = _draw(use, n, scale, vs)
-        else:
-            ops[name] = _draw(matrix_kind, n, scale, vs)
+        key += (kind,)
+        if key not in table:  # so is every later prefix of this call
+            if vs is None:
+                vs = ValueStream(seed)
+                if state is not None:  # draw on after the shared prefix
+                    vs._bg.state = state
+            table[key] = _operand(kind, n, scale, matrix_kind, vs), vs._bg.state
+        ops[name], state = table[key]
     return ops
+
+
+def _operand(kind: str, n: int, scale: float, matrix_kind: str, vs: ValueStream):
+    """One operand of a declared kind (see `sample_operands`), read-only."""
+    if kind == "scalar":
+        return 1.0 if matrix_kind == "identity" else float(abs(vs.gaussians(1)[0]) * scale)
+    if kind == "unit-vector":
+        out = np.eye(1, n, dtype=np.complex128)[0] if matrix_kind == "identity" else _unit_vector(n, vs)
+    elif kind == "positive":
+        use = matrix_kind if matrix_kind in ("positive", "rank-deficient", "identity") else "positive"
+        out = _draw(use, n, scale, vs)
+    else:
+        out = _draw(matrix_kind, n, scale, vs)
+    out.flags.writeable = False
+    return out
 
 
 def param_grid(entry: CatalogEntry, sweep: dict | None = None) -> list[dict]:
@@ -214,9 +246,22 @@ def param_grid(entry: CatalogEntry, sweep: dict | None = None) -> list[dict]:
     interior-alpha entries drop alpha outside (0, 1) and lem3 keeps r <= s,
     raising ParamOutOfRange when a filter leaves nothing; every other value
     is validated as `check` validates its parameters, so a value out of
-    range raises ParamOutOfRange here.
+    range raises ParamOutOfRange here.  A sweep that names none of the
+    entry's parameters gives its default grid, built once per process: its
+    combinations are shared, read-only mappings.
     """
-    sweep = sweep or {}
+    if not sweep or not any(name in sweep for name in entry.params):
+        return list(_default_grid(entry))
+    return _swept_grid(entry, sweep)
+
+
+@functools.cache
+def _default_grid(entry: CatalogEntry) -> tuple:
+    """The entry's default grid, as read-only mappings."""
+    return tuple(map(MappingProxyType, _swept_grid(entry, {})))
+
+
+def _swept_grid(entry: CatalogEntry, sweep: dict) -> list[dict]:
     if not entry.params:
         return [{}]
     axes = []

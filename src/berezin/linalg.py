@@ -212,12 +212,18 @@ def positive_power(h: np.ndarray, p: float) -> np.ndarray:
     p = 0 returns the support projection (eigenvalues above a relative
     cutoff count as support).  p = 1 returns the symmetrized input as-is.
     Small negative eigenvalues clamp to 0; real negatives raise NotPositive.
+    The result is read-only: inside a computation_scope() one (H, p) is
+    computed once and shared by every caller.
     """
-    p = _checked_exponent(p)
+    return _positive_power(h, _checked_exponent(p))
+
+
+@scoped
+def _positive_power(h: np.ndarray, p: float) -> np.ndarray:
     ev = _psd_eig(h)
-    if p == 1.0:
-        return (h + h.conj().T) * 0.5
-    return _spectral_power(ev, p)
+    out = (h + h.conj().T) * 0.5 if p == 1.0 else _spectral_power(ev, p)
+    out.flags.writeable = False
+    return out
 
 
 def abs_power(a: np.ndarray, p: float) -> np.ndarray:
@@ -225,12 +231,20 @@ def abs_power(a: np.ndarray, p: float) -> np.ndarray:
 
     Writing A*A = V diag(s_i^2) V*, the result is V diag(s_i^p) V*.
     p = 0 returns the support projection of |A|.  The output is symmetrized,
-    so it is Hermitian exactly and PSD to working precision.
+    so it is Hermitian exactly and PSD to working precision.  It is
+    read-only: inside a computation_scope() one (A, p) is computed once and
+    shared by every caller.
     """
     if a.shape[0] != a.shape[1]:
         raise ValueError("abs_power needs a square matrix")
-    p = _checked_exponent(p)
-    return _spectral_power(_singular_system(a), p)
+    return _abs_power(a, _checked_exponent(p))
+
+
+@scoped
+def _abs_power(a: np.ndarray, p: float) -> np.ndarray:
+    out = _spectral_power(_singular_system(a), p)
+    out.flags.writeable = False
+    return out
 
 
 def positive_sqrt(p_mat: np.ndarray) -> np.ndarray:

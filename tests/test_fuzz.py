@@ -156,6 +156,74 @@ class TestSampleOperands:
         assert np.array_equal(ops["A"], np.eye(3)) and np.array_equal(ops["B"], np.eye(3))
 
 
+def _same_operands(got: dict, want: dict) -> bool:
+    """Equal names, and each operand equal bit for bit (arrays: dtype, shape, bytes)."""
+    if got.keys() != want.keys():
+        return False
+    for name, x in got.items():
+        y = want[name]
+        if isinstance(x, float):
+            if type(y) is not float or np.float64(x).tobytes() != np.float64(y).tobytes():
+                return False
+        elif (x.dtype, x.shape, x.tobytes()) != (y.dtype, y.shape, y.tobytes()):
+            return False
+    return True
+
+
+class TestSharedDraws:
+    """Inside a memo scope each operand is drawn once per (seed, n, scale,
+    kind, operand kinds so far) and shared; every set equals a lone draw."""
+
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_campaign_operands_equal_lone_draws(self, kind, monkeypatch):
+        drawn = []
+
+        def recorded(*args):
+            ops = sample_operands(*args)
+            drawn.append((args, ops))
+            return ops
+        monkeypatch.setattr(fuzz, "sample_operands", recorded)
+        run_suite(gen=GeneratorSpec(kind, 3, 1.5, 41), trials=2, dims=(2, 3))
+        assert [args[0].ineq_id for args, _ in drawn] == list(inequalities.CATALOG_ORDER) * 2
+        for args, ops in drawn:  # each lone draw runs outside any scope
+            assert _same_operands(ops, sample_operands(*args)), (kind, args[0].ineq_id)
+            for x in ops.values():
+                assert isinstance(x, float) or not x.flags.writeable
+
+    def test_entries_share_one_draw_per_prefix(self):
+        def draw(ineq_id, scale=1.0):
+            return sample_operands(CATALOG[ineq_id], 3, scale, 9)
+
+        with _cache.computation_scope():
+            thm1, cor1, lem2 = draw("thm1"), draw("cor1"), draw("lem2")
+            prop1, lem1, thm2 = draw("prop1"), draw("lem1"), draw("thm2")
+            lem3, eqn13, again = draw("lem3"), draw("eqn13"), draw("eqn13")
+            scaled = draw("cor1", 2.0)
+        assert cor1["A"] is thm1["A"] and cor1["B"] is thm1["B"] and lem2["A"] is thm1["A"]
+        assert lem1["P"] is prop1["A"] and thm2["A"] is prop1["A"]
+        assert again["A"] is eqn13["A"] and again["B"] is eqn13["B"]
+        assert scaled["A"] is not cor1["A"]
+        # lem2 and lem1 draw on from the state after the shared matrix
+        for ineq_id, ops in (("thm1", thm1), ("cor1", cor1), ("lem2", lem2), ("prop1", prop1),
+                             ("lem1", lem1), ("thm2", thm2), ("lem3", lem3), ("eqn13", eqn13),
+                             ("cor1", scaled)):
+            assert _same_operands(ops, draw(ineq_id, 2.0 if ops is scaled else 1.0)), ineq_id
+
+    @pytest.mark.parametrize("scope", [contextlib.nullcontext, _cache.computation_scope])
+    def test_drawn_arrays_are_read_only(self, scope):
+        with scope():
+            for ineq_id in ("thm1", "prop1", "lem1", "lem2", "eqn13"):
+                for x in sample_operands(CATALOG[ineq_id], 3, 1.0, 4).values():
+                    with pytest.raises(ValueError):
+                        x[0] = 0.0
+
+    def test_unknown_kind_raises_in_a_scope_every_time(self):
+        with _cache.computation_scope():
+            for _ in range(2):
+                with pytest.raises(ValueError, match="unknown generator kind"):
+                    sample_operands(CATALOG["cor1"], 3, 1.0, 4, "cauchy")
+
+
 class TestParamGrid:
     def test_defaults(self):
         grid = param_grid(CATALOG["cor1"], None)
@@ -181,6 +249,28 @@ class TestParamGrid:
 
     def test_no_params_single_combo(self):
         assert param_grid(CATALOG["prop1"], None) == [{}]
+
+    def test_default_grid_is_built_once_and_read_only(self, monkeypatch):
+        entry = CATALOG["thm1"]
+        first = param_grid(entry, None)
+        validated = []
+        monkeypatch.setattr(fuzz, "_validated_params", lambda *a: validated.append(a))
+        again = param_grid(entry, {"x": [2.0]})  # names none of thm1's parameters
+        assert validated == [] and again == first and again is not first
+        assert all(a is b for a, b in zip(first, again))
+        with pytest.raises(TypeError):
+            first[0]["alpha"] = 0.5
+        first.append({})  # each call returns its own list
+        assert len(param_grid(entry)) == len(first) - 1
+
+    def test_sweep_grid_is_validated_on_every_call(self, monkeypatch):
+        seen = []
+        real = fuzz._validated_params
+        monkeypatch.setattr(fuzz, "_validated_params", lambda *a: seen.append(a) or real(*a))
+        for _ in range(2):
+            grid = param_grid(CATALOG["cor1"], {"r": [2.0]})
+            assert type(grid[0]) is dict and len(grid) == 5 * 4
+        assert len(seen) == 2 * 5 * 4
 
 
 class TestRunSuite:

@@ -22,7 +22,7 @@ from berezin import (
     re_part,
     spectral_radius,
 )
-from berezin import linalg
+from berezin import _cache, linalg
 from berezin._cache import computation_scope
 
 I2 = np.eye(2, dtype=complex)
@@ -148,6 +148,87 @@ class TestSharedResults:
                 for ev in (herm_eig(p), linalg._singular_system(g), linalg._psd_eig(p)):
                     assert not ev.values.flags.writeable
                     assert not ev.vectors.flags.writeable
+
+    @pytest.mark.parametrize("scope", [contextlib.nullcontext, computation_scope])
+    def test_powers_are_read_only(self, rng, scope):
+        g = orc.rand_complex(rng, 3)
+        p = g.conj().T @ g
+        with scope():
+            for out in (abs_power(g, 0.5), abs_power(g, 0), positive_power(p, 1.5),
+                        positive_power(p, 1), positive_sqrt(p)):
+                assert not out.flags.writeable
+                with pytest.raises(ValueError):
+                    out[0, 0] = 0.0
+
+
+class TestScopedPowers:
+    """Inside a scope one (matrix, exponent) is powered once; outside, every
+    call computes.  Failures and bad exponents never reach the memo."""
+
+    @pytest.fixture
+    def spectral_calls(self, monkeypatch):
+        calls = []
+        real = linalg._spectral_power
+
+        def counted(ev, p):
+            calls.append(p)
+            return real(ev, p)
+        monkeypatch.setattr(linalg, "_spectral_power", counted)
+        return calls
+
+    @staticmethod
+    def _memoized_fns():
+        return {key[0] for key in _cache.memo()}
+
+    def test_repeated_call_computes_once_in_scope(self, rng, spectral_calls):
+        g = orc.rand_complex(rng, 3)
+        p = g.conj().T @ g
+        with computation_scope():
+            first = abs_power(g, 1.5), positive_power(p, 0.5)
+            again = abs_power(g.copy(), 1.5), positive_power(p.copy(), 0.5)
+            assert abs_power(g, 1) is abs_power(g, 1.0)  # one key per exponent value
+        assert spectral_calls == [1.5, 0.5, 1.0]
+        assert again[0] is first[0] and again[1] is first[1]
+
+    def test_every_call_computes_outside_a_scope(self, rng, spectral_calls):
+        g = orc.rand_complex(rng, 3)
+        p = g.conj().T @ g
+        first = abs_power(g, 1.5), positive_power(p, 0.5)
+        again = abs_power(g, 1.5), positive_power(p, 0.5)
+        assert spectral_calls == [1.5, 0.5, 1.5, 0.5]
+        for x, y in zip(first, again):
+            assert x is not y and x.tobytes() == y.tobytes()
+
+    def test_scoped_powers_equal_unscoped_bit_for_bit(self, rng):
+        g = orc.rand_complex(rng, 4)
+        p = g.conj().T @ g
+        calls = [(abs_power, g, e) for e in (0, 0.5, 1, 2.5)]
+        calls += [(positive_power, p, e) for e in (0, 0.5, 1, 2.5)]
+        alone = [fn(m, e).tobytes() for fn, m, e in calls]
+        with computation_scope():
+            for _ in range(2):
+                assert [fn(m, e).tobytes() for fn, m, e in calls] == alone
+
+    def test_not_positive_is_never_cached(self, spectral_calls):
+        h = np.diag([1.0, -1.0]).astype(complex)
+        with computation_scope():
+            for _ in range(2):
+                with pytest.raises(NotPositive):
+                    positive_power(h, 0.5)
+            assert linalg._positive_power.__wrapped__ not in self._memoized_fns()
+        assert spectral_calls == []
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), "x", [1.0]])
+    def test_bad_exponents_are_never_cached(self, bad, spectral_calls):
+        with computation_scope():
+            for _ in range(2):
+                with pytest.raises(ParamOutOfRange):
+                    abs_power(I2, bad)
+                with pytest.raises(ParamOutOfRange):
+                    positive_power(I2, bad)
+            assert not {linalg._abs_power.__wrapped__,
+                        linalg._positive_power.__wrapped__} & self._memoized_fns()
+        assert spectral_calls == []
 
 
 class TestAbsPower:
