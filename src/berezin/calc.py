@@ -16,11 +16,12 @@ matrices P*AP and P*P (_log_terms).  The search takes a list of operators:
 every start of every operator, at every level, climbs in one lockstep
 ascent (_lockstep_ascent) over stacked jets and stacked matrix products,
 holding a point on the disk's edge to the circle; each value is the best
-over its iterates.  Each row of the batch runs the float operations of a
-scalar ascent in their order (CPython's complex arithmetic on split real
-arrays, Python's sums, math.hypot), so an operator's estimate has the same
-bits in any batch as alone.  Estimates at level L take the best value over
-levels 0..L, so refinement never loses ground.  Every disk search goes
+over its iterates.  The ascent uses only numpy operations that give a row
+the same bits wherever it sits in the batch (elementwise complex arithmetic,
+np.abs, np.hypot, short last-axis sums, stacked matrix products; pinned in
+test_calc), so an operator's estimate has the same bits in any batch as
+alone.  Estimates at level L take the best value over levels 0..L, so
+refinement never loses ground.  Every disk search goes
 through one memo path (_searches), for a batch of (operator, norm) at once:
 both quantities scale as |c| under A -> cA, so it searches A = 2^k U, U's
 largest real or imaginary component in [1/2, 1), and returns 2^k times U's
@@ -124,52 +125,6 @@ def _row_max(a: np.ndarray, kmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, mus
 
 
-# Complex arithmetic on split real parts, each complex array a pair (re, im)
-# of float arrays.  numpy's complex product, quotient and modulus round
-# differently from CPython's on many inputs; the ascent uses CPython's
-# formulas on arrays, so each row of a batch gets the bits that Python
-# complex arithmetic on that row alone gives (pinned in test_calc).
-
-def _cmul(ar, ai, br, bi):
-    """a * b as CPython multiplies complex numbers: (ar br - ai bi) +
-    i (ar bi + ai br), each product and sum rounded on its own."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _cdiv(ar, ai, br, bi):
-    """a / b as CPython divides complex numbers (Smith's method): scaled by
-    b's real part where |br| >= |bi|, else by its imaginary part.  NaN where b
-    has a NaN, and where b = 0, on which Python raises (no caller divides by
-    0 in a row it keeps)."""
-    big = np.abs(br) >= np.abs(bi)
-    with np.errstate(divide="ignore", invalid="ignore"):  # in the branch not taken
-        ratio = np.where(big, bi / br, br / bi)
-        denom = np.where(big, br + bi * ratio, br * ratio + bi)
-        return (np.where(big, ar + ai * ratio, ar * ratio + ai) / denom,
-                np.where(big, ai - ar * ratio, ai * ratio - ar) / denom)
-
-
-def _twice(zr, zi):
-    """2.0 * z as Python computes it, the float taken as complex(2.0, 0.0)."""
-    return 2.0 * zr - 0.0 * zi, 2.0 * zi + 0.0 * zr
-
-
-def _modulus(z):
-    """|z| of a complex array as Python's abs computes it (C hypot), and
-    where it overflows from finite parts, on which abs raises OverflowError."""
-    m = np.hypot(z.real, z.imag)
-    return m, np.isinf(m) & np.isfinite(z.real) & np.isfinite(z.imag)
-
-
-def _pysum(t):
-    """Sums along the last axis in the order of Python's sum, which starts
-    from the integer 0 (so 0 + (-0.0) gives 0.0)."""
-    s = 0.0 + t[..., 0]
-    for i in range(1, t.shape[-1]):
-        s = s + t[..., i]
-    return s
-
-
 def _check_start(model: KernelModel, point) -> None:
     """The one domain check of an ascent: its iterates are projected onto
     the disk, so they stay in the domain that kernel_matrix and
@@ -179,44 +134,41 @@ def _check_start(model: KernelModel, point) -> None:
 
 
 def _log_terms(q):
-    """Columns h1, h2, h11, h12, h22 (re and im, each rows x 5) of h = log H,
-    H holomorphic in (z1, z2), one row per 3x3 complex matrix of q.
+    """Columns h1, h2, h11, h12, h22 (rows x 5, complex) of h = log H, H
+    holomorphic in (z1, z2), one row per 3x3 complex matrix of q.
 
     q[:, a, b] is H's derivative of order a in z2 and b in z1.
     """
-    num, q00 = q[:, (0, 1, 0, 1, 2), (1, 0, 2, 1, 0)], q[:, :1, 0]  # q01 q10 q02 q11 q20
-    rr, ri = _cdiv(num.real, num.imag, q00.real, q00.imag)
-    pr, pi = _cmul(rr[:, (0, 0, 1)], ri[:, (0, 0, 1)], rr[:, (0, 1, 1)], ri[:, (0, 1, 1)])
-    rr[:, 2:] -= pr  # - h1 h1, h1 h2, h2 h2
-    ri[:, 2:] -= pi
-    return rr, ri
+    r = q[:, (0, 1, 0, 1, 2), (1, 0, 2, 1, 0)] / q[:, :1, 0]  # q01 q10 q02 q11 q20 over q00
+    r[:, 2:] -= r[:, (0, 0, 1)] * r[:, (0, 1, 1)]  # - h1 h1, h1 h2, h2 h2
+    return r
 
 
-def _diagonal(tr, ti):
+def _diagonal(t):
     """Gradient (rows x 2) and Hessian (rows x 2 x 2) in (Re w, Im w) of
     Re h(w, conj(w)), from _log_terms' columns."""
-    (h1r, h2r, h11r, h12r, h22r), (h1i, h2i, h11i, h12i, h22i) = tr.T, ti.T
-    t = 2.0 * h12r - 0.0 * h12i  # (2.0 * h12).real
-    grad, hess = np.empty((len(tr), 2)), np.empty((len(tr), 2, 2))
-    grad[:, 0], grad[:, 1] = h1r + h2r, h2i - h1i
-    hess[:, 0, 0], hess[:, 1, 1] = h11r + t + h22r, t - h11r - h22r
-    hess[:, 0, 1] = hess[:, 1, 0] = h22i - h11i
+    h1, h2, h11, h12, h22 = t.T
+    t12 = 2.0 * h12.real
+    grad, hess = np.empty((len(t), 2)), np.empty((len(t), 2, 2))
+    grad[:, 0], grad[:, 1] = h1.real + h2.real, h2.imag - h1.imag
+    hess[:, 0, 0], hess[:, 1, 1] = h11.real + t12 + h22.real, t12 - h11.real - h22.real
+    hess[:, 0, 1] = hess[:, 1, 0] = h22.imag - h11.imag
     return grad, hess
 
 
-def _block(cr, ci):
-    """Hessian blocks (rows x 2 x 2) of Re h in (Re z, Im z) from c = h_zz
-    (holomorphic, re and im)."""
-    b = np.empty((len(cr), 2, 2))
-    b[:, 0, 0], b[:, 1, 1] = cr, -cr
-    b[:, 0, 1] = b[:, 1, 0] = -ci
+def _block(c):
+    """Hessian blocks (rows x 2 x 2) of Re h in (Re z, Im z) from the complex
+    column c = h_zz (h holomorphic)."""
+    b = np.empty((len(c), 2, 2))
+    b[:, 0, 0], b[:, 1, 1] = c.real, -c.real
+    b[:, 0, 1] = b[:, 1, 0] = -c.imag
     return b
 
 
 def _derivatives(jet, a, x, pair):
-    """Per row of x, the value at its point or pair, the gradient and
-    Hessian in x of its log-square, and whether the value overflowed from
-    finite parts.  a[row] is the row's operator (rows x n x n); x lists
+    """Per row of x, the value at its point or pair (inf where its modulus
+    overflows), and the gradient and Hessian in x of its log-square.
+    a[row] is the row's operator (rows x n x n); x lists
     (Re w, Im w) and, where `pair`, (Re mu, Im mu), as wide for every row (a
     point row's mu is absent, 0, with zero derivatives).
 
@@ -239,25 +191,23 @@ def _derivatives(jet, a, x, pair):
     q = np.concatenate((p[:n1].conj(), p[k:])).transpose(0, 2, 1) @ ap  # P*AP; P(mu)^T A P(w)
     e = p.conj().transpose(0, 2, 1) @ p  # P*P at every point
     d = e[:, 0, 0].real
-    val, over = np.empty(k), np.empty(k, dtype=bool)
-    val[order], over[order] = _modulus(q[:, 0, 0])
-    val[order] /= np.concatenate((d[:n1], np.sqrt(d[n1:k] * d[k:])))
-    tr, ti = _log_terms(np.concatenate((q, e)))
-    tr[:n1] -= tr[k:k + n1]  # a point's log N minus log D
-    ti[:n1] -= ti[k:k + n1]
-    hr, hi = _twice(tr[:k], ti[:k])
-    g, h = _diagonal(np.concatenate((hr[:n1], tr[k + n1:])),
-                     np.concatenate((hi[:n1], ti[k + n1:])))
+    val = np.empty(k)
+    val[order] = np.abs(q[:, 0, 0]) / np.concatenate((d[:n1], np.sqrt(d[n1:k] * d[k:])))
+    t = _log_terms(np.concatenate((q, e)))
+    t[:n1] -= t[k:k + n1]  # a point's log N minus log D
+    ht = 2.0 * t[:k]
+    g, h = _diagonal(np.concatenate((ht[:n1], t[k + n1:])))
     grad, hess = np.zeros(x.shape), np.zeros(x.shape + x.shape[1:])
     grad[one, :2], hess[one, :2, :2] = g[:n1], h[:n1]
     if len(two):  # D(w) and D(mu) of the pairs follow the points' terms
-        (h1r, h2r, h11r, h12r, h22r), (h1i, h2i, h11i, h12i, h22i) = hr[n1:].T, hi[n1:].T
+        h1, h2, h11, h12, h22 = ht[n1:].T
         gw, gm, hw, hm = g[n1:k], g[k:], h[n1:k], h[k:]
-        grad[two] = np.stack((h1r - gw[:, 0], -h1i - gw[:, 1], h2r - gm[:, 0], -h2i - gm[:, 1]), 1)
-        hess[two, :2, :2], hess[two, 2:, 2:] = _block(h11r, h11i) - hw, _block(h22r, h22i) - hm
-        hess[two, :2, 2:] = hess[two, 2:, :2] = _block(h12r, h12i)  # minus 0.0: the same bits
+        grad[two] = np.stack((h1.real - gw[:, 0], -h1.imag - gw[:, 1],
+                              h2.real - gm[:, 0], -h2.imag - gm[:, 1]), 1)
+        hess[two, :2, :2], hess[two, 2:, 2:] = _block(h11) - hw, _block(h22) - hm
+        hess[two, :2, 2:] = hess[two, 2:, :2] = _block(h12)
     grad[val == 0.0] = np.nan
-    return val, grad, hess, over
+    return val, grad, hess
 
 
 def _newton_steps(hess, g, used):
@@ -266,8 +216,8 @@ def _newton_steps(hess, g, used):
     Gaussian elimination on -hess without pivoting, whose pivots are all
     positive exactly when -hess is positive definite (the step is
     meaningless where they are not).  An unused coordinate is skipped as a
-    pivot and left out of the back-substitution's sums, so each row's bits
-    are those of the elimination on its used coordinates alone."""
+    pivot and adds exact zeros to the back-substitution's sums, so a row's
+    step does not depend on how many unused coordinates the batch gives it."""
     k = g.shape[1]
     m = np.concatenate((-hess, g[:, :, None]), axis=2)
     ok = np.ones(len(g), dtype=bool)
@@ -281,8 +231,8 @@ def _newton_steps(hess, g, used):
             m[:, i + 1:] = rows
     mz = np.where(used[:, None, :], m[:, :, :k], 0.0)  # an unused column adds exact zeros
     d = np.zeros_like(g)
-    for i in reversed(range(k)):  # a Python sum from 0 over the coordinates after i
-        rhs = m[:, i, k] - _pysum(mz[:, i, i + 1:] * d[:, i + 1:]) if i + 1 < k else m[:, i, k]
+    for i in reversed(range(k)):
+        rhs = m[:, i, k] - (mz[:, i, i + 1:] * d[:, i + 1:]).sum(1) if i + 1 < k else m[:, i, k]
         d[:, i] = np.where(used[:, i], rhs / m[:, i, i], 0.0)
     return d, ok
 
@@ -317,79 +267,66 @@ def _lockstep_ascent(derivatives, x, present, h, radius: float):
 
     x lists (Re z, Im z) of each point, two columns per point, 0 for one not
     present; derivatives(rows, xr) returns, for the ascents `rows` at their
-    iterates xr, the values, the gradients and Hessians of their
+    iterates xr, the values and the gradients and Hessians of their
     log-squares in x (NaN where undefined, 0 in an absent point's
-    coordinates) and whether a value overflowed.  A point on the edge
-    whose gradient points outward moves along the circle: its two
-    coordinates give way to the unit tangent, with curvature term
-    -g.z/|z|^2 (_tangent_basis).  The step is Newton's where the Hessian is
-    negative definite and otherwise the gradient step that maximises the
-    quadratic model, or h where the model is not concave along the gradient.
-    It is clipped to length h (one per row), and each point is then
-    projected onto the disk.  An ascent stops on a non-finite value or
-    derivative, on a step below 1e-13 radius, on a gradient step whose
+    coordinates).  A point on the edge whose gradient points outward moves
+    along the circle: its two coordinates give way to the unit tangent, with
+    curvature term -g.z/|z|^2 (_tangent_basis).  The step is Newton's where
+    the Hessian is negative definite and otherwise the gradient step that
+    maximises the quadratic model, or h where the model is not concave along
+    the gradient.  It is clipped to length h (one per row), and each point
+    is then projected onto the disk.  An ascent stops on a non-finite value
+    or derivative, on a step below 1e-13 radius, on a gradient step whose
     gradient is below 1e-14 / h, or after 16 evaluations.  Returns per row
-    the largest value over the iterates, its x, and whether a value
-    overflowed.
+    the largest value over the iterates and its x.
 
-    Each row runs the float operations of one scalar ascent in its order:
-    sums as Python's sum, complex arithmetic as CPython's, and the
-    projection's modulus as math.hypot, so a row's bits do not depend on the
-    other rows of the batch.  Unused slots and absent points
-    (_tangent_basis) hold exact zeros, which leave every sum as it was.
+    Every operation is elementwise, or a sum over a row's at most four slots,
+    so a row's bits do not depend on the other rows of the batch.  Unused
+    slots and absent points (_tangent_basis) hold exact zeros, which leave
+    every sum as it was, so a point ascent's bits do not depend on whether
+    the batch has pairs.
     """
     rows, dim = x.shape
-    best, arg, over = np.full(rows, -1.0), x.copy(), np.zeros(rows, dtype=bool)
+    best, arg = np.full(rows, -1.0), x.copy()
     edge2 = (radius * (1.0 - 1e-12)) ** 2
-    near = radius * (1.0 - 1e-15)  # np.hypot is within an ulp of math.hypot: a
-    # point whose np.hypot reaches `near` gets math.hypot's, the others stay
     live, x = np.arange(rows), x.copy()
     odd = np.arange(dim) | 1  # each slot's point's second coordinate
     for it in range(16):
         xl = x[live]
-        val, g, hess, ovf = derivatives(live, xl)
-        over[live] |= ovf
+        val, g, hess = derivatives(live, xl)
         up = val > best[live]
         best[live[up]], arg[live[up]] = val[up], xl[up]
-        keep = np.flatnonzero(np.isfinite(_pysum(g) + _pysum(_pysum(hess))))
+        keep = np.flatnonzero(np.isfinite(g.sum(1) + hess.sum(2).sum(1)))
         if it == 15 or not keep.size:
             break
         live, xl, g, hess, hl = live[keep], xl[keep], g[keep], hess[keep], h[live[keep]]
         u0, u1, curv, used, edge = _tangent_basis(xl, g, edge2, present[live])
-        # each slot's sums over the columns it spans, in Python's order, from
-        # 0; u1 weighs the point's second coordinate, so where u1 = 0 its term
-        # is an exact zero
-        gr = (0.0 + u0 * g) + u1 * g[:, odd]
-        hr = 0.0
-        for ua, ha in ((u0, hess), (u1, hess[:, odd])):
-            for ub, hab in ((u0, ha), (u1, ha[:, :, odd])):
-                hr = hr + (ua[:, :, None] * ub[:, None, :]) * hab
+        # in slot coordinates: the slot basis B has u0 on each slot's own
+        # coordinate and u1 on its point's second one; gr = B^T g, hr = B^T H B
+        gr = u0 * g + u1 * g[:, odd]
+        bh = u0[:, :, None] * hess + u1[:, :, None] * hess[:, odd]
+        hr = bh * u0[:, None, :] + bh[:, :, odd] * u1[:, None, :]
         diag = np.arange(dim)
         hr[:, diag, diag] += curv
         d, newton = _newton_steps(hr, gr, used)
-        gg = _pysum(gr * gr)
-        ghg = _pysum((gr[:, :, None] * gr[:, None, :] * hr).reshape(len(live), -1))
+        gg = (gr * gr).sum(1)
+        ghg = (gr[:, :, None] * gr[:, None, :] * hr).sum(2).sum(1)
         scale = np.where(ghg < 0.0, gg / -ghg, hl / np.sqrt(gg))
         d = np.where(newton[:, None], d, np.where(used, scale[:, None] * gr, 0.0))
-        size = np.sqrt(_pysum(d * d))
+        size = np.sqrt((d * d).sum(1))
         go = ~(~newton & (gg * hl * hl <= 1e-28)) & ~(size < 1e-13 * radius)
         step = hl / size
         step = np.where(step < 1.0, step, 1.0)[:, None] * d  # min(1.0, h / size), NaN to 1.0
         xn = xl.copy()
         xn[:, 0::2] += step[:, 0::2] * u0[:, 0::2]
         xn[:, 1::2] += np.where(edge, step[:, 0::2] * u1[:, 0::2], step[:, 1::2] * u0[:, 1::2])
-        for pt in range(dim // 2):
-            zx, zy = xn[:, 2 * pt], xn[:, 2 * pt + 1]
-            cand = np.flatnonzero(np.hypot(zx, zy) >= near)
-            if cand.size:
-                r = np.array(list(map(math.hypot, zx[cand].tolist(), zy[cand].tolist())))
-                c, r = cand[r > radius], r[r > radius]
-                xn[c, 2 * pt], xn[c, 2 * pt + 1] = zx[c] * radius / r, zy[c] * radius / r
+        r = np.hypot(xn[:, 0::2], xn[:, 1::2]).repeat(2, axis=1)
+        xn = np.where(r > radius, xn * radius / r, xn)  # onto the disk
         live = live[go]
         x[live] = xn[go]
         if not live.size:
             break
-    return best, arg, over
+    return best, arg
 
 
 def _ascend(model: KernelModel, ops: np.ndarray, starts: list):
@@ -400,15 +337,14 @@ def _ascend(model: KernelModel, ops: np.ndarray, starts: list):
     |<A k_lam, k_mu>| for A = ops[i]; it climbs in w = conj(lam), and mu,
     with steps clipped to its level's radial spacing (_derivatives); with
     pairs in the batch a point start carries an absent second point.
-    Returns per start the value and the argmax, a point or a pair like the
-    start, and per operator whether an ascent of it overflowed.
+    Returns per start the value (inf where a modulus overflowed) and the
+    argmax, a point or a pair like the start.
     """
     for _, _, pts in starts:
         for point in pts:
             _check_start(model, point)
-    over = np.zeros(len(ops), dtype=bool)
     if not starts:
-        return [], [], over
+        return [], []
     which = np.array([i for i, _, _ in starts])
     pair = np.array([len(pts) == 2 for _, _, pts in starts])
     h = np.array([model.radius / (BASE_RADII * 2**lev) for _, lev, _ in starts])
@@ -419,14 +355,13 @@ def _ascend(model: KernelModel, ops: np.ndarray, starts: list):
     jet = _jet(model)
     present = np.stack((np.ones_like(pair), pair), axis=1)[:, :x0.shape[1] // 2]
     with np.errstate(all="ignore"):
-        vals, x, ovf = _lockstep_ascent(
+        vals, x = _lockstep_ascent(
             lambda rows, xr: _derivatives(jet, ops[which[rows]], xr, pair[rows]),
             x0, present, h, model.radius)
-    over[which[ovf]] = True
     args = [complex(s, -t) for s, t in x[:, :2].tolist()]
     for k in np.flatnonzero(pair).tolist():
         args[k] = args[k], complex(x[k, 2], x[k, 3])
-    return vals.tolist(), args, over
+    return vals.tolist(), args
 
 
 def _peaks(vals: np.ndarray, level: int) -> list:
@@ -467,9 +402,9 @@ def _grid_sup(model: KernelModel, searches: list, level: int) -> list:
     search's candidates and ascents, taken in level and peak order.  A level
     outside models._check_level raises ValueError; a non-finite entry of an
     operator, or an operator near the float64 limit, whose grid or ascent
-    overflows (a best value that is not finite, or a modulus past float64;
-    the overflow warnings are silenced), gives a ValueError in its place, and
-    an operator of the wrong shape a DimensionMismatch.
+    overflows (a best value that is not finite, as an overflowing modulus
+    is inf; the overflow warnings are silenced), gives a ValueError in its
+    place, and an operator of the wrong shape a DimensionMismatch.
     """
     _check_level(model, level)
     n = model.dimension
@@ -497,7 +432,7 @@ def _grid_sup(model: KernelModel, searches: list, level: int) -> list:
                         for j in peaks:
                             start = (pts[j], pts[mus[b, j]]) if norm else (pts[j],)
                             cands.append((k, lev, vals[b, j], start))
-    ref_vals, ref_args, over = _ascend(model, stack, [(k, lev, s) for k, lev, _, s in cands])
+    ref_vals, ref_args = _ascend(model, stack, [(k, lev, s) for k, lev, _, s in cands])
     best: list = [(-1.0, None)] * len(live)
     for (k, _, val, start), ref_val, ref_arg in zip(cands, ref_vals, ref_args):
         best_val, best_arg = best[k]
@@ -506,10 +441,8 @@ def _grid_sup(model: KernelModel, searches: list, level: int) -> list:
         if ref_val > best_val:
             best_val, best_arg = ref_val, ref_arg
         best[k] = best_val, best_arg
-    for i, (best_val, best_arg), overflowed in zip(live, best, over):
-        if overflowed:  # Python's abs() raises on such a modulus
-            out[i] = ValueError("disk estimate overflows float64 (absolute value too large)")
-        elif best_arg is None or not math.isfinite(best_val):
+    for i, (best_val, best_arg) in zip(live, best):
+        if best_arg is None or not math.isfinite(best_val):
             out[i] = ValueError(f"disk estimate overflows float64 (best value {best_val!r})")
         else:
             out[i] = SupEstimate(value=best_val, argmax=best_arg, exact=False)

@@ -195,7 +195,7 @@ class TestEvalOutput:
     @pytest.mark.parametrize("gen, argv, digest", [
         (GeneratorSpec("general", 16, 1.0, 0xE7A10003),
          ("--model", "hardy:15:0.95", "--level", "1"),
-         "d17ab5e5e13e97f42bdfab8c38beb67ce80763dd2b71b0e4ae569dab9ca966aa"),
+         "48dbc291f509c144518f479b6860958b2c870f46af381779f6df1b7d9ee65e7e"),
         (GeneratorSpec("general", 4, 1.0, 0), ("--model", "finite:4"),
          "b0f34c831d78e9df81d3288bdf4f86b1f49789f4894e25d7fb89ce995615719b"),
     ])
