@@ -7,29 +7,30 @@ polar grids and refined locally, producing lower bounds attained at domain
 points (exact=False).  Both quantities are sups of |<A k_lam, k_mu>|, the
 number on the diagonal mu = lam, so one search (_grid_sup) serves both: at
 each level it takes the best grid local maxima (_peaks) of |symbol|, or of
-the row maximum max_mu |<A k_lam, k_mu>| (_row_max), and from each, or its
-pair (lam, mu), a safeguarded Newton ascent (_ascend) climbs log|symbol|^2,
-or log|<A k_lam, k_mu>|^2 in the four real coordinates of the pair, on exact
-derivatives: with w = conj(lam) and p_j = c_j w^j, the jet P = [p, p', p'']
-of models._jet gives every first and second derivative through the 3x3
-matrices P*AP and P*P (_log_terms).  The search takes a list of operators:
-every start of every operator, at every level, climbs in one lockstep
-ascent (_lockstep_ascent) over stacked jets and stacked matrix products,
-holding a point on the disk's edge to the circle; each value is the best
-over its iterates.  The ascent uses only numpy operations that give a row
-the same bits wherever it sits in the batch (elementwise complex arithmetic,
-np.abs, np.hypot, short last-axis sums, stacked matrix products; pinned in
-test_calc), so an operator's estimate has the same bits in any batch as
-alone.  Estimates at level L take the best value over levels 0..L, so
-refinement never loses ground.  Every disk search goes
-through one memo path (_searches), for a batch of (operator, norm) at once:
-both quantities scale as |c| under A -> cA, so it searches A = 2^k U, U's
-largest real or imaginary component in [1/2, 1), and returns 2^k times U's
-value, one search per operator up to a power of two inside a
-computation_scope, bit for bit the direct search's, as scaling by 2^k
-commutes with rounding.  A lone berezin_number or berezin_norm call is a
-batch of one, berezin_pair a batch of two; a campaign trial, or one
-inequalities.check, runs all of its searches in one batch, and
+the row maximum max_mu |<A k_lam, k_mu>| (_row_max: a complex64 screen of
+every pair, float64 values only for the mu that can hold a row's maximum),
+and from each, or its pair (lam, mu), a safeguarded Newton ascent (_ascend)
+climbs log|symbol|^2, or log|<A k_lam, k_mu>|^2 in the four real coordinates
+of the pair, on exact derivatives: with w = conj(lam) and p_j = c_j w^j, the
+jet P = [p, p', p''] of models._jet gives every first and second derivative
+through the 3x3 matrices P*AP and P*P (_log_terms).  The search takes a list
+of operators: every start of every operator, at every level, climbs in one
+lockstep ascent (_lockstep_ascent) over stacked jets and stacked matrix
+products, holding a point on the disk's edge to the circle; each value is
+the best over its iterates.  The grid values and the ascent use only numpy
+operations that give a row the same bits wherever it sits in the batch
+(elementwise complex arithmetic, np.abs, np.hypot, last-axis sums over
+C-contiguous rows, stacked matrix products; pinned in test_calc), so an
+operator's estimate has the same bits in any batch as alone.  Estimates at
+level L take the best value over levels 0..L, so refinement never loses
+ground.  Every disk search goes through one memo path (_searches), for a
+batch of (operator, norm) at once: both quantities scale as |c| under A ->
+cA, so it searches A = 2^k U, U's largest real or imaginary component in
+[1/2, 1), and returns 2^k times U's value, one search per operator up to a
+power of two inside a computation_scope, bit for bit the direct search's, as
+scaling by 2^k commutes with rounding.  A lone berezin_number or
+berezin_norm call is a batch of one, berezin_pair a batch of two; a campaign
+trial, or one inequalities.check, runs all of its searches in one batch, and
 `berezin eval` fills the memo ahead of its number and norm in one batch.
 
 The numerical radius is w(A) = max over theta of g(theta) = lambda_max(
@@ -60,8 +61,10 @@ from .models import (
 
 # Grid local maxima climbed per level by the disk sup search.
 TOP_K = 5
-# Complex values per block of the grid stage (4 MiB of complex128): pair
-# values of the norm, or the number's products A K over several operators.
+# Complex values per block of the grid stage (4 MiB of complex128): the
+# products A K over several operators, or the norm's refined candidates'
+# products.  The norm's complex64 screen takes a quarter of it per block
+# (512 KiB, 32 rows at least), which keeps a campaign's peak memory down.
 PAIR_BLOCK = 2**18
 # theta sample count for the numerical radius.
 RADIUS_GRID = 256
@@ -106,23 +109,87 @@ def _symbols(a: np.ndarray, kmat: np.ndarray) -> np.ndarray:
     return np.einsum("ij,...ij->...j", kmat.conj(), a @ kmat)
 
 
-def _row_max(a: np.ndarray, kmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per kernel column k_lam of kmat, max over the columns k_mu of
-    |<A k_lam, k_mu>| and the first mu attaining it, built PAIR_BLOCK pair
-    values at a time, so no m x m array exists.  Blocks are lam-major, one
-    row per lam, so each row's argmax reads contiguous memory; the two
-    block buffers are allocated once per call."""
-    akt, kc, m = (a @ kmat).T, kmat.conj(), kmat.shape[1]
-    step = min(m, max(1, PAIR_BLOCK // m))
-    pairs, mods = np.empty((step, m), dtype=complex), np.empty((step, m))
-    vals, mus = np.empty(m), np.empty(m, dtype=np.intp)
-    for s in range(0, m, step):
-        r = min(step, m - s)
-        np.matmul(akt[s:s + r], kc, out=pairs[:r])  # [lam, mu]
-        np.abs(pairs[:r], out=mods[:r])
-        arg = mods[:r].argmax(axis=1)  # a NaN is its row's first maximum, as in max
-        vals[s:s + r], mus[s:s + r] = mods[np.arange(r), arg], arg
-    return vals, mus
+def _row_max(ops: np.ndarray, kmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack of operators A (count x n x n) and each kernel column k_lam
+    of kmat (n x m), max over the columns k_mu of |<A k_lam, k_mu>| and the
+    first mu attaining it: (count x m) values and argmaxes.  Each value is
+    the float64 elementwise one, np.abs((v * conj(k_mu)).sum(-1)) with
+    v = A k_lam, whose bits do not depend on its position in an array, so a
+    row's maximum is the same in any batch; a NaN is its row's first
+    maximum.  A zero row v gives 0 at mu = 0 and a non-finite one NaN at
+    mu = 0, without a search.
+
+    Every other row is screened in complex64, in blocks of PAIR_BLOCK / 4
+    pair values or 32 rows, whichever is more, so no m x m array exists: v
+    is scaled by a power of two to v', its largest real or imaginary
+    component in [1/2, 1) (np.ldexp on each part, so it cannot overflow),
+    and one cgemm with kmat.conj() and a float32 np.abs give s_mu close to
+    |<v', k_mu>|.  The candidates are the screen's argmax and every mu with
+    s_mu >= max s - margin, margin = 16 (n + 4) u kappa ||v'||, u = 2^-24
+    and kappa the largest column norm of kmat; only they get float64
+    values, PAIR_BLOCK products at a time.  Most rows have one candidate,
+    and a second max with the argmax masked finds those that have more.
+
+    Why every mu attaining the float64 maximum is a candidate: let p_mu =
+    |<v', k_mu>| exactly and f_mu the float64 value scaled like v'.  The
+    casts to complex64 cost 2u, the complex inner product at most
+    2 gamma_{n+2} in any summation order (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sections 3.1 and 3.6) and np.abs 2u,
+    each relative to sum_i |v'_i| |k_mu,i| <= kappa ||v'|| (Cauchy-Schwarz);
+    with ||v'|| >= 1/2, the parts below float32's normal range add under
+    n 2^-144 ||v'||.  So |s_mu - p_mu| <= e32 = 2.1 (n + 4) u kappa ||v'||
+    for n below 10^5, and likewise |f_mu - p_mu| <= e64 with 2^-53 in place
+    of u, for a row with 2^-1000 <= max |component of v| and
+    4 n kappa max|component| < 2^1020: there float64 neither overflows nor
+    loses more than n 2^-73 ||v|| to underflow.  If f_nu is the float64
+    maximum and s the screen's, s_nu >= f_nu - e32 - e64 >= s - 2 (e32 +
+    e64) >= s - margin, as 2 (e32 + e64) < 5 (n + 4) u kappa ||v'||; the
+    rest of the factor covers the rounding of the margin itself.  Rows
+    outside that range take every mu as a candidate, and so does every row
+    when kappa is not finite (a kmat column that is not).
+    """
+    n, m = kmat.shape
+    kc = kmat.conj()
+    kc32, kct = kc.astype(np.complex64), np.ascontiguousarray(kc.T)
+    kappa = np.linalg.norm(kmat, axis=0).max()
+    akt = (ops @ kmat).transpose(0, 2, 1).reshape(-1, n)  # row (operator, lam) is v = A k_lam
+    top = np.maximum(np.abs(akt.real), np.abs(akt.imag)).max(axis=1)
+    live = (top > 0.0) & (top < math.inf)
+    e = np.frexp(np.where(live, top, 1.0))[1][:, None]
+    re, im = np.ldexp(akt.real, -e), np.ldexp(akt.imag, -e)
+    screen = np.empty(akt.shape, dtype=np.complex64)
+    screen.real, screen.imag = re, im
+    margin = 16 * (n + 4) * 2.0**-24 * kappa * np.sqrt((re * re + im * im).sum(axis=1))
+    dense = ~((top >= 2.0**-1000) & (top * (4 * n * kappa) < 2.0**1020))
+    vals, mus = np.where(top < math.inf, 0.0, math.nan), np.zeros(len(akt), dtype=np.intp)
+    # each cgemm streams all of kc32, so a block takes 32 rows at least
+    step, chunk = max(32, PAIR_BLOCK // (4 * m)), max(1, PAIR_BLOCK // n)
+    for s in range(0, len(akt), step):
+        rows = s + np.flatnonzero(live[s:s + step])
+        if not rows.size:
+            continue
+        mods = np.abs(screen[rows] @ kc32)  # [lam, mu], float32
+        k, arg = np.arange(rows.size), mods.argmax(axis=1)
+        best = mods[k, arg]
+        mods[k, arg] = -math.inf
+        thr = best - margin[rows]
+        wide = dense[rows] | (mods.max(axis=1) >= thr)
+        mods[k, arg] = best
+        one = rows[~wide]
+        mus[one] = arg[~wide]
+        vals[one] = np.abs((akt[one] * kct[mus[one]]).sum(-1))
+        many = np.flatnonzero(wide)
+        if many.size:
+            sel = mods[many] >= thr[many, None]
+            sel[dense[rows[many]]] = True
+            i, j = np.nonzero(sel)
+            ref = np.full(sel.shape, -math.inf)
+            for c in range(0, i.size, chunk):
+                ic, jc = i[c:c + chunk], j[c:c + chunk]
+                ref[ic, jc] = np.abs((akt[rows[many[ic]]] * kct[jc]).sum(-1))
+            arg = ref.argmax(axis=1)
+            vals[rows[many]], mus[rows[many]] = ref[np.arange(many.size), arg], arg
+    return vals.reshape(-1, m), mus.reshape(-1, m)
 
 
 def _check_start(model: KernelModel, point) -> None:
@@ -392,9 +459,9 @@ def _grid_sup(model: KernelModel, searches: list, level: int) -> list:
     SupEstimate or ValueError per search, each what that search alone gives.
 
     At each level 0..`level`, the grid's kernel matrix gives each search one
-    value per grid point, |symbol| (from stacked products A K, as many
-    operators at a time as fit in PAIR_BLOCK values) or the norm's row
-    maximum (_row_max), and for the norm each point's partner mu.  The TOP_K
+    value per grid point, |symbol| or the norm's row maximum (_row_max),
+    both from stacked products A K, as many operators at a time as fit in
+    PAIR_BLOCK values, and for the norm each point's partner mu.  The TOP_K
     best local maxima of those values on the grid (_peaks), ties to the
     lower index, are candidates, (lam,) or (lam, mu), and the starts of
     ascents; the starts of every level of every search climb in one
@@ -425,7 +492,7 @@ def _grid_sup(model: KernelModel, searches: list, level: int) -> list:
                 for s in range(0, len(ks), step):
                     block = ks[s:s + step]
                     if norm:
-                        vals, mus = map(np.array, zip(*(_row_max(stack[k], kmat) for k in block)))
+                        vals, mus = _row_max(stack[block], kmat)
                     else:
                         vals = np.abs(_symbols(stack[block], kmat))
                     for b, (k, peaks) in enumerate(zip(block, _peaks(vals, lev))):

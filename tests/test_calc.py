@@ -493,6 +493,24 @@ class TestRefinedBounds:
                     assert value_at(*nb.argmax) == pytest.approx(nb.value, abs=tol)
 
 
+def _elementwise_pairs(a, kmat):
+    """Every pair's float64 elementwise value |<A k_lam, k_mu>| = np.abs((v *
+    conj(k_mu)).sum(-1)), v = A k_lam, one row per lam, each product and sum
+    over C-contiguous rows as _row_max forms them."""
+    akt, kct = np.ascontiguousarray((a @ kmat).T), np.ascontiguousarray(kmat.conj().T)
+    return np.array([np.abs((np.repeat(v[None], len(kct), axis=0) * kct).sum(-1)) for v in akt])
+
+
+def _check_row_max(a, kmat):
+    """_row_max of one operator gives each row's maximum and first argmax of
+    the elementwise values (a NaN is its row's first maximum)."""
+    full = _elementwise_pairs(a, kmat)
+    vals, mus = calc._row_max(a[None], kmat)
+    np.testing.assert_array_equal(vals[0], full.max(axis=1))
+    np.testing.assert_array_equal(mus[0], full.argmax(axis=1))
+    return full, mus[0]
+
+
 class TestRowMax:
     def test_argmax_values_equal_the_column_maxima(self, rng):
         # level 0 has 129 points: the pair values fit in one PAIR_BLOCK block
@@ -500,37 +518,54 @@ class TestRowMax:
         kmat = kernel_matrix(m, default_grid(m, 0).points)
         a = orc.rand_complex(rng, 4)
         bad = kmat.copy()
-        bad[:, 5] = np.nan  # every column's pair values hold a NaN, first at mu = 5
+        bad[:, 5] = np.nan  # row 5 is all NaN; every other row's first NaN is mu = 5
         for k in (kmat, bad):
-            full = np.abs(k.conj().T @ (a @ k))
-            vals, mus = calc._row_max(a, k)
-            np.testing.assert_array_equal(vals, full.max(axis=0))
-            np.testing.assert_array_equal(mus, full.argmax(axis=0))
+            _check_row_max(a, k)
 
-    @pytest.mark.parametrize("block", [2**14, 513 * 100])
-    def test_blocks_equal_one_unblocked_product(self, rng, monkeypatch, block):
-        # level 1 has 513 points: 17 or 6 blocks, the last one partial (17 or
-        # 13 rows), so a stale buffer row in the last block shows
-        monkeypatch.setattr(calc, "PAIR_BLOCK", block)
+    @staticmethod
+    def _level_one(rng):
+        """hardy(3, 0.9) at level 1, an operator, and the most common row
+        argmax mu with the rows attaining it."""
         m = hardy(3, 0.9)
         kmat = kernel_matrix(m, default_grid(m, 1).points)
         a = orc.rand_complex(rng, 4)
-        top = np.abs((a @ kmat).T @ kmat.conj()).argmax(axis=1)
-        mu = int(np.bincount(top).argmax())  # the most common row argmax
+        top = _elementwise_pairs(a, kmat).argmax(axis=1)
+        mu = int(np.bincount(top).argmax())
+        rows = np.flatnonzero(top == mu)
+        assert mu < 511 and rows.size > 1 and rows.max() < 511
+        return kmat, a, mu, rows
+
+    @pytest.mark.parametrize("block", [2**14, 513 * 100])
+    def test_blocks_equal_one_unblocked_product(self, rng, monkeypatch, block):
+        # level 1 has 513 points: screen blocks of 32 rows, the last one
+        # partial (1 row), so a stale row in the last block shows; the bad
+        # kernel's rows take every mu, 4,096 or 12,825 products at a time
+        monkeypatch.setattr(calc, "PAIR_BLOCK", block)
+        kmat, a, mu, rows = self._level_one(rng)
         tied = kmat.copy()
         tied[:, 511] = tied[:, mu]  # its rows now attain their maximum at mu and at 511
         bad = tied.copy()
         bad[:, 250] = np.nan  # row 250 is all NaN; every other row's first NaN is mu = 250
-        for k in (tied, bad):
-            full = np.abs((a @ k).T @ k.conj())  # [lam, mu], one unblocked product
-            vals, mus = calc._row_max(a, k)
-            np.testing.assert_array_equal(vals, full.max(axis=1))
-            np.testing.assert_array_equal(mus, full.argmax(axis=1))
-        rows = np.flatnonzero(top == mu)
-        assert mu < 511 and rows.size > 1 and rows.max() < 511
-        full = np.abs((a @ tied).T @ tied.conj())
+        full, mus = _check_row_max(a, tied)
+        _check_row_max(a, bad)
         np.testing.assert_array_equal(full[rows, mu], full[rows, 511])  # a real tie
-        np.testing.assert_array_equal(calc._row_max(a, tied)[1][rows], mu)
+        np.testing.assert_array_equal(mus[rows], mu)
+
+    @pytest.mark.parametrize("delta", [1e-10, -1e-10])
+    def test_near_ties_the_screen_cannot_separate(self, rng, delta):
+        # column 511 is column mu turned by a phase and scaled by 1 + delta:
+        # in float64 the larger one wins in every row of mu, later column
+        # (delta > 0) or earlier (delta < 0), while complex64 orders some of
+        # those rows the other way
+        kmat, a, mu, rows = self._level_one(rng)
+        near = kmat.copy()
+        near[:, 511] = near[:, mu] * np.exp(0.7j) * (1.0 + delta)
+        full, mus = _check_row_max(a, near)
+        np.testing.assert_array_equal(mus[rows], 511 if delta > 0 else mu)
+        assert (np.sign(full[rows, 511] - full[rows, mu]) == np.sign(delta)).all()
+        k32 = near.astype(np.complex64)
+        screen = np.abs((a.astype(np.complex64) @ k32).T @ k32.conj())
+        assert (np.sign(screen[rows, 511] - screen[rows, mu]) == -np.sign(delta)).any()
 
 
 class TestNormMemory:
@@ -544,6 +579,22 @@ class TestNormMemory:
         finally:
             tracemalloc.stop()
         assert peak < 128 * 2**20
+
+    @pytest.mark.parametrize("name", ["zero", "E30"])
+    def test_wide_ties_stay_bounded(self, name):
+        # every row of the zero operator ties at 0, and E30 = e_3 e_0^T gives
+        # |<A k_lam, k_mu>| = |k_lam,0| |k_mu,3|, each row tied around the
+        # outer circle: the candidates of the norm's screen stay in blocks
+        a = np.zeros((4, 4), dtype=complex)
+        a[3, 0] = name == "E30"
+        tracemalloc.start()
+        try:
+            est = berezin_norm(hardy(3, 0.9), a, level=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+        assert est.value == (0.4210609464263534 if name == "E30" else 0.0)
 
 
 def _mesh_values(level, ring_value, origin):
@@ -1040,6 +1091,9 @@ class TestBitIdentityAssumptions:
         # a slice at offsets 0-39 with lengths 1-17 has its bits alone
         a, b = self._samples(rng, 64)
         s = rng.standard_normal((64, 4)) * rng.choice([0.0, -0.0, 1.0, 1e300], (64, 4))
+        # the norm's refinement sums complex C-contiguous rows of width n
+        z = self._samples(rng, 64 * 16)[0].reshape(64, 16)
+        c = {w: np.ascontiguousarray(z[:, :w]) for w in range(5, 17)}
         ops = {
             "product": lambda i: a[i] * b[i],
             "quotient": lambda i: a[i] / b[i],
@@ -1047,6 +1101,7 @@ class TestBitIdentityAssumptions:
             "twice": lambda i: 2.0 * a[i],
             "hypot": lambda i: np.hypot(a[i].real, b[i].imag),
             **{f"sum of {w}": (lambda i, w=w: s[i, :w].sum(-1)) for w in (2, 3, 4)},
+            **{f"complex sum of {w}": (lambda i, w=w: c[w][i].sum(-1)) for w in c},
         }
         with np.errstate(all="ignore"):
             assert np.isinf(np.abs(a[:2])).all()  # an overflowing modulus is inf

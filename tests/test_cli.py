@@ -198,7 +198,7 @@ class TestEvalOutput:
          "48dbc291f509c144518f479b6860958b2c870f46af381779f6df1b7d9ee65e7e"),
         (GeneratorSpec("general", 4, 1.0, 0), ("--model", "finite:4"),
          "b0f34c831d78e9df81d3288bdf4f86b1f49789f4894e25d7fb89ce995615719b"),
-    ])
+    ], ids=["disk", "finite"])
     def test_golden_bytes(self, capsys, tmp_path, gen, argv, digest):
         # an eval-pool operator on a disk model (2,049 symbol samples) and a
         # finite one: every estimate and every byte of the JSON layout
