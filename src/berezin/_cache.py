@@ -1,4 +1,4 @@
-"""Scoped memoization of whole calls.
+"""Scoped memoization of whole calls, the package's one memo mechanism.
 
 A parameter sweep evaluates many expressions built from the same handful of
 operands.  Inside a `computation_scope()` block, a function decorated with
@@ -9,10 +9,10 @@ cached, so the input checks inside a cached function run on every distinct
 input.  Outside a scope every call computes from scratch.  Cached values
 equal freshly computed ones, so a scope never changes results; callers share
 them, and every array among them is read-only.  In `linalg` the eigensystems
-and the powers |A|^p and H^p are cached, in `calc` the Berezin numbers,
-norms, disk searches and numerical radii, in `models` the kernel matrices,
-and in `fuzz.sample_operands` the operands of a campaign trial.  `memo`
-exposes the scope's dict to a caller that fills it itself.
+and the powers |A|^p and H^p are cached, in `models` the kernel matrices,
+and in `fuzz` the operand draws of a campaign trial.  The Berezin numbers,
+norms and numerical radii in `calc` are not: their disk searches are
+deduplicated within one batch instead (`calc._searches`).
 """
 
 from __future__ import annotations
@@ -56,9 +56,3 @@ def scoped(fn):
 
     return cached
 
-
-def memo() -> dict | None:
-    """The current computation_scope's memo, or None outside a scope.  A
-    caller that fills it itself keys each entry as `scoped` does, from its
-    own function (with `array_key` for arrays), and stores no exception."""
-    return _scope.get()

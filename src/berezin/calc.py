@@ -23,15 +23,16 @@ operations that give a row the same bits wherever it sits in the batch
 C-contiguous rows, stacked matrix products; pinned in test_calc), so an
 operator's estimate has the same bits in any batch as alone.  Estimates at
 level L take the best value over levels 0..L, so refinement never loses
-ground.  Every disk search goes through one memo path (_searches), for a
-batch of (operator, norm) at once: both quantities scale as |c| under A ->
-cA, so it searches A = 2^k U, U's largest real or imaginary component in
-[1/2, 1), and returns 2^k times U's value, one search per operator up to a
-power of two inside a computation_scope, bit for bit the direct search's, as
-scaling by 2^k commutes with rounding.  A lone berezin_number or
-berezin_norm call is a batch of one, berezin_pair a batch of two; a campaign
-trial, or one inequalities.check, runs all of its searches in one batch, and
-`berezin eval` fills the memo ahead of its number and norm in one batch.
+ground.  Every disk search goes through one path (_searches), for a batch
+of (operator, norm) at once: both quantities scale as |c| under A -> cA, so
+it searches A = 2^k U, U's largest real or imaginary component in [1/2, 1),
+and returns 2^k times U's value, one search per operator up to a power of
+two in the batch, bit for bit the direct search's, as scaling by 2^k
+commutes with rounding.  A lone berezin_number or berezin_norm call is a
+batch of one, berezin_pair a batch of two; a campaign trial, or one
+inequalities.check, runs all of its searches in one batch, and `berezin
+eval` its number and norm.  calc keeps no memo: across calls, a
+computation_scope() shares only the kernel matrices (models.kernel_matrix).
 
 The numerical radius is w(A) = max over theta of g(theta) = lambda_max(
 Re(e^{i theta} A)).  One batched eigvalsh of the first half-turn's 128
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._cache import array_key, memo, scoped
+from ._cache import array_key
 from .errors import DimensionMismatch, PointOutOfDomain
 from .linalg import UNSCALED_MAX, _pow2_exponent, as_complex_matrix, im_part, re_part
 from .models import (
@@ -539,18 +540,14 @@ def _searches(model: KernelModel, level: int, searches: list) -> list:
     model: one SupEstimate or error per search (_grid_sup).
 
     Each operator A is searched as A = 2^k U (_pow2_splits, one array pass
-    for the batch), or as itself when it does not split, through the
-    current computation_scope's memo (a fresh dict outside a scope); the
-    distinct searches not memoized go through one _grid_sup batch, numbers
-    and norms in one lockstep ascent, and the successes are memoized, never
-    the errors.  Inside a scope every power-of-two multiple of a searched
-    operator so costs one ldexp, bit for bit the direct search: scaling by
+    for the batch), or as itself when it does not split; the distinct
+    (U, norm) of the batch go through one _grid_sup batch, numbers and norms
+    in one lockstep ascent.  Every power-of-two multiple of an operator in
+    the batch so costs one ldexp, bit for bit the direct search: scaling by
     2^k commutes with rounding in the normal range, so every grid value and
     |q00| scales by 2^k, while the ascent sees only ratios (_log_terms), so
     its steps and the argmax do not move.
     """
-    table = memo()
-    table = {} if table is None else table
     shape = (model.dimension,) * 2
     fit = [a for a, _ in searches if a.shape == shape]
     units = zip(*_pow2_splits(np.array(fit, dtype=complex).reshape(-1, *shape)))
@@ -558,15 +555,13 @@ def _searches(model: KernelModel, level: int, searches: list) -> list:
     for a, norm in searches:
         u, k, ok = next(units) if a.shape == shape else (a, 0, False)
         u, k = (u, int(k)) if ok else (a, 0)
-        key = (_searches, model, array_key(u), level, norm)
+        key = (array_key(u), norm)
         keys.append((key, k))
-        if key not in table:
-            todo.setdefault(key, (u, norm))
-    done = dict(zip(todo, _grid_sup(model, list(todo.values()), level))) if todo else {}
-    table.update((key, est) for key, est in done.items() if not isinstance(est, Exception))
+        todo.setdefault(key, (u, norm))
+    done = dict(zip(todo, _grid_sup(model, list(todo.values()), level)))
     return [est if not k or isinstance(est, Exception)
             else SupEstimate(math.ldexp(est.value, k), est.argmax, False)
-            for key, k in keys for est in [done.get(key) or table[key]]]
+            for key, k in keys for est in [done[key]]]
 
 
 def _raised(results) -> list:
@@ -578,15 +573,13 @@ def _raised(results) -> list:
     return results
 
 
-@scoped
 def berezin_number(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEstimate:
     """sup over the domain of |symbol|.
 
     Finite kind: exact, the largest diagonal modulus (first index wins ties).
     Continuous kinds: best of grid sampling plus local refinement over all
     levels up to `level` (_grid_sup); a lower bound for the true supremum.
-    A bad level or a non-finite operator raises ValueError there.  The
-    search runs once per operator up to a power of two (_searches).
+    A bad level or a non-finite operator raises ValueError there.
     """
     _check_operand(model, a)
     if model.is_finite_kind:
@@ -596,15 +589,13 @@ def berezin_number(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEsti
     return _raised(_searches(model, level, [(a, False)]))[0]
 
 
-@scoped
 def berezin_norm(model: KernelModel, a: np.ndarray, level: int = 1) -> SupEstimate:
     """sup over domain pairs of |<A k_lam, k_mu>|.
 
     Finite kind: exact, the largest entry modulus; the argmax pair is the
     first (lam, mu) in lam-major order attaining it.  Continuous kinds: grid
     row maxima plus refinement (_grid_sup), a lower bound; a bad level or a
-    non-finite operator raises ValueError.  As for berezin_number, one
-    search per operator up to a power of two (_searches).
+    non-finite operator raises ValueError.
     """
     _check_operand(model, a)
     if model.is_finite_kind:
@@ -679,7 +670,6 @@ def _radius_ascent(a: np.ndarray, re: np.ndarray, im: np.ndarray, th: float,
     return best, th
 
 
-@scoped
 def numerical_radius(a: np.ndarray) -> float:
     """max over unit vectors of |<Ax, x>|, as a lower bound attained at one.
 

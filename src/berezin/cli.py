@@ -29,13 +29,15 @@ line and an exit code:
     DimensionMismatch                    3  error:                 2  error:
     NoConvergence, LinAlgError           4  numerical failure:     2  error:
     other BerezinError, ValueError,      2  error:                 2  error:
-    OSError, csv.Error
+    OSError, csv.Error, MemoryError
 
 So bad input, an unreadable or unusable file (a report CSV cell longer
 than the csv module's field limit included), an --out path that cannot be
 written, a negative --level, a --level above 4 on a disk model, an --n
-other than the --model's dimension, a NaN, infinite or negative --tol and
-a JSON number that a float64 cannot hold all exit 2.
+other than the --model's dimension, a NaN, infinite or negative --tol, a
+JSON number that a float64 cannot hold, an --ineq or --suite list without
+ids, fuzz given both --suite and --ineq, and operands too large to allocate
+(an --n of 10^5, say) all exit 2.
 """
 
 from __future__ import annotations
@@ -201,10 +203,12 @@ def cmd_eval(opts) -> int:
     grid = default_grid(model, level=level)  # rejects a negative level
     as_csv = opts["format"] == "csv"
     with computation_scope():  # one kernel matrix per grid level
-        if not model.is_finite_kind:  # one lockstep ascent for the number and the norm
-            calc._searches(model, level, [(mat, False), (mat, True)])
-        bn = calc.berezin_number(model, mat, level=level)
-        nb = calc.berezin_norm(model, mat, level=level)
+        if model.is_finite_kind:
+            bn = calc.berezin_number(model, mat, level=level)
+            nb = calc.berezin_norm(model, mat, level=level)
+        else:  # one lockstep ascent for the number and the norm
+            calc._check_operand(model, mat)
+            bn, nb = calc._raised(calc._searches(model, level, [(mat, False), (mat, True)]))
         w = calc.numerical_radius(mat)
         opn = operator_norm(mat)
         symbols = None if as_csv else calc.symbol_values(model, mat, grid)
@@ -235,8 +239,11 @@ def cmd_eval(opts) -> int:
 
 
 def _entry_ids(text) -> list[str]:
-    """Catalog ids from a comma list; unknown ids raise UnknownIneqId."""
+    """Catalog ids from a comma list; unknown ids raise UnknownIneqId, and a
+    list without ids ValueError."""
     ids = [s.strip() for s in str(text).split(",") if s.strip()]
+    if not ids:
+        raise ValueError(f"no catalog ids in {str(text)!r}")
     for ineq_id in ids:
         if ineq_id not in CATALOG:
             raise UnknownIneqId(f"no catalog entry {ineq_id!r}")
@@ -332,9 +339,11 @@ def cmd_check(opts) -> int:
 
 
 def cmd_fuzz(opts) -> int:
+    if opts["suite"] is not None and opts["ineq"] is not None:
+        raise ValueError("give --suite or --ineq, not both")
     chosen = opts["suite"] if opts["suite"] is not None else opts["ineq"]
     ids = None
-    if chosen and str(chosen).strip().lower() != "all":
+    if chosen is not None and str(chosen).strip().lower() != "all":
         ids = _entry_ids(chosen)
     run = _campaign_options(opts, "csv", 100)
     report = fuzz.run_suite(
@@ -459,7 +468,8 @@ def main(argv=None) -> int:
     except (OverflowError, FloatingPointError) as exc:  # a float power or numpy op past float64
         _log(f"error: value overflows float64: {exc}")
         return 2
-    except (BerezinError, ValueError, OSError, csv.Error) as exc:  # LinAlgError is a ValueError
+    # LinAlgError is a ValueError; MemoryError an allocation numpy cannot make
+    except (BerezinError, ValueError, OSError, csv.Error, MemoryError) as exc:
         code = 2
         if args.command == "eval" and isinstance(exc, DimensionMismatch):
             code = 3

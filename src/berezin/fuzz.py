@@ -12,11 +12,12 @@ them.  Every entry's parameter grid is validated before any row is evaluated
 (a default grid once per process, `param_grid`).
 Evaluation is trial-major: one memo scope (`computation_scope`) per trial
 holds every entry's evaluation of that trial: each operand is drawn once
-(`sample_operands`), and entries whose operands coincide share its
-eigensystems, fractional powers, Berezin numbers and norms, all read-only.
-On a disk model every evaluator runs once on deferred Berezin values, and
-all of the trial's disk searches then run in one batch before its rows are
-judged (`inequalities._resolve`).  Rows stay entry-major: each entry's
+(`sample_operands`), and entries whose operands coincide share their
+eigensystems and fractional powers, and on a disk model the kernel
+matrices, all read-only.  On a disk model every evaluator runs once on
+deferred Berezin values, and all of the trial's disk searches then run in
+one batch, deduplicated up to powers of two, before its rows are judged
+(`inequalities._resolve`).  Rows stay entry-major: each entry's
 rows go to a temporary spill file, and the spills are copied to the CSV in
 entry order after the last trial.  Each trial's operands are validated once
 per entry and bound to the entry's evaluator once, which then evaluates
@@ -47,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._cache import computation_scope, memo
+from ._cache import computation_scope, scoped
 from .errors import ParamOutOfRange, UnknownIneqId
 from .inequalities import (
     CATALOG,
@@ -192,36 +193,37 @@ def sample_operands(entry: CatalogEntry, n: int, scale: float, seed: int,
     The "identity" override makes every operand deterministic: matrices I,
     scalars 1, unit vectors e_1.  Arrays come back read-only.
 
-    Inside a computation_scope() each operand is drawn once and shared: the
-    memo key is (seed, n, scale, matrix_kind) and the operand kinds drawn so
-    far, and the stream's state after each operand is kept with it, so an
-    entry whose kinds leave a shared prefix draws on from that state.  The
-    commuting pair is one such operand.  Either way the operands are those
-    of a fresh stream, bit for bit.
+    Inside a computation_scope() each operand is drawn once and shared:
+    `_drawn` memoizes the operands of each prefix of the entry's operand
+    kinds with the stream's state after them, so an entry whose kinds
+    leave a shared prefix draws on from that state; `_commuting` memoizes
+    the commuting pair.  Either way the operands are those of a fresh
+    stream, bit for bit.
     """
-    table = memo()
-    if table is None:  # outside a scope the draws are this call's alone
-        table = {}
-    key = (sample_operands, seed, n, scale, matrix_kind)
     if entry.commuting is not None and matrix_kind != "identity":
-        key += ("commuting",)
-        if key not in table:
-            pair = gen_commuting_pair(GeneratorSpec(n=n, scale=scale, seed=seed))
-            for m in pair:
-                m.flags.writeable = False
-            table[key] = pair
-        return dict(zip(entry.commuting, table[key]))
-    ops, vs, state = {}, None, None
-    for name, kind in entry.operand_spec:
-        key += (kind,)
-        if key not in table:  # so is every later prefix of this call
-            if vs is None:
-                vs = ValueStream(seed)
-                if state is not None:  # draw on after the shared prefix
-                    vs._bg.state = state
-            table[key] = _operand(kind, n, scale, matrix_kind, vs), vs._bg.state
-        ops[name], state = table[key]
-    return ops
+        return dict(zip(entry.commuting, _commuting(seed, n, scale)))
+    names, kinds = zip(*entry.operand_spec)
+    return dict(zip(names, _drawn(seed, n, scale, matrix_kind, kinds)[0]))
+
+
+@scoped
+def _drawn(seed: int, n: int, scale: float, matrix_kind: str, kinds: tuple):
+    """The operands of `kinds`, in order, from a fresh stream of `seed`, and
+    the Philox state after them; the first len(kinds) - 1 come from the call
+    for that prefix."""
+    vs, ops = ValueStream(seed), ()
+    if len(kinds) > 1:
+        ops, vs._bg.state = _drawn(seed, n, scale, matrix_kind, kinds[:-1])
+    return ops + (_operand(kinds[-1], n, scale, matrix_kind, vs),), vs._bg.state
+
+
+@scoped
+def _commuting(seed: int, n: int, scale: float) -> tuple:
+    """gen_commuting_pair's pair for (seed, n, scale), read-only."""
+    pair = gen_commuting_pair(GeneratorSpec(n=n, scale=scale, seed=seed))
+    for m in pair:
+        m.flags.writeable = False
+    return pair
 
 
 def _operand(kind: str, n: int, scale: float, matrix_kind: str, vs: ValueStream):

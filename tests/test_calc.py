@@ -739,31 +739,6 @@ class TestScopedCache:
             )
         assert plain == cached_first == cached_second
 
-    def test_scope_reuses_disk_estimates(self, rng, monkeypatch):
-        calls = []
-        grid = calc.default_grid
-        monkeypatch.setattr(calc, "default_grid", lambda *a: calls.append(a) or grid(*a))
-        m, a = hardy(3, 0.9), orc.rand_complex(rng, 4)
-        with computation_scope():
-            first = (berezin_number(m, a, level=0), berezin_norm(m, a, level=0))
-            again = (berezin_number(m, a, level=0), berezin_norm(m, a, level=0))
-            assert len(calls) == 2
-        assert first == again
-
-    def test_scope_reuses_numerical_radius(self, rng, monkeypatch):
-        # counts the grid's eigvalsh and every Newton step's eigh
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            solve = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name,
-                                lambda h, solve=solve, name=name: calls.append(name) or solve(h))
-        a = orc.rand_complex(rng, 3)
-        with computation_scope():
-            first = numerical_radius(a)
-            solves = len(calls)
-            assert {"eigh", "eigvalsh"} <= set(calls)
-            assert numerical_radius(a) == first and len(calls) == solves
-
 
 class TestPositiveEquality:
     def test_two_by_two(self):
@@ -823,7 +798,7 @@ SPLIT_MODELS = [hardy(3, 0.9), bergman(3, 0.9), fock(3, 2.0)]
 
 
 class TestPowerOfTwoSplit:
-    """A continuous-model search runs A = 2^k U through one memo of U."""
+    """A continuous-model search runs A = 2^k U through one search of U per batch."""
 
     OPERATORS = {
         "general": gen_matrix(GeneratorSpec("general", 4, 1.0, seed=7)),
@@ -859,17 +834,14 @@ class TestPowerOfTwoSplit:
                 assert est.exact is False
             assert got_pair == tuple(math.ldexp(v, j) for v in pair)
 
-    def test_a_multiple_in_one_scope_searches_once(self, monkeypatch):
+    def test_a_multiple_in_one_batch_searches_once(self, monkeypatch):
         calls = []
         search = calc._grid_sup
         monkeypatch.setattr(calc, "_grid_sup", lambda *a: calls.append(a) or search(*a))
         m, a = hardy(3, 0.9), self.OPERATORS["general"]
-        with computation_scope():
-            first = (berezin_number(m, a, level=0), berezin_norm(m, a, level=0))
-            assert len(calls) == 2
-            again = (berezin_number(m, 8 * a, level=0), berezin_norm(m, 8 * a, level=0))
-            assert len(calls) == 2
-        for est, ref in zip(again, first):
+        got = calc._searches(m, 0, [(a, False), (a, True), (8 * a, False), (8 * a, True)])
+        assert len(calls) == 1 and len(calls[0][1]) == 2  # U's number and norm
+        for est, ref in zip(got[2:], got[:2]):
             assert est.value == 8 * ref.value and est.argmax == ref.argmax
 
     UNSAFE = [
@@ -999,24 +971,18 @@ class TestBatchedSearch:
         for est in batch[6:8]:
             assert isinstance(est, ValueError) and "overflows float64" in str(est)
 
-    def test_plan_warms_the_memo_and_skips_failures(self, monkeypatch):
+    def test_split_batch_failures_fail_alone(self):
         m, a = hardy(3, 0.9), self.OPERATORS["general"]
         nan = np.full((4, 4), math.nan, dtype=complex)
         wrong = np.eye(3, dtype=complex)
-        with computation_scope():
-            calc._searches(m, 0, [(a, False), (4 * a, False), (a, True), (nan, True),
-                                  (wrong, False), (np.zeros((4, 4), dtype=complex), True)])
-            monkeypatch.setattr(calc, "_grid_sup", lambda *args: pytest.fail("searched on demand"))
-            got = berezin_number(m, 0.5 * a, level=0), berezin_norm(m, a, level=0)
-        with computation_scope():
-            monkeypatch.undo()
-            ref = berezin_number(m, 0.5 * a, level=0), berezin_norm(m, a, level=0)
-        assert got == ref
-        for bad, error in ((nan, ValueError), (wrong, DimensionMismatch)):
-            with computation_scope():
-                calc._searches(m, 0, [(bad, False)])
-                with pytest.raises(error):
-                    berezin_number(m, bad, level=0)
+        zero = np.zeros((4, 4), dtype=complex)
+        searches = [(a, False), (4 * a, False), (a, True), (nan, True), (wrong, False),
+                    (zero, True)]
+        got = calc._searches(m, 0, searches)
+        assert isinstance(got[3], ValueError) and "non-finite" in str(got[3])
+        assert isinstance(got[4], DimensionMismatch)
+        for k in (0, 1, 2, 5):
+            assert _same(got[k], calc._grid_sup(m, [searches[k]], 0)[0])
 
     def test_plan_does_nothing_on_finite_models(self, monkeypatch, tmp_path):
         # `berezin eval` plans its disk searches; on a finite model it has none

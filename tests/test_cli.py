@@ -438,6 +438,20 @@ class TestFuzz:
         code, _, _ = run(capsys, "fuzz", "--suite", "prop1,bogus", "--trials", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["check", "--ineq", ","], ["fuzz", "--ineq", ","],
+                                      ["fuzz", "--suite", " , "], ["fuzz", "--ineq", ""]])
+    def test_id_list_without_ids(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: no catalog ids in {argv[-1]!r}\n"
+
+    def test_suite_and_ineq_together(self, capsys, tmp_path):
+        dest = tmp_path / "rows.csv"
+        code, out, err = run(capsys, "fuzz", "--suite", "all", "--ineq", "prop1",
+                             "--trials", "1", "--out", str(dest))
+        assert (code, out, err) == (2, "", "error: give --suite or --ineq, not both\n")
+        assert not dest.exists()
+
     def test_bad_dimension_list(self, capsys):
         code, _, _ = run(capsys, "fuzz", "--ineq", "prop1", "--n", "2,x", "--trials", "1")
         assert code == 2
@@ -675,6 +689,7 @@ class TestExitCodes:
         (PointOutOfDomain("m"), (2, "error: m\n"), (2, "error: m\n")),
         (ValueError("m"), (2, "error: m\n"), (2, "error: m\n")),
         (OSError("m"), (2, "error: m\n"), (2, "error: m\n")),
+        (MemoryError("m"), (2, "error: m\n"), (2, "error: m\n")),
     ])
     @pytest.mark.parametrize("command", ["eval", "check", "fuzz", "report"])
     def test_table(self, capsys, monkeypatch, command, exc, in_eval, elsewhere):

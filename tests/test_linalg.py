@@ -178,7 +178,7 @@ class TestScopedPowers:
 
     @staticmethod
     def _memoized_fns():
-        return {key[0] for key in _cache.memo()}
+        return {key[0] for key in _cache._scope.get()}
 
     def test_repeated_call_computes_once_in_scope(self, rng, spectral_calls):
         g = orc.rand_complex(rng, 3)
